@@ -486,8 +486,11 @@ func (s *System) OnCapture(cap *scene.Capture) (sim.Outcome, error) {
 // OnDayEnd implements sim.System: the ground packs reference updates for
 // each satellite's upcoming passes into the day's uplink budget. With the
 // constellation model on, the flat per-day budget is replaced by booked
-// ground-station contact windows with per-contact budgets.
+// ground-station contact windows with per-contact budgets. The ground
+// codes each distinct reference update once per day-end and shares it
+// across satellites; those updates are dropped when the day-end returns.
 func (s *System) OnDayEnd(day int) (int64, error) {
+	defer s.ground.EndUplinkDay()
 	if s.sched != nil {
 		return s.contendedDayEnd(day)
 	}

@@ -6,7 +6,9 @@
 package station
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -23,6 +25,13 @@ import (
 // compressed on-board stores also retain the storage-codec frame the
 // satellite holds (frame), so a tiled store's next delta update can be
 // spliced per-tile into it instead of re-encoding the whole reference.
+//
+// Ownership: img and frame are immutable values, shared freely — one
+// bootstrap seed or one coded update backs the mirrors of every satellite
+// that holds that content, and a ground reference may back mirrors too.
+// Code that needs different content builds a new image. Only the struct
+// itself (its day) is per-satellite state, so a refState is never shared
+// between two mirror slots.
 type refState struct {
 	img   *raster.Image
 	day   int
@@ -71,10 +80,17 @@ type Ground struct {
 	mirrors  map[int][]*refState
 	retries  map[int]map[int]int
 	// spliceReencoded / spliceTotal count, across every tiled mirror
-	// splice PackUplink performed, the codec tiles re-encoded versus the
-	// tiles a whole-frame re-encode would have touched — the ground-side
-	// measurement of the tiled profile's per-tile splice saving.
+	// splice a packed update carries, the codec tiles re-encoded versus
+	// the tiles a whole-frame re-encode would have touched — the
+	// ground-side measurement of the tiled profile's per-tile splice
+	// saving. An update shared by several satellites counts once per
+	// satellite, like the splices their stores perform.
 	spliceReencoded, spliceTotal int64
+	// memo shares the day's untrimmed reference updates across
+	// satellites (see sharedUpdate); memoDay is the day that built it.
+	// Guarded by mirrorMu, dropped by EndUplinkDay.
+	memo    map[memoKey][]*memoEntry
+	memoDay int
 }
 
 // Config parameterises the ground segment.
@@ -272,15 +288,24 @@ func (g *Ground) ReassessCoverage(capImg *raster.Image, loc int) float64 {
 
 // RefUpdate is one packed uplink message: the changed low-resolution
 // reference tiles for a location, per band.
+//
+// Satellites whose mirrors hold the same content receive the same coded
+// update, so Frame, StoreFrame and PerBand may be shared with other
+// satellites' updates and must not be mutated.
 type RefUpdate struct {
 	Loc int
 	// Day is the reference content's capture day.
 	Day int
 	// Decoded is the post-codec reference image the satellite should
 	// splice into its cache (the satellite sees exactly what survived
-	// the uplink encoding, not the pristine ground copy). With
-	// CompressRefs it is the PRE-storage-codec content: the store's
-	// entry is StoreFrame, whose decode the mirror tracks.
+	// the uplink encoding, not the pristine ground copy). Without
+	// CompressRefs it is the receiving satellite's private copy: a raw
+	// store keeps the image it is given (sat.RefCache.Put) and later
+	// splices into it in place (ApplyTileUpdate), so it never aliases the
+	// ground's mirror or another satellite's update. With CompressRefs it
+	// is the PRE-storage-codec content, shared and read-only: the store's
+	// entry is StoreFrame, whose decode the mirror tracks, and the store
+	// keeps no pixels of Decoded.
 	Decoded *raster.Image
 	// StoreFrame is the storage-codec frame of the full updated
 	// reference, set only under CompressRefs: a compressed on-board
@@ -331,9 +356,18 @@ const refDiffEps = 2e-3
 // state (bootstrap seeding, day-end evictions and delivery outcomes), so
 // packing stays deterministic and byte-identical at any engine worker
 // count.
+//
+// Within one day, an untrimmed update is coded once and shared by every
+// satellite that needs it (see sharedUpdate); a budget-trimmed update
+// depends on the satellite's remaining meter and is coded for it alone.
+// Callers packing a whole fleet call EndUplinkDay once all satellites of
+// the day are packed.
 func (g *Ground) PackUplink(sat, day int, locs []int, budget *link.Meter) ([]RefUpdate, error) {
 	g.mirrorMu.Lock()
 	defer g.mirrorMu.Unlock()
+	if g.memoDay != day {
+		g.memo, g.memoDay = nil, day
+	}
 	mirror := g.mirrors[sat]
 	if mirror == nil {
 		mirror = make([]*refState, len(g.archive))
@@ -368,89 +402,220 @@ func (g *Ground) PackUplink(sat, day int, locs []int, budget *link.Meter) ([]Ref
 		if mirror[loc] != nil && mirror[loc].day >= best.day && mirror[loc].img == best.img {
 			continue // nothing new since the last upload
 		}
-		perBand := make([]*raster.TileMask, len(g.bands))
-		totalTiles := 0
-		for b := range g.bands {
-			mask := raster.NewTileMask(gLow)
-			if mirror[loc] == nil {
-				mask.SetAll()
-			} else {
-				diffs := raster.TileMeanAbsDiff(best.img, mirror[loc].img, b, gLow)
-				for t, d := range diffs {
-					mask.Set[t] = d > refDiffEps
-				}
-			}
-			perBand[b] = mask
-			totalTiles += mask.Count()
+		c, err := g.sharedUpdate(loc, best, mirror[loc], gLow)
+		if err != nil {
+			return nil, err
 		}
-		if totalTiles == 0 {
+		if c == nil {
 			// Content identical; just advance the mirror's age for free.
 			mirror[loc].day = best.day
 			continue
 		}
-		streams, masks, n, err := g.encodeRefUpdate(best.img, perBand)
-		if err != nil {
-			return nil, err
-		}
-		if !budget.TryConsume(n) {
+		if !budget.TryConsume(c.bytes) {
 			// The full update does not fit. Ship the most-changed tiles
 			// that do — the paper skips reference data under uplink
 			// shortage (§5); skipping at tile granularity avoids the
 			// deadlock where a whole-image update never fits a small
 			// daily budget and the reference ages forever.
-			perBand = g.trimUpdateToBudget(best, mirror[loc], perBand, budget.Remaining())
-			totalTiles = 0
+			perBand := g.trimUpdateToBudget(best, mirror[loc], c.masks, budget.Remaining())
+			totalTiles := 0
 			for _, m := range perBand {
 				totalTiles += m.Count()
 			}
 			if totalTiles == 0 {
 				continue
 			}
-			streams, masks, n, err = g.encodeRefUpdate(best.img, perBand)
-			if err != nil {
+			if c, err = g.encodeRefUpdate(best.img, perBand); err != nil {
 				return nil, err
 			}
-			if !budget.TryConsume(n) {
+			if !budget.TryConsume(c.bytes) {
 				continue // not even the trimmed update fits today
 			}
 		}
-		decoded, err := g.decodeRefUpdate(streams, masks, mirror[loc], best)
-		if err != nil {
+		if err := g.admit(c, mirror[loc], best); err != nil {
 			return nil, err
 		}
+		g.spliceReencoded += c.spliceReencoded
+		g.spliceTotal += c.spliceTotal
 		u := RefUpdate{
-			Loc: loc, Day: best.day, Decoded: decoded, PerBand: masks, Bytes: n,
-			Frame:      streams,
+			Loc: loc, Day: best.day, Decoded: c.decoded, StoreFrame: c.storeFrame,
+			PerBand: c.masks, Bytes: c.bytes, Frame: c.frame,
 			Retransmit: retries[loc] > 0,
 		}
 		if g.compressRefs {
-			// The satellite stores the updated reference COMPRESSED: run
-			// the storage codec over the full delta-applied content and
-			// mirror its decode — that, not `decoded`, is what the store
-			// will reproduce on the next visit. The frame rides along so
-			// the store installs it without re-encoding. A TILED mirror
-			// with a retained frame splices instead: only the codec tiles
-			// a changed mask tile touches are re-encoded (the same
-			// sat.SpliceStoredRef transform the on-board store applies),
-			// so untouched tiles keep their exact payload bytes and skip
-			// a storage-codec generation.
-			var frame container.Codestream
-			var stored *raster.Image
-			if prev := mirror[loc]; prev != nil && prev.frame != nil && prev.frame.Tiled() {
-				if frame, stored, err = g.spliceRef(prev.frame, decoded, masks); err != nil {
-					return nil, err
-				}
-			} else if frame, stored, err = g.storeRef(decoded); err != nil {
-				return nil, err
-			}
-			u.StoreFrame = frame
-			mirror[loc] = &refState{img: stored, day: best.day, frame: frame}
+			mirror[loc] = &refState{img: c.stored, day: best.day, frame: c.storeFrame}
 		} else {
-			mirror[loc] = &refState{img: decoded.Clone(), day: best.day}
+			// The mirror keeps the shared decode; the satellite's raw
+			// store keeps Decoded and splices into it in place, so it
+			// gets a private copy.
+			u.Decoded = c.decoded.Clone()
+			mirror[loc] = &refState{img: c.decoded, day: best.day}
 		}
 		updates = append(updates, u)
 	}
 	return updates, nil
+}
+
+// EndUplinkDay drops the day's shared reference updates. A caller packing
+// a whole fleet calls it once every satellite of the day is packed: the
+// next day's promotions make the entries stale, and holding them into the
+// next capture phase only raises peak memory. PackUplink also drops them
+// itself when called for a new day.
+func (g *Ground) EndUplinkDay() {
+	g.mirrorMu.Lock()
+	defer g.mirrorMu.Unlock()
+	g.memo = nil
+}
+
+// codedUpdate is one reference update as the ground codes it: the wire
+// frame and its uplink charge, then — once a satellite's budget admits the
+// update — what that satellite ends up holding. Every field is immutable
+// once set, so one codedUpdate may back several satellites' RefUpdates.
+type codedUpdate struct {
+	frame container.Codestream
+	masks []*raster.TileMask
+	bytes int64
+	// decoded is the post-uplink reference; nil until admitted.
+	decoded *raster.Image
+	// storeFrame and stored (its decode) are set under CompressRefs: the
+	// storage-codec frame the store installs, and the mirror's content.
+	storeFrame container.Codestream
+	stored     *raster.Image
+	// spliceReencoded/spliceTotal are the tiled mirror splice's counts.
+	spliceReencoded, spliceTotal int64
+}
+
+// memoKey selects the candidates for a shared update: the location and
+// the ground reference (by identity — every promotion builds a new image,
+// and reference images are never mutated).
+type memoKey struct {
+	loc int
+	ref *raster.Image
+}
+
+// memoEntry is one distinct untrimmed update: the rest of its key — the
+// mirror content it was coded against — and the coded result, nil when
+// that content already matches the reference.
+type memoEntry struct {
+	base      *raster.Image        // the mirror's image; nil for a re-seed
+	baseFrame container.Codestream // the mirror's stored frame (CompressRefs)
+	coded     *codedUpdate
+}
+
+// matches reports whether a mirror in state prev codes to e's update. The
+// change masks and the decode derive from prev's exact pixels, and a tiled
+// splice from its exact frame bytes, so both compare by bits.
+func (e *memoEntry) matches(prev *refState) bool {
+	if prev == nil || e.base == nil {
+		return prev == nil && e.base == nil
+	}
+	return sameBits(prev.img, e.base) && bytes.Equal(prev.frame, e.baseFrame)
+}
+
+// sameBits reports whether two images hold bit-identical pixels. Unlike
+// raster.Image.Equal, which compares values, it tells 0 from -0: both
+// survive the decode's clamp and reach the mirror.
+func sameBits(a, b *raster.Image) bool {
+	if a == b {
+		return true
+	}
+	if !a.SameShape(b) {
+		return false
+	}
+	for band, p := range a.Pix {
+		q := b.Pix[band]
+		for i, v := range p {
+			if math.Float32bits(v) != math.Float32bits(q[i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// sharedUpdate returns the untrimmed update of loc's reference best for a
+// mirror in state prev: the tiles whose content changed (every tile for a
+// re-seed) and their encoding, or nil when nothing changed. Every
+// satellite's mirror is refreshed from the same ground reference, so on
+// a day that promotes a reference, satellites whose mirrors hold the same
+// content need the same update: the first one packed diffs and encodes
+// it, and the rest of the day's satellites reuse the masks and frame —
+// and, once admitted, its decode and storage frame — instead of coding
+// it again.
+func (g *Ground) sharedUpdate(loc int, best, prev *refState, gLow raster.TileGrid) (*codedUpdate, error) {
+	key := memoKey{loc: loc, ref: best.img}
+	for _, e := range g.memo[key] {
+		if e.matches(prev) {
+			return e.coded, nil
+		}
+	}
+	perBand := make([]*raster.TileMask, len(g.bands))
+	totalTiles := 0
+	for b := range g.bands {
+		mask := raster.NewTileMask(gLow)
+		if prev == nil {
+			mask.SetAll()
+		} else {
+			diffs := raster.TileMeanAbsDiff(best.img, prev.img, b, gLow)
+			for t, d := range diffs {
+				mask.Set[t] = d > refDiffEps
+			}
+		}
+		perBand[b] = mask
+		totalTiles += mask.Count()
+	}
+	var c *codedUpdate
+	if totalTiles > 0 {
+		var err error
+		if c, err = g.encodeRefUpdate(best.img, perBand); err != nil {
+			return nil, err
+		}
+	}
+	e := &memoEntry{coded: c}
+	if prev != nil {
+		e.base, e.baseFrame = prev.img, prev.frame
+	}
+	if g.memo == nil {
+		g.memo = make(map[memoKey][]*memoEntry)
+	}
+	g.memo[key] = append(g.memo[key], e)
+	return c, nil
+}
+
+// admit completes c for a satellite whose budget accepted it: the
+// post-uplink decode on top of the mirror state prev and, under
+// CompressRefs, the storage frame and its decode. A shared update is
+// completed by the first satellite to admit it; later ones reuse it.
+func (g *Ground) admit(c *codedUpdate, prev, best *refState) error {
+	if c.decoded != nil {
+		return nil
+	}
+	decoded, err := g.decodeRefUpdate(c.frame, c.masks, prev, best)
+	if err != nil {
+		return err
+	}
+	if g.compressRefs {
+		// The satellite stores the updated reference COMPRESSED: run the
+		// storage codec over the full delta-applied content and mirror
+		// its decode — that, not `decoded`, is what the store will
+		// reproduce on the next visit. The frame rides along so the store
+		// installs it without re-encoding. A TILED mirror with a retained
+		// frame splices instead: only the codec tiles a changed mask tile
+		// touches are re-encoded (the same sat.SpliceStoredRef transform
+		// the on-board store applies), so untouched tiles keep their exact
+		// payload bytes and skip a storage-codec generation.
+		if prev != nil && prev.frame != nil && prev.frame.Tiled() {
+			var st sat.SpliceStats
+			if c.storeFrame, c.stored, st, err = g.spliceRef(prev.frame, decoded, c.masks); err != nil {
+				return err
+			}
+			c.spliceReencoded, c.spliceTotal = st.TilesReencoded, st.TilesTotal
+		} else if c.storeFrame, c.stored, err = g.storeRef(decoded); err != nil {
+			return err
+		}
+	}
+	c.decoded = decoded
+	return nil
 }
 
 // PendingUplink counts, without consuming any budget or mutating state,
@@ -458,10 +623,11 @@ func (g *Ground) PackUplink(sat, day int, locs []int, budget *link.Meter) ([]Ref
 // right now, split into its three scheduling classes: re-seeds (no mirror —
 // the satellite is flying blind), deltas (stale mirror a freshness update
 // would advance) and demoted re-seeds (past the MaxRetransmits bound).
-// Locations with no reference yet, or whose mirror already matches the
-// ground's best reference, are pending in no class — exactly PackUplink's
-// skip conditions. The constellation contact scheduler turns these counts
-// into cross-satellite demand.
+// Locations with no reference yet, or whose mirror is already at the
+// ground's best reference day, are pending in no class. That matches
+// PackUplink's skip conditions except for the residual tiles of a
+// budget-trimmed update (see below). The constellation contact scheduler
+// turns these counts into cross-satellite demand.
 func (g *Ground) PendingUplink(sat int, locs []int) (reseeds, deltas, demoted int) {
 	g.mirrorMu.Lock()
 	defer g.mirrorMu.Unlock()
@@ -480,9 +646,12 @@ func (g *Ground) PendingUplink(sat int, locs []int) (reseeds, deltas, demoted in
 		}
 		switch {
 		case m != nil:
-			// A mirror at the best reference's day is current: PackUplink
-			// would diff it to (near) nothing. Only an older day means a
-			// freshness delta is actually waiting.
+			// Only a mirror older than the best reference counts as a
+			// waiting delta. A mirror at the reference's day is usually
+			// current, but not always: after a budget-trimmed update the
+			// residual tiles still differ, and PackUplink sends them
+			// whenever this satellite wins a window. Demand leaves those
+			// residuals out.
 			if m.day < best.day {
 				deltas++
 			}
@@ -512,40 +681,40 @@ func (g *Ground) storeRef(im *raster.Image) (container.Codestream, *raster.Image
 
 // spliceRef applies a delta update to a tiled mirror frame per-tile — the
 // exact sat.SpliceStoredRef transform a tiled on-board store applies —
-// returning the spliced frame and its decode (the content the satellite
-// will actually hold), and accounting the tile savings.
-func (g *Ground) spliceRef(prev container.Codestream, decoded *raster.Image, masks []*raster.TileMask) (container.Codestream, *raster.Image, error) {
+// returning the spliced frame, its decode (the content the satellite will
+// actually hold) and the splice's tile counts.
+func (g *Ground) spliceRef(prev container.Codestream, decoded *raster.Image, masks []*raster.TileMask) (container.Codestream, *raster.Image, sat.SpliceStats, error) {
 	frame, st, err := sat.SpliceStoredRef(prev, decoded.Width, decoded.Height, g.bands, decoded, masks, g.refBPP, g.codecOpts)
 	if err != nil {
-		return nil, nil, fmt.Errorf("station: %w", err)
+		return nil, nil, st, fmt.Errorf("station: %w", err)
 	}
 	stored, err := sat.DecodeStoredRef(frame, decoded.Width, decoded.Height, decoded.Bands)
 	if err != nil {
-		return nil, nil, fmt.Errorf("station: %w", err)
+		return nil, nil, st, fmt.Errorf("station: %w", err)
 	}
-	g.spliceReencoded += st.TilesReencoded
-	g.spliceTotal += st.TilesTotal
-	return frame, stored, nil
+	return frame, stored, st, nil
 }
 
 // trimUpdateToBudget reduces per-band update masks to the most-changed
-// (band, tile) units whose estimated cost fits remaining bytes. The tiles
-// that do not make the cut remain different from the reference, so the
-// content diff re-selects them on the following days until the mirror
-// converges.
+// (band, tile) units whose estimated cost fits remaining bytes, returned
+// as new masks: perBand is left untouched, since a shared update holds
+// it. The tiles that do not make the cut remain different from the
+// reference, so the content diff re-selects them on the following days
+// until the mirror converges.
 func (g *Ground) trimUpdateToBudget(best, mirror *refState, perBand []*raster.TileMask, remaining int64) []*raster.TileMask {
+	gLow := perBand[0].Grid
+	out := make([]*raster.TileMask, len(perBand))
+	for b := range out {
+		out[b] = raster.NewTileMask(gLow)
+	}
 	if remaining <= 0 {
-		for b := range perBand {
-			perBand[b] = raster.NewTileMask(perBand[b].Grid)
-		}
-		return perBand
+		return out
 	}
 	type unit struct {
 		band, tile int
 		diff       float64
 	}
 	var units []unit
-	gLow := perBand[0].Grid
 	for b, mask := range perBand {
 		if mask.Count() == 0 {
 			continue
@@ -570,10 +739,6 @@ func (g *Ground) trimUpdateToBudget(best, mirror *refState, perBand []*raster.Ti
 	// plus a small share of stream overhead.
 	costPerUnit := int64(g.refBPP*float64(gLow.Tile*gLow.Tile)/8) + 12
 	keep := int(remaining / costPerUnit)
-	out := make([]*raster.TileMask, len(perBand))
-	for b := range out {
-		out[b] = raster.NewTileMask(gLow)
-	}
 	for i := 0; i < keep && i < len(units); i++ {
 		out[units[i].band].Set[units[i].tile] = true
 	}
@@ -584,7 +749,7 @@ func (g *Ground) trimUpdateToBudget(best, mirror *refState, perBand []*raster.Ti
 // into one container frame. The returned byte count is the uplink charge:
 // the per-band codec payloads plus the shipped tile-mask metadata
 // (framing overhead is a transport concern and not billed to the link).
-func (g *Ground) encodeRefUpdate(ref *raster.Image, perBand []*raster.TileMask) (container.Codestream, []*raster.TileMask, int64, error) {
+func (g *Ground) encodeRefUpdate(ref *raster.Image, perBand []*raster.TileMask) (*codedUpdate, error) {
 	streams := make([][]byte, len(g.bands))
 	var total int64
 	for b, mask := range perBand {
@@ -599,12 +764,12 @@ func (g *Ground) encodeRefUpdate(ref *raster.Image, perBand []*raster.TileMask) 
 		}
 		data, err := codec.EncodeROIPlane(ref.Plane(b), mask, opts)
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("station: encoding reference band %d: %w", b, err)
+			return nil, fmt.Errorf("station: encoding reference band %d: %w", b, err)
 		}
 		streams[b] = data
 		total += int64(len(data)) + codec.ROIMaskBytes(mask.Grid)
 	}
-	return container.Pack(streams), perBand, total, nil
+	return &codedUpdate{frame: container.Pack(streams), masks: perBand, bytes: total}, nil
 }
 
 // decodeRefUpdate reconstructs the reference image a satellite ends up with
@@ -634,7 +799,10 @@ func (g *Ground) decodeRefUpdate(cs container.Codestream, masks []*raster.TileMa
 
 // SeedBootstrap installs an initial archive and reference for loc (the
 // operational history every deployed system would already have) and primes
-// every listed satellite mirror with it, free of uplink charge.
+// every listed satellite mirror with it, free of uplink charge. The ground
+// keeps its own copy of full; the listed mirrors share one seed image (and,
+// under CompressRefs, one seed frame), which nothing mutates. Callers
+// seeding on-board caches must hand each cache its own image.
 func (g *Ground) SeedBootstrap(loc, day int, full *raster.Image, sats []int) error {
 	low, err := full.Downsample(g.downsample)
 	if err != nil {
@@ -664,8 +832,7 @@ func (g *Ground) SeedBootstrap(loc, day int, full *raster.Image, sats []int) err
 			mirror = make([]*refState, len(g.archive))
 			g.mirrors[s] = mirror
 		}
-		// The frame is immutable wire bytes, safely shared across mirrors.
-		mirror[loc] = &refState{img: mirrorImg.Clone(), day: day, frame: mirrorFrame}
+		mirror[loc] = &refState{img: mirrorImg, day: day, frame: mirrorFrame}
 	}
 	return nil
 }
