@@ -77,10 +77,9 @@
 // With ref_compression=on (flag -refcompress, default off) the store
 // holds each reference as its encoded codestream at the uplink's
 // reference rate instead of raw 16-bit planes: footprints are the actual
-// encoded bytes (~2-5x more locations per budget), Visit decodes lazily
-// through a small decoded-plane LRU (the decode-on-visit cost model,
-// whose decode count, LRU absorptions and measured wall-clock are
-// recorded in BENCH_sim.json as ref_decode),
+// encoded bytes (~2-5x more locations per budget), every Visit decodes
+// the frame (the decode-on-visit cost model, whose decode count and
+// measured wall-clock are recorded in BENCH_sim.json as ref_decode),
 // uplink updates route their storage frame straight into the store
 // (sat.RefCache.PutFrame), and the ground simulates the same storage
 // codec on its mirrors (station.Config.CompressRefs) so delta uplinks

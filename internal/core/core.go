@@ -318,9 +318,10 @@ func (s *System) Bootstrap(cap *scene.Capture) error {
 	if err != nil {
 		return err
 	}
-	// With RefCompression every satellite stores the identical seed frame:
-	// encode once and route it into each store (the frames are immutable),
-	// instead of paying the deterministic storage encode per satellite.
+	// Every satellite stores the same seed, and stored references are
+	// immutable, so the stores share it: the image itself in raw stores,
+	// and with RefCompression one frame, encoded once instead of paying
+	// the deterministic storage encode per satellite.
 	var frame container.Codestream
 	if s.cfg.RefCompression {
 		if frame, err = sat.EncodeStoredRef(low, s.cfg.RefBPP, s.cfg.CodecOpts); err != nil {
@@ -332,7 +333,7 @@ func (s *System) Bootstrap(cap *scene.Capture) error {
 		if frame != nil {
 			evicted = s.cacheFor(id).PutFrame(cap.Loc, frame, low, cap.Day)
 		} else {
-			evicted = s.cacheFor(id).Put(cap.Loc, low.Clone(), cap.Day)
+			evicted = s.cacheFor(id).Put(cap.Loc, low, cap.Day)
 		}
 		for _, loc := range evicted {
 			// A bootstrap store already over budget sheds references; the
@@ -768,19 +769,18 @@ func (s *System) LinkStats() LinkStats {
 	}
 }
 
-// DecodeStats sums the fleet's decode-on-visit counters (zero without
-// RefCompression). Advisory: see sat.RefCache.DecodeStats.
+// DecodeStats sums the fleet's frame decodes (zero without
+// RefCompression): one per compressed reference visit. The store keeps no
+// decoded planes, so lruHits is always 0; the benchmark reads both.
 func (s *System) DecodeStats() (decodes, lruHits int64) {
 	for id := 0; id < s.env.Orbit.Satellites; id++ {
-		d, h := s.cacheFor(id).DecodeStats()
-		decodes += d
-		lruHits += h
+		decodes += s.cacheFor(id).Decodes()
 	}
-	return decodes, lruHits
+	return decodes, 0
 }
 
 // DecodeWall sums the fleet's decode-on-visit wall-clock (zero without
-// RefCompression). Advisory like DecodeStats, but it is the measured
+// RefCompression). Advisory, as a wall-clock, but it is the measured
 // CPU price of the compressed store, which the sim-engine snapshot
 // records alongside the counters.
 func (s *System) DecodeWall() time.Duration {
@@ -791,24 +791,10 @@ func (s *System) DecodeWall() time.Duration {
 	return total
 }
 
-// TileStats sums the fleet's codec-tile counters under the tiled store
-// profile: tiles actually entropy-coded by per-tile splices versus the
-// tiles whole-frame re-encodes would have touched (zero on the
-// monolithic profile or without RefCompression). Advisory like
-// DecodeStats — the counters never influence results.
-func (s *System) TileStats() (decoded, total int64) {
-	for id := 0; id < s.env.Orbit.Satellites; id++ {
-		d, tt := s.cacheFor(id).TileStats()
-		decoded += d
-		total += tt
-	}
-	return decoded, total
-}
-
 // SpliceTileStats reports the ground segment's per-tile mirror splice
 // counters under the tiled store profile: codec tiles re-encoded versus
-// the tiles whole-mirror re-encodes would have touched. Advisory like
-// TileStats.
+// the tiles whole-mirror re-encodes would have touched. Advisory: the
+// counters never influence results.
 func (s *System) SpliceTileStats() (reencoded, total int64) {
 	return s.ground.SpliceTileStats()
 }

@@ -82,7 +82,7 @@ type SimBenchResult struct {
 	RefCompressionDeterministic      bool `json:"ref_compression_deterministic"`
 	RefCompressionEvictionsExercised bool `json:"ref_compression_evictions_exercised"`
 	// RefDecode is the decode-on-visit cost of that compressed-refs run
-	// (serial measurement): sat.DecodeStats counts plus the measured
+	// (serial measurement): the frame decode count plus the measured
 	// wall-clock, so the price of ref_compression appears in the tracked
 	// snapshot instead of staying advisory-only.
 	RefDecode *RefDecodeCost `json:"ref_decode,omitempty"`
@@ -156,8 +156,8 @@ func (r *SimBenchResult) Render(w io.Writer) error {
 	fmt.Fprintf(w, "compressed-refs bounded run identical across worker counts: %v (evictions exercised: %v)\n",
 		r.RefCompressionDeterministic, r.RefCompressionEvictionsExercised)
 	if r.RefDecode != nil {
-		fmt.Fprintf(w, "decode-on-visit cost (serial compressed run): %d decodes, %d LRU hits, %.3fs wall\n",
-			r.RefDecode.Decodes, r.RefDecode.LRUHits, r.RefDecode.WallSeconds)
+		fmt.Fprintf(w, "decode-on-visit cost (serial compressed run): %d decodes, %.3fs wall\n",
+			r.RefDecode.Decodes, r.RefDecode.WallSeconds)
 	}
 	if r.Compute != nil {
 		fmt.Fprintf(w, "on-board compute budget per image (Fig 16 style): cloud %.1fms + change %.1fms + encode %.1fms + decode-on-visit %.2fms = %.1fms (decode %.1f%%)\n",
@@ -197,12 +197,10 @@ func (r *SimBenchResult) Render(w io.Writer) error {
 }
 
 // RefDecodeCost is the decode-on-visit price of a compressed reference
-// store: how many stored frames were decoded, how many lookups the
-// decoded-plane LRU absorbed instead, and the wall-clock the decodes
-// took.
+// store: how many stored frames were decoded (one per reference visit)
+// and the wall-clock the decodes took.
 type RefDecodeCost struct {
 	Decodes     int64   `json:"decodes"`
-	LRUHits     int64   `json:"lru_hits"`
 	WallSeconds float64 `json:"wall_seconds"`
 	// SpliceTilesReencoded/SpliceTilesTotal record the tiled profile's
 	// per-tile splice savings: codec tiles the ground actually re-encoded
@@ -225,7 +223,7 @@ type OnboardComputeBudget struct {
 	ChangeMs float64 `json:"change_ms"`
 	EncodeMs float64 `json:"encode_ms"`
 	// DecodeMsPerVisit spreads the compressed run's decode-on-visit wall
-	// over its reference visits (decodes + LRU hits).
+	// over its reference visits, each of which decodes once.
 	DecodeMsPerVisit float64 `json:"decode_ms_per_visit"`
 	// TotalMs is the per-image budget including the decode charge, and
 	// DecodeSharePct decode-on-visit's share of it.
@@ -387,8 +385,8 @@ func SimBench(outPath string) (*SimBenchResult, error) {
 			ChangeMs: fig16.ChangeSec[earthIdx] * 1e3,
 			EncodeMs: fig16.EncodeSec[earthIdx] * 1e3,
 		}
-		if visits := res.RefDecode.Decodes + res.RefDecode.LRUHits; visits > 0 {
-			b.DecodeMsPerVisit = res.RefDecode.WallSeconds * 1e3 / float64(visits)
+		if res.RefDecode.Decodes > 0 {
+			b.DecodeMsPerVisit = res.RefDecode.WallSeconds * 1e3 / float64(res.RefDecode.Decodes)
 		}
 		b.TotalMs = b.CloudMs + b.ChangeMs + b.EncodeMs + b.DecodeMsPerVisit
 		if b.TotalMs > 0 {

@@ -319,7 +319,7 @@ type spliceStatser interface {
 // actually occurred. With compress it runs the ref_compression=on store —
 // decode-on-visit and encoded-byte accounting are then the newest state
 // the determinism contract has to cover — and also returns the serial
-// run's decode-on-visit cost (count, LRU absorptions, wall-clock), so
+// run's decode-on-visit cost (count and wall-clock), so
 // the sim-engine snapshot records what decode-on-visit actually costs
 // instead of leaving the counters advisory-only. The sim-engine snapshot
 // records both configurations. With tiled (implies compress) the store
@@ -376,8 +376,8 @@ func storageDeterminismCheck(sc Scale, workers []int, compress, tiled bool) (det
 		var cost *RefDecodeCost
 		if compress {
 			ds := sys.(decodeStatser)
-			decodes, hits := ds.DecodeStats()
-			cost = &RefDecodeCost{Decodes: decodes, LRUHits: hits, WallSeconds: ds.DecodeWall().Seconds()}
+			decodes, _ := ds.DecodeStats()
+			cost = &RefDecodeCost{Decodes: decodes, WallSeconds: ds.DecodeWall().Seconds()}
 			if tiled {
 				cost.SpliceTilesReencoded, cost.SpliceTilesTotal = sys.(spliceStatser).SpliceTileStats()
 			}

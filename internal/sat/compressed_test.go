@@ -11,8 +11,7 @@ import (
 // The compressed reference store's contract: an entry's content is ALWAYS
 // decode(frame) of the storage codec — never the raw image that was
 // installed — its accounted footprint is the frame's real byte count, and
-// the decode-on-visit LRU only changes whether decode work is re-paid,
-// never what a visit sees.
+// every visit decodes the frame afresh.
 
 const testStoreBPP = 6.0
 
@@ -101,49 +100,6 @@ func TestCompressedPutFrameMatchesPut(t *testing.T) {
 	}
 	if viaPut.FootprintBytes() != viaFrame.FootprintBytes() {
 		t.Fatalf("footprints differ: %d vs %d", viaPut.FootprintBytes(), viaFrame.FootprintBytes())
-	}
-}
-
-func TestCompressedDecodeLRUAmortisesRepeatVisits(t *testing.T) {
-	const w, h = 16, 16
-	bands := raster.PlanetBands()
-	src := noise.New(7003)
-	cfg := compressedConfig()
-	cfg.DecodedCap = 2
-	cache, err := NewBoundedRefCache(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for loc := 0; loc < 3; loc++ {
-		cache.Put(loc, propImage(src, int64(loc)+40, w, h, bands), 0)
-	}
-	if d, _ := cache.DecodeStats(); d != 0 {
-		t.Fatalf("install alone decoded %d frames", d)
-	}
-
-	// First visits decode; repeats inside the LRU cap are free.
-	cache.Visit(0, 1)
-	cache.Visit(0, 1)
-	cache.Visit(1, 1)
-	cache.Visit(1, 1)
-	d, hits := cache.DecodeStats()
-	if d != 2 || hits != 2 {
-		t.Fatalf("decodes/hits = %d/%d, want 2/2", d, hits)
-	}
-	// A third location overflows the 2-plane LRU, evicting the least
-	// recently decoded plane (loc 1 after loc 0's fresh touch);
-	// revisiting loc 1 re-pays the decode — with content identical to
-	// the first decode, so LRU state never shows in results.
-	first := cache.Visit(1, 1).Image.Clone()
-	cache.Visit(0, 1) // order now [1, 0]; 2's insert evicts 1
-	cache.Visit(2, 2)
-	again := cache.Visit(1, 2)
-	d, _ = cache.DecodeStats()
-	if d != 4 {
-		t.Fatalf("decodes = %d, want 4 (cold 0, cold 1, cold 2, re-decode 1)", d)
-	}
-	if !again.Image.Equal(first) {
-		t.Fatal("re-decoded entry differs from the LRU-cached one")
 	}
 }
 

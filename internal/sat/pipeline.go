@@ -1,0 +1,197 @@
+package sat
+
+import (
+	"fmt"
+	"time"
+
+	"earthplus/internal/change"
+	"earthplus/internal/cloud"
+	"earthplus/internal/codec"
+	"earthplus/internal/container"
+	"earthplus/internal/illum"
+	"earthplus/internal/raster"
+)
+
+// Pipeline is the on-board change-detection pipeline of §5.
+type Pipeline struct {
+	Bands []raster.BandInfo
+	// Grid is the full-resolution tile grid.
+	Grid raster.TileGrid
+	// Downsample is the per-axis factor for detection (reference images
+	// are cached at this resolution).
+	Downsample int
+	// CloudDet is the on-board detector (cheap decision tree).
+	CloudDet cloud.Detector
+	// Theta is the change threshold at detection resolution (profiled).
+	Theta float64
+	// DropCoverage drops captures whose detected cloud cover exceeds it
+	// (paper drops above 50%).
+	DropCoverage float64
+	// CloudTileFrac marks a tile cloudy when its cloudy-pixel fraction
+	// exceeds this.
+	CloudTileFrac float64
+}
+
+// Result is the pipeline's output for one capture.
+type Result struct {
+	// Dropped is set when detected cloud coverage exceeded DropCoverage.
+	Dropped bool
+	// CloudCover is the detected (not true) cloud coverage.
+	CloudCover float64
+	// CloudMask is the detected per-pixel mask.
+	CloudMask *cloud.Mask
+	// CloudTiles marks tiles considered cloudy (full-res grid indexing).
+	CloudTiles *raster.TileMask
+	// Changed holds, per band, the changed-tile mask (nil when no
+	// reference was available; the caller decides the fallback).
+	Changed []*raster.TileMask
+	// Illum holds the per-band alignment fitted against the reference.
+	Illum []illum.Model
+	// CapLow is the downsampled capture after cloud zeroing and
+	// illumination normalisation (used for reference bookkeeping).
+	CapLow *raster.Image
+	// CloudSec and ChangeSec are the measured wall-clock costs of the
+	// cloud-detection and change-detection stages (Fig 16).
+	CloudSec  float64
+	ChangeSec float64
+}
+
+// lowGrid returns the tile grid at detection resolution.
+func (p *Pipeline) lowGrid() (raster.TileGrid, error) {
+	return p.Grid.Scaled(p.Downsample)
+}
+
+// Process runs the §5 pipeline on one capture against the cached reference
+// (which may be nil).
+func (p *Pipeline) Process(capImg *raster.Image, ref *LowResRef) (*Result, error) {
+	if capImg.Width != p.Grid.ImageW || capImg.Height != p.Grid.ImageH {
+		return nil, fmt.Errorf("sat: capture %dx%d does not match grid", capImg.Width, capImg.Height)
+	}
+	res := &Result{}
+	// Cloud removal: detect, then drop heavily cloudy captures.
+	tCloud := time.Now() //lint:deterministic wall time feeds Record.CloudSec, excluded by EqualIgnoringTimings
+	res.CloudMask = p.CloudDet.Detect(capImg)
+	res.CloudSec = time.Since(tCloud).Seconds() //lint:deterministic wall time feeds Record.CloudSec, excluded by EqualIgnoringTimings
+	res.CloudCover = res.CloudMask.Coverage()
+	res.CloudTiles = res.CloudMask.TileMask(p.Grid, p.CloudTileFrac)
+	if res.CloudCover > p.DropCoverage {
+		res.Dropped = true
+		return res, nil
+	}
+	gLow, err := p.lowGrid()
+	if err != nil {
+		return nil, fmt.Errorf("sat: %w", err)
+	}
+	capLow, err := capImg.Downsample(p.Downsample)
+	if err != nil {
+		return nil, fmt.Errorf("sat: %w", err)
+	}
+	res.CapLow = capLow
+	if ref == nil {
+		return res, nil
+	}
+	if !ref.Image.SameShape(capLow) {
+		return nil, fmt.Errorf("sat: reference %dx%d does not match detection resolution %dx%d",
+			ref.Image.Width, ref.Image.Height, capLow.Width, capLow.Height)
+	}
+	// Clear-pixel mask at detection resolution for the illumination fit.
+	tChange := time.Now() //lint:deterministic wall time feeds Record.ChangeSec, excluded by EqualIgnoringTimings
+	clearLow := clearPixelsLow(res.CloudMask, p.Downsample, capLow.Width, capLow.Height)
+	det := change.Detector{Theta: p.Theta}
+	res.Changed = make([]*raster.TileMask, len(p.Bands))
+	res.Illum = make([]illum.Model, len(p.Bands))
+	for b := range p.Bands {
+		model, _ := illum.FitRobust(ref.Image.Plane(b), capLow.Plane(b), clearLow, 2, 0.2)
+		model.Normalize(capLow.Plane(b))
+		res.Illum[b] = model
+		res.Changed[b] = det.DetectBand(ref.Image, capLow, b, gLow, lowAlias(res.CloudTiles, gLow))
+	}
+	res.ChangeSec = time.Since(tChange).Seconds() //lint:deterministic wall time feeds Record.ChangeSec, excluded by EqualIgnoringTimings
+	return res, nil
+}
+
+// lowAlias reinterprets a full-resolution-grid tile mask as a mask over the
+// scaled grid (tile indices are identical across scales).
+func lowAlias(m *raster.TileMask, gLow raster.TileGrid) *raster.TileMask {
+	return &raster.TileMask{Grid: gLow, Set: m.Set}
+}
+
+// clearPixelsLow reduces a full-resolution cloud mask to a clear-pixel
+// selector at detection resolution: a low-res pixel is usable when fewer
+// than half of its footprint is cloudy.
+func clearPixelsLow(m *cloud.Mask, factor, lw, lh int) []bool {
+	out := make([]bool, lw*lh)
+	half := factor * factor / 2
+	for ly := 0; ly < lh; ly++ {
+		for lx := 0; lx < lw; lx++ {
+			n := 0
+			for dy := 0; dy < factor; dy++ {
+				row := (ly*factor + dy) * m.W
+				for dx := 0; dx < factor; dx++ {
+					if m.Bits[row+lx*factor+dx] {
+						n++
+					}
+				}
+			}
+			out[ly*lw+lx] = n <= half
+		}
+	}
+	return out
+}
+
+// EncodeROI encodes the capture for downlink: each band's ROI tiles are
+// packed into a mosaic and encoded at gammaBPP bits per ROI pixel — the
+// paper's constant per-tile bit budget γ (§5). Downloaded tiles carry
+// their original pixel values (§3): cloud zero-filling is a detection-side
+// device only, and mostly-cloudy tiles are excluded from the ROI by the
+// caller. Bands whose ROI is empty travel as absent container bands.
+//
+// The per-band codec streams are framed into one container.Codestream —
+// the wire unit every downlink consumer (ground station, HTTP serving
+// layer) speaks — with the per-band bytes inside exactly what
+// codec.EncodeROIPlane produced.
+//
+// Bands are encoded concurrently by a worker pool of
+// codec.Workers(opts.Parallelism, bands) goroutines, so whole-constellation
+// simulations scale with the host's cores.
+func EncodeROI(capImg *raster.Image, perBandROI []*raster.TileMask,
+	gammaBPP float64, opts codec.Options) (container.Codestream, error) {
+	streams := make([][]byte, len(perBandROI))
+	errs := make([]error, len(perBandROI))
+	codec.ParallelBands(opts.Parallelism, len(perBandROI), func(b int) {
+		roi := perBandROI[b]
+		if roi == nil || roi.Count() == 0 {
+			return
+		}
+		bandOpts := opts
+		roiPixels := roi.Count() * roi.Grid.Tile * roi.Grid.Tile
+		bandOpts.BudgetBytes = int(gammaBPP * float64(roiPixels) / 8)
+		if bandOpts.BudgetBytes < codec.MinBudgetBytes {
+			bandOpts.BudgetBytes = codec.MinBudgetBytes
+		}
+		data, err := codec.EncodeROIPlane(capImg.Plane(b), roi, bandOpts)
+		if err != nil {
+			errs[b] = fmt.Errorf("sat: encoding band %d: %w", b, err)
+			return
+		}
+		streams[b] = data
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return container.Pack(streams), nil
+}
+
+// MaskOverheadBytes is the downlink metadata cost of the per-band ROI
+// masks for one capture (one bit per tile per band with a non-empty ROI).
+func MaskOverheadBytes(perBandROI []*raster.TileMask) int64 {
+	var total int64
+	for _, roi := range perBandROI {
+		if roi != nil && roi.Count() > 0 {
+			total += codec.ROIMaskBytes(roi.Grid)
+		}
+	}
+	return total
+}

@@ -85,6 +85,38 @@ func TestApplyTileUpdateSplicesExactly(t *testing.T) {
 	}
 }
 
+// TestApplyTileUpdateLeavesStoredImagesUntouched pins the store's one
+// ownership rule: stored images are never mutated. A splice over every
+// tile must leave the image Put installed and the image an earlier Visit
+// returned bit-identical, since both may be shared with the ground's
+// mirrors, other satellites' stores or a capture still being processed.
+func TestApplyTileUpdateLeavesStoredImagesUntouched(t *testing.T) {
+	const w, h = 16, 16
+	bands := raster.PlanetBands()
+	src := noise.New(5150)
+	c := NewRefCache()
+	put := propImage(src, 1, w, h, bands)
+	c.Put(0, put, 1)
+	visited := c.Visit(0, 2).Image
+	wantPut, wantVisited := put.Clone(), visited.Clone()
+
+	update := propImage(src, 2, w, h, bands)
+	all := raster.NewTileMask(raster.MustTileGrid(w, h, 8))
+	all.SetAll()
+	perBand := make([]*raster.TileMask, len(bands))
+	for b := range perBand {
+		perBand[b] = all
+	}
+	c.ApplyTileUpdate(0, update, perBand, 3)
+
+	if got := c.Get(0); got == nil || got.Day != 3 || !got.Image.Equal(update) {
+		t.Fatal("a splice over every tile did not install the update")
+	}
+	if !put.Equal(wantPut) || !visited.Equal(wantVisited) {
+		t.Fatal("ApplyTileUpdate wrote into a stored image")
+	}
+}
+
 // Property: under a storage budget, any interleaving of visits, puts and
 // tile updates leaves the cache (a) within budget, (b) reporting exactly
 // the entries that disappeared as evicted, and (c) holding images equal to

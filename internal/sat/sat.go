@@ -8,13 +8,11 @@ package sat
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"earthplus/internal/change"
-	"earthplus/internal/cloud"
 	"earthplus/internal/codec"
 	"earthplus/internal/container"
-	"earthplus/internal/illum"
 	"earthplus/internal/orbit"
 	"earthplus/internal/raster"
 )
@@ -22,7 +20,8 @@ import (
 // LowResRef is one cached downsampled reference image.
 type LowResRef struct {
 	// Image is the reference content at the pipeline's detection
-	// resolution (already cloud-free by ground-side construction).
+	// resolution (already cloud-free by ground-side construction). It may
+	// be shared with the store and must not be mutated (see RefCache).
 	Image *raster.Image
 	// Day is the capture day of the reference content (its freshness).
 	Day int
@@ -53,11 +52,6 @@ func Policies() []string { return []string{string(PolicyLRU), string(PolicySched
 // accounting rate cannot drift between layers.
 const RawBitsPerSample = 16
 
-// defaultDecodedCap is the default size of the decode-on-visit LRU in a
-// compressed cache: enough decoded references for one contact's worth of
-// repeat visits without holding a raw copy of the whole store.
-const defaultDecodedCap = 8
-
 // CacheConfig bounds a reference cache to a satellite's finite on-board
 // store. The zero value means unbounded (the pre-storage-model behavior).
 type CacheConfig struct {
@@ -80,13 +74,11 @@ type CacheConfig struct {
 	// representation the updates arrive in — instead of raw planes: the
 	// footprint charged against BudgetBytes is the actual encoded byte
 	// count (RawBitsPerSample/StoreBPP smaller, so the same budget holds
-	// ~2-5x more locations), and Visit decodes lazily, with a small
-	// decoded-plane LRU so repeat visits within a contact don't re-pay
-	// the decode. Put/ApplyTileUpdate take the PRE-storage-codec image
-	// and apply the codec themselves (EncodeStoredRef); the ground's
-	// mirror must model the same transform (station.Config.CompressRefs)
-	// or delta uplinks would be encoded against content the satellite
-	// never held.
+	// ~2-5x more locations), and every Visit decodes the frame.
+	// Put/ApplyTileUpdate take the PRE-storage-codec image and apply the
+	// codec themselves (EncodeStoredRef); the ground's mirror must model
+	// the same transform (station.Config.CompressRefs) or delta uplinks
+	// would be encoded against content the satellite never held.
 	Compress bool
 	// StoreBPP is the storage codec rate of a compressed cache, in bits
 	// per pixel per band. Required (> 0) when Compress is set; Earth+
@@ -97,18 +89,6 @@ type CacheConfig struct {
 	// match the ground's reference-update codec options so both sides
 	// produce byte-identical frames.
 	Codec codec.Options
-	// DecodedCap bounds the decode-on-visit LRU of a compressed cache
-	// (0 = defaultDecodedCap). It trades decode work for scratch memory
-	// and never affects simulation results: decoding is pure, so a cold
-	// decode returns the same bytes a cached plane would.
-	DecodedCap int
-	// DecodedTileCap, when positive, bounds the decode-on-visit LRU by
-	// the total number of 64px-granularity codec tiles resident instead
-	// of by entry count: footprint accounting at tile granularity, so a
-	// small reference no longer costs the same LRU slot as a huge one.
-	// Zero keeps DecodedCap's whole-entry accounting. Like DecodedCap it
-	// is purely advisory — it changes decode work, never results.
-	DecodedTileCap int
 }
 
 // EffectiveBitsPerSample resolves the per-sample rate a-priori estimates
@@ -142,9 +122,6 @@ func (c CacheConfig) withDefaults() CacheConfig {
 	}
 	if c.Policy == "" {
 		c.Policy = PolicyLRU
-	}
-	if c.DecodedCap <= 0 {
-		c.DecodedCap = defaultDecodedCap
 	}
 	return c
 }
@@ -197,15 +174,12 @@ func EncodeStoredRef(im *raster.Image, bpp float64, opts codec.Options) (contain
 }
 
 // SpliceStats reports what a per-tile reference splice touched: how many
-// codec tiles were re-encoded versus carried over verbatim, and the
-// wall-clock spent region-decoding the base content of the re-encoded
-// tiles. The tile counters are the measured decode-on-visit savings of
-// the tiled profile (a monolithic splice decodes and re-encodes every
-// tile, i.e. Reencoded == Total).
+// codec tiles were re-encoded versus carried over verbatim. The counters
+// are the measured savings of the tiled profile (a monolithic splice
+// decodes and re-encodes every tile, i.e. Reencoded == Total).
 type SpliceStats struct {
 	TilesReencoded int64
 	TilesTotal     int64
-	DecodeNanos    int64
 }
 
 // SpliceStoredRef applies a tile update to a stored TILED reference frame
@@ -277,8 +251,7 @@ func SpliceStoredRef(frame container.Codestream, w, h int, bands []raster.BandIn
 			}
 		}
 		base := make([]float32, w*h)
-		var decoded, decNanos int64
-		t0 := time.Now() //lint:deterministic wall time feeds DecodeStats only, excluded by EqualIgnoringTimings
+		var decoded int64
 		for t, hit := range touched {
 			if !hit {
 				continue
@@ -305,7 +278,6 @@ func SpliceStoredRef(frame container.Codestream, w, h int, bands []raster.BandIn
 			}
 			decoded++
 		}
-		decNanos = time.Since(t0).Nanoseconds() //lint:deterministic wall time feeds DecodeStats only, excluded by EqualIgnoringTimings
 		// Overlay the update's changed tiles (original pixel values, as
 		// the raw splice path copies them).
 		for t, set := range mask.Set {
@@ -327,7 +299,6 @@ func SpliceStoredRef(frame container.Codestream, w, h int, bands []raster.BandIn
 		mu.Lock()
 		stats.TilesReencoded += decoded
 		stats.TilesTotal += int64(info.NTiles)
-		stats.DecodeNanos += decNanos
 		mu.Unlock()
 	})
 	for _, err := range errs {
@@ -376,22 +347,21 @@ func ValidateFrame(cs container.Codestream) error {
 	return nil
 }
 
-// refMeta is the per-entry bookkeeping eviction decisions read.
-type refMeta struct {
-	// lastVisit is the day of the entry's most recent visit (or install).
-	lastVisit int
-	// bytes is the entry's accounted footprint.
-	bytes int64
-}
-
-// compRef is one compressed cache entry: the reference held as its
-// losslessly encoded container frame plus the geometry needed to decode
-// it back into a raster image.
-type compRef struct {
+// entry is one stored reference: the image itself (img) in a raw store,
+// or its storage-codec frame (frame) in a compressed one, plus the
+// geometry to decode it. Every field but lastVisit is fixed at install —
+// an update installs a new entry — so a Visit may read an entry after
+// releasing the cache lock.
+type entry struct {
+	img   *raster.Image
 	frame container.Codestream
 	w, h  int
 	bands []raster.BandInfo
-	day   int
+	// day is the content's capture day; lastVisit the day of the most
+	// recent visit or install, the recency LRU eviction reads.
+	day, lastVisit int
+	// bytes is the entry's accounted footprint.
+	bytes int64
 }
 
 // RefCache holds a satellite's on-board reference images, keyed by
@@ -406,12 +376,17 @@ type compRef struct {
 // container frame at the uplink's reference rate (StoreBPP) — the
 // footprint charged against the budget is the actual encoded byte count,
 // so the same budget holds roughly RawBitsPerSample/StoreBPP more
-// locations — and Visit decodes lazily through a small decoded-plane LRU.
-// An entry's content is ALWAYS decode(frame): installs run the storage
-// codec (or accept a pre-encoded frame via PutFrame), and the ground
-// simulates the same transform on its mirror, so what the satellite
-// detects changes against is byte-equal to what the ground believes it
-// holds.
+// locations — and every Visit decodes the frame. An entry's content is
+// ALWAYS decode(frame): installs run the storage codec (or accept a
+// pre-encoded frame via PutFrame), and the ground simulates the same
+// transform on its mirror, so what the satellite detects changes against
+// is byte-equal to what the ground believes it holds.
+//
+// Ownership: a stored image is never mutated. A raw store keeps the image
+// Put hands it and gives the same image to every Visit, and
+// ApplyTileUpdate splices into a new image. One image may therefore back
+// several satellites' stores and the ground's mirrors at once, and no
+// caller may write to an image it passed in or got back.
 //
 // Determinism contract: eviction decisions depend only on the visit
 // schedule (day numbers), never on wall-clock or goroutine order. Visit
@@ -423,17 +398,13 @@ type compRef struct {
 //
 // The cache is safe for concurrent use on DISTINCT locations: the sharded
 // simulation engine looks up references for many locations at once while a
-// satellite's cache is shared across its day's visits. Same-location
-// ordering is the caller's responsibility (the engine serialises each
-// location's visit sequence).
+// satellite's cache is shared across its day's visits, and a compressed
+// Visit decodes outside the lock. Same-location ordering is the caller's
+// responsibility (the engine serialises each location's visit sequence).
 type RefCache struct {
-	mu  sync.RWMutex
-	cfg CacheConfig
-	// refs holds raw-mode entries; frames holds compressed-mode entries.
-	// Exactly one of the two is populated, per cfg.Compress.
-	refs   map[int]*LowResRef
-	frames map[int]*compRef
-	meta   map[int]*refMeta
+	mu      sync.RWMutex
+	cfg     CacheConfig
+	entries map[int]*entry
 	// used is the accounted footprint of every entry, in bytes.
 	used int64
 	// lastDay is the latest day observed via Visit/Put/ApplyTileUpdate;
@@ -441,32 +412,10 @@ type RefCache struct {
 	lastDay int
 	// evictions and misses count capacity evictions and Visit misses.
 	evictions, misses int64
-	// dec is the decode-on-visit LRU of a compressed cache: up to
-	// cfg.DecodedCap decoded references, decOrder oldest-first. It is a
-	// pure performance device — decode is deterministic, so its state
-	// never changes what Visit returns — which is exactly why the decode
-	// counters below are advisory: under the sharded engine, visit
-	// interleaving across locations (and hence LRU churn) varies with the
-	// worker count.
-	dec      map[int]*LowResRef
-	decOrder []int
-	// decTiles charges each resident decoded entry its tile footprint
-	// (64px-granularity codec tiles); decTilesUsed is their sum, the
-	// quantity DecodedTileCap bounds.
-	decTiles     map[int]int
-	decTilesUsed int
-	// decodes and decodeHits count frame decodes and LRU-served lookups;
-	// decodeNanos accumulates the wall-clock spent inside those decodes,
-	// so the decode-on-visit cost of a compressed store is measurable,
-	// not just countable.
-	decodes, decodeHits int64
-	decodeNanos         int64
-	// tilesDecoded counts the codec tiles actually decoded by tile-
-	// granular operations (region visits, per-tile splices); tilesTotal
-	// the tiles the same operations would have decoded at whole-frame
-	// granularity. Their ratio is the tiled profile's measured
-	// decode-on-visit saving. Advisory, like the decode counters.
-	tilesDecoded, tilesTotal int64
+	// decodes counts frame decodes and decodeNanos the wall-clock spent
+	// in them, so the decode-on-visit cost of a compressed store is
+	// measurable, not just countable. Decodes run outside mu.
+	decodes, decodeNanos atomic.Int64
 }
 
 // NewRefCache returns an empty, unbounded cache.
@@ -482,22 +431,8 @@ func NewBoundedRefCache(cfg CacheConfig) (*RefCache, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	c := &RefCache{
-		cfg:  cfg,
-		meta: make(map[int]*refMeta),
-	}
-	if cfg.Compress {
-		c.frames = make(map[int]*compRef)
-		c.dec = make(map[int]*LowResRef)
-		c.decTiles = make(map[int]int)
-	} else {
-		c.refs = make(map[int]*LowResRef)
-	}
-	return c, nil
+	return &RefCache{cfg: cfg, entries: make(map[int]*entry)}, nil
 }
-
-// Compressed reports whether entries are stored as encoded frames.
-func (c *RefCache) Compressed() bool { return c.cfg.Compress }
 
 // encodeFrame runs the storage codec over a reference image. The cache
 // produced the image itself, so an encode failure is a programming error,
@@ -510,119 +445,47 @@ func (c *RefCache) encodeFrame(im *raster.Image) container.Codestream {
 	return frame
 }
 
-// decodeEntryLocked returns loc's decoded reference, serving repeat visits
-// from the decode-on-visit LRU and decoding the stored frame on a cold
-// lookup. The returned LowResRef aliases the LRU entry, mirroring raw
-// mode's shared-image semantics. The LRU never changes WHAT a visit sees
-// — only whether the decode work is re-paid — because entries enter it
-// exclusively through this decode path.
-func (c *RefCache) decodeEntryLocked(loc int) *LowResRef {
-	if lr := c.dec[loc]; lr != nil {
-		c.decodeHits++
-		c.touchDecodedLocked(loc)
-		return lr
-	}
-	e := c.frames[loc]
-	t0 := time.Now() //lint:deterministic wall time feeds the cache's DecodeStats only, excluded by EqualIgnoringTimings
+// decode decodes a compressed entry's frame into a fresh image.
+func (c *RefCache) decode(loc int, e *entry) *raster.Image {
+	t0 := time.Now() //lint:deterministic wall time feeds the cache's DecodeWall only, excluded by EqualIgnoringTimings
 	im, err := DecodeStoredRef(e.frame, e.w, e.h, e.bands)
 	if err != nil {
 		panic(fmt.Sprintf("sat: loc %d: %v", loc, err))
 	}
-	c.decodeNanos += time.Since(t0).Nanoseconds() //lint:deterministic wall time feeds the cache's DecodeStats only, excluded by EqualIgnoringTimings
-	c.decodes++
-	lr := &LowResRef{Image: im, Day: e.day}
-	c.insertDecodedLocked(loc, lr)
-	return lr
+	c.decodeNanos.Add(time.Since(t0).Nanoseconds()) //lint:deterministic wall time feeds the cache's DecodeWall only, excluded by EqualIgnoringTimings
+	c.decodes.Add(1)
+	return im
 }
 
-// decTileWeight is the tile-granular footprint of one decoded reference:
-// the number of codec tiles (at the store's tile size, per band sample
-// geometry) a full decode keeps resident.
-func (c *RefCache) decTileWeight(im *raster.Image) int {
-	tile := c.cfg.Codec.TileSize
-	if tile <= 0 {
-		tile = raster.DefaultTileSize
+// load returns e's reference: a raw entry's own image, or a compressed
+// entry's frame decoded afresh.
+func (c *RefCache) load(loc int, e *entry) *LowResRef {
+	if e.frame == nil {
+		return &LowResRef{Image: e.img, Day: e.day}
 	}
-	return raster.TileSpan(im.Width, tile) * raster.TileSpan(im.Height, tile)
+	return &LowResRef{Image: c.decode(loc, e), Day: e.day}
 }
 
-// insertDecodedLocked installs a decoded reference into the LRU, evicting
-// oldest decoded planes beyond the cap — counted in whole entries
-// (DecodedCap) or, when DecodedTileCap is set, in resident codec tiles.
-// The newest entry always stays, even when it alone exceeds the tile cap.
-func (c *RefCache) insertDecodedLocked(loc int, lr *LowResRef) {
-	if _, ok := c.dec[loc]; ok {
-		c.touchDecodedLocked(loc)
-	} else {
-		c.decOrder = append(c.decOrder, loc)
-	}
-	c.dec[loc] = lr
-	w := c.decTileWeight(lr.Image)
-	c.decTilesUsed += w - c.decTiles[loc]
-	c.decTiles[loc] = w
-	if c.cfg.DecodedTileCap > 0 {
-		for c.decTilesUsed > c.cfg.DecodedTileCap && len(c.decOrder) > 1 {
-			c.dropDecodedLocked(c.decOrder[0])
-		}
-		return
-	}
-	for len(c.decOrder) > c.cfg.DecodedCap {
-		c.dropDecodedLocked(c.decOrder[0])
-	}
-}
-
-// touchDecodedLocked moves loc to the most-recent end of the LRU order.
-func (c *RefCache) touchDecodedLocked(loc int) {
-	for i, l := range c.decOrder {
-		if l == loc {
-			c.decOrder = append(append(c.decOrder[:i:i], c.decOrder[i+1:]...), loc)
-			return
-		}
-	}
-}
-
-// dropDecodedLocked removes loc's decoded plane, if cached, returning its
-// tile footprint to the accounting.
-func (c *RefCache) dropDecodedLocked(loc int) {
-	if _, ok := c.dec[loc]; !ok {
-		return
-	}
-	delete(c.dec, loc)
-	c.decTilesUsed -= c.decTiles[loc]
-	delete(c.decTiles, loc)
-	for i, l := range c.decOrder {
-		if l == loc {
-			c.decOrder = append(c.decOrder[:i], c.decOrder[i+1:]...)
-			return
-		}
-	}
-}
-
-// entryBytes is the accounted footprint of one reference image: exact
-// integer arithmetic in bits per sample, rounded up to whole bytes per
-// entry (float accumulation used to truncate fractional bytes-per-pixel
-// footprints on large caches).
-func (c *RefCache) entryBytes(im *raster.Image) int64 {
-	samples := int64(im.Width) * int64(im.Height) * int64(im.NumBands())
-	return (samples*int64(c.cfg.BitsPerSample) + 7) / 8
+// footprint is the size of w×h×bands samples at bits per sample, in exact
+// integer arithmetic rounded up to whole bytes per entry (float
+// accumulation used to truncate fractional bytes-per-pixel footprints on
+// large caches).
+func footprint(w, h, bands, bits int) int64 {
+	samples := int64(w) * int64(h) * int64(bands)
+	return (samples*int64(bits) + 7) / 8
 }
 
 // Get returns the cached reference for loc, or nil. It does not count as a
 // visit; capture processing uses Visit so eviction recency tracks the
-// schedule. In compressed mode the entry is decoded (through the LRU) like
-// a visit would, without touching eviction recency.
+// schedule. A compressed entry is decoded like a visit would.
 func (c *RefCache) Get(loc int) *LowResRef {
-	if !c.cfg.Compress {
-		c.mu.RLock()
-		defer c.mu.RUnlock()
-		return c.refs[loc]
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.frames[loc] == nil {
+	c.mu.RLock()
+	e := c.entries[loc]
+	c.mu.RUnlock()
+	if e == nil {
 		return nil
 	}
-	return c.decodeEntryLocked(loc)
+	return c.load(loc, e)
 }
 
 // Visit returns the cached reference for loc, recording the visit day for
@@ -630,144 +493,22 @@ func (c *RefCache) Get(loc int) *LowResRef {
 // evicted (or never seeded) and the caller must fall back to
 // reference-free encoding. Recency is keyed by day, so concurrent visits
 // to distinct locations leave the same state in any order. A compressed
-// cache decodes the stored frame here — decode-on-visit is the cost the
-// compressed footprint trades for — with repeat visits served from the
-// decoded-plane LRU.
+// cache decodes the stored frame on every visit — decode-on-visit is the
+// cost the compressed footprint trades for.
 func (c *RefCache) Visit(loc, day int) *LowResRef {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if day > c.lastDay {
-		c.lastDay = day
-	}
-	if c.cfg.Compress {
-		if c.frames[loc] == nil {
-			c.misses++
-			return nil
-		}
-		if m := c.meta[loc]; day > m.lastVisit {
-			m.lastVisit = day
-		}
-		return c.decodeEntryLocked(loc)
-	}
-	ref := c.refs[loc]
-	if ref == nil {
-		c.misses++
-		return nil
-	}
-	if m := c.meta[loc]; day > m.lastVisit {
-		m.lastVisit = day
-	}
-	return ref
-}
-
-// VisitRegion is Visit for a rectangular region of interest: it returns
-// the cached reference content covering the pixel rectangle [x,y)+(w,h)
-// (clipped to the reference bounds), recording visit recency exactly like
-// Visit. A (nil, nil) return is a cache MISS. On a compressed TILED store
-// this is the tile-granular decode path: only the codec tiles the
-// rectangle touches are entropy-decoded — the saving TileStats measures —
-// and nothing enters the decoded-plane LRU (a partial plane must not
-// serve a later full visit). A monolithic frame falls back to the full
-// decode-through-LRU path plus a crop, and a raw store just crops. A
-// rectangle that misses the reference entirely (or is empty) is an error.
-func (c *RefCache) VisitRegion(loc, day, x, y, w, h int) (*LowResRef, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if day > c.lastDay {
-		c.lastDay = day
-	}
-	if !c.cfg.Compress {
-		ref := c.refs[loc]
-		if ref == nil {
-			c.misses++
-			return nil, nil
-		}
-		if m := c.meta[loc]; day > m.lastVisit {
-			m.lastVisit = day
-		}
-		img, err := cropImage(ref.Image, x, y, w, h)
-		if err != nil {
-			return nil, err
-		}
-		return &LowResRef{Image: img, Day: ref.Day}, nil
-	}
-	e := c.frames[loc]
+	c.lastDay = max(c.lastDay, day)
+	e := c.entries[loc]
 	if e == nil {
 		c.misses++
-		return nil, nil
+	} else {
+		e.lastVisit = max(e.lastVisit, day)
 	}
-	if m := c.meta[loc]; day > m.lastVisit {
-		m.lastVisit = day
+	c.mu.Unlock()
+	if e == nil {
+		return nil
 	}
-	// A resident full decode makes the crop free — and a monolithic frame
-	// cannot decode partially anyway, so it goes through the same LRU path
-	// a full visit would.
-	if c.dec[loc] == nil && e.frame.Tiled() {
-		return c.visitRegionTiledLocked(e, x, y, w, h)
-	}
-	lr := c.decodeEntryLocked(loc)
-	img, err := cropImage(lr.Image, x, y, w, h)
-	if err != nil {
-		return nil, err
-	}
-	return &LowResRef{Image: img, Day: lr.Day}, nil
-}
-
-// visitRegionTiledLocked decodes only the codec tiles of e's frame that
-// the rectangle touches, per band, and assembles the cropped reference.
-func (c *RefCache) visitRegionTiledLocked(e *compRef, x, y, w, h int) (*LowResRef, error) {
-	streams, err := e.frame.SplitNoCRC()
-	if err != nil {
-		return nil, fmt.Errorf("sat: stored reference frame: %w", err)
-	}
-	if len(streams) != len(e.bands) {
-		return nil, fmt.Errorf("sat: stored reference frame carries %d bands, want %d", len(streams), len(e.bands))
-	}
-	t0 := time.Now() //lint:deterministic wall time feeds the cache's DecodeStats only, excluded by EqualIgnoringTimings
-	var out *raster.Image
-	for b, data := range streams {
-		plane, cw, ch, err := codec.DecodeRegion(data, x, y, w, h)
-		if err != nil {
-			return nil, fmt.Errorf("sat: region-decoding stored reference band %d: %w", b, err)
-		}
-		if out == nil {
-			out = raster.New(cw, ch, e.bands)
-		}
-		copy(out.Plane(b), plane)
-		touched, total, err := codec.RegionTiles(data, x, y, w, h)
-		if err != nil {
-			return nil, fmt.Errorf("sat: band %d: %w", b, err)
-		}
-		c.tilesDecoded += int64(touched)
-		c.tilesTotal += int64(total)
-	}
-	out.Clamp()
-	c.decodeNanos += time.Since(t0).Nanoseconds() //lint:deterministic wall time feeds the cache's DecodeStats only, excluded by EqualIgnoringTimings
-	c.decodes++
-	return &LowResRef{Image: out, Day: e.day}, nil
-}
-
-// cropImage copies the pixel rectangle [x,y)+(w,h) of im, clipped to the
-// image bounds, into a fresh image — the raw-store (and LRU-resident)
-// analogue of a tiled region decode. A rectangle that misses the image
-// entirely is an error, mirroring codec.DecodeRegion.
-func cropImage(im *raster.Image, x, y, w, h int) (*raster.Image, error) {
-	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("sat: empty region %dx%d", w, h)
-	}
-	x0, y0 := max(x, 0), max(y, 0)
-	x1, y1 := min(x+w, im.Width), min(y+h, im.Height)
-	if x0 >= x1 || y0 >= y1 {
-		return nil, fmt.Errorf("sat: region (%d,%d)+(%d,%d) outside the %dx%d reference", x, y, w, h, im.Width, im.Height)
-	}
-	out := raster.New(x1-x0, y1-y0, im.Bands)
-	for b := 0; b < im.NumBands(); b++ {
-		src, dst := im.Plane(b), out.Plane(b)
-		for yy := y0; yy < y1; yy++ {
-			copy(dst[(yy-y0)*(x1-x0):(yy-y0+1)*(x1-x0)], src[yy*im.Width+x0:yy*im.Width+x1])
-		}
-	}
-	return out, nil
+	return c.load(loc, e)
 }
 
 // Put replaces the reference for loc (the image is not copied) and returns
@@ -785,8 +526,21 @@ func cropImage(im *raster.Image, x, y, w, h int) (*raster.Image, error) {
 func (c *RefCache) Put(loc int, im *raster.Image, day int) []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.installLocked(loc, &LowResRef{Image: im, Day: day}, day)
-	return c.evictLocked(loc)
+	return c.putLocked(loc, im, day)
+}
+
+// putLocked installs im as loc's content: as is in a raw store, through
+// the storage codec in a compressed one.
+func (c *RefCache) putLocked(loc int, im *raster.Image, day int) []int {
+	e := &entry{w: im.Width, h: im.Height, bands: im.Bands, day: day}
+	if c.cfg.Compress {
+		e.frame = c.encodeFrame(im)
+		e.bytes = int64(len(e.frame))
+	} else {
+		e.img = im
+		e.bytes = footprint(im.Width, im.Height, im.NumBands(), c.cfg.BitsPerSample)
+	}
+	return c.installLocked(loc, e)
 }
 
 // PutFrame installs a pre-encoded storage frame for loc — the uplink's
@@ -801,164 +555,96 @@ func (c *RefCache) PutFrame(loc int, frame container.Codestream, decoded *raster
 	if !c.cfg.Compress {
 		panic("sat: PutFrame on a raw reference cache")
 	}
-	if day > c.lastDay {
-		c.lastDay = day
-	}
-	c.frames[loc] = &compRef{
+	return c.installLocked(loc, &entry{
 		frame: frame,
 		w:     decoded.Width, h: decoded.Height,
 		bands: decoded.Bands,
 		day:   day,
-	}
-	c.dropDecodedLocked(loc) // any cached decode of the old frame is stale
-	c.accountLocked(loc, int64(len(frame)))
-	return c.evictLocked(loc)
+		bytes: int64(len(frame)),
+	})
 }
 
 // ApplyTileUpdate copies the marked low-resolution tiles of update into
 // the cached reference for loc and advances its day. A missing cache entry
 // is created from the update itself (the ground ships whole-image updates
 // to re-seed evicted references). Like Put, it returns any locations
-// evicted to keep the footprint under budget: splicing raw planes in place
-// never changes the footprint, but a compressed entry is re-encoded after
-// the splice and its new frame may be larger. A compressed cache quantises
-// update in place, like Put.
+// evicted to keep the footprint under budget: a raw splice never changes
+// the footprint, but a compressed entry is re-encoded after the splice and
+// its new frame may be larger.
+//
+// A raw entry is spliced into a copy of its image, never in place. A
+// compressed entry's content is decode(frame), one storage-codec
+// generation past the splice input, exactly as the ground's mirror
+// simulation models it. A TILED frame takes the per-tile path:
+// SpliceStoredRef region-decodes and re-encodes only the codec tiles a
+// changed mask tile touches and carries every other tile's payload bytes
+// over verbatim — no whole-frame decode, no whole-frame re-encode, and no
+// generation loss on untouched tiles. The ground's mirror simulation
+// splices its frame through the same function, so both sides stay
+// byte-coherent.
 func (c *RefCache) ApplyTileUpdate(loc int, update *raster.Image, perBand []*raster.TileMask, day int) []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cfg.Compress {
-		return c.applyTileUpdateCompressedLocked(loc, update, perBand, day)
+	old := c.entries[loc]
+	if old == nil {
+		return c.putLocked(loc, update, day)
 	}
-	ref := c.refs[loc]
-	if ref == nil {
-		c.installLocked(loc, &LowResRef{Image: update.Clone(), Day: day}, day)
-		return c.evictLocked(loc)
+	e := *old
+	e.day = day
+	switch {
+	case old.frame == nil:
+		e.img = old.img.Clone()
+		spliceTiles(e.img, update, perBand)
+	case old.frame.Tiled():
+		frame, _, err := SpliceStoredRef(old.frame, old.w, old.h, old.bands, update, perBand, c.cfg.StoreBPP, c.cfg.Codec)
+		if err != nil {
+			panic(fmt.Sprintf("sat: loc %d: %v", loc, err))
+		}
+		e.frame = frame
+	default:
+		base := c.decode(loc, old)
+		spliceTiles(base, update, perBand)
+		e.frame = c.encodeFrame(base)
 	}
+	if e.frame != nil {
+		e.bytes = int64(len(e.frame))
+	}
+	return c.installLocked(loc, &e)
+}
+
+// spliceTiles copies the marked tiles of update into dst.
+func spliceTiles(dst, update *raster.Image, perBand []*raster.TileMask) {
 	for b, mask := range perBand {
 		if mask == nil {
 			continue
 		}
 		for t, set := range mask.Set {
 			if set {
-				raster.CopyTile(ref.Image, update, b, mask.Grid, t)
+				raster.CopyTile(dst, update, b, mask.Grid, t)
 			}
 		}
 	}
-	ref.Day = day
-	if day > c.lastDay {
-		c.lastDay = day
-	}
-	// A spliced update is an install for recency purposes too: the uplink
-	// just spent bytes refreshing this reference, so it must not linger as
-	// the LRU victim stamped with its last pre-update visit.
-	if m := c.meta[loc]; c.lastDay > m.lastVisit {
-		m.lastVisit = c.lastDay
-	}
-	return nil // splicing raw planes in place never grows the footprint
 }
 
-// applyTileUpdateCompressedLocked is ApplyTileUpdate for a compressed
-// store: decode the current frame, splice the update tiles, re-encode
-// through the storage codec, and re-account the entry at its new encoded
-// size — which can shrink or grow, so the eviction check runs like an
-// install's. The spliced raw plane is dropped from the decode LRU: the
-// entry's content is decode(frame), one storage-codec generation past the
-// splice input, exactly as the ground's mirror simulation models it.
-//
-// A TILED store takes the per-tile fast path instead: SpliceStoredRef
-// region-decodes and re-encodes only the codec tiles a changed mask tile
-// touches and carries every other tile's payload bytes over verbatim —
-// no whole-frame decode, no whole-frame re-encode, and no generation
-// loss on untouched tiles. The ground's mirror simulation splices its
-// frame through the same function, so both sides stay byte-coherent.
-func (c *RefCache) applyTileUpdateCompressedLocked(loc int, update *raster.Image, perBand []*raster.TileMask, day int) []int {
-	e := c.frames[loc]
-	if e == nil {
-		c.installLocked(loc, &LowResRef{Image: update, Day: day}, day)
-		return c.evictLocked(loc)
+// installLocked makes e loc's entry, books its footprint, and returns the
+// locations evicted to fit it. Recency is stamped with the cache's current
+// day (lastDay), NOT the reference's content day: uplink updates install
+// content captured days ago, and stamping them with the content day would
+// make every freshly re-seeded entry the least-recently-visited one — it
+// would be evicted again on the very next install, thrashing the store
+// into permanent misses. lastDay is the maximum day any visit or install
+// has reached (so no entry's lastVisit exceeds it), which at the engine's
+// serial install phases equals the current simulation day at every worker
+// count.
+func (c *RefCache) installLocked(loc int, e *entry) []int {
+	c.lastDay = max(c.lastDay, e.day)
+	e.lastVisit = c.lastDay
+	if old := c.entries[loc]; old != nil {
+		c.used -= old.bytes
 	}
-	if e.frame.Tiled() {
-		frame, st, err := SpliceStoredRef(e.frame, e.w, e.h, e.bands, update, perBand, c.cfg.StoreBPP, c.cfg.Codec)
-		if err != nil {
-			panic(fmt.Sprintf("sat: loc %d: %v", loc, err))
-		}
-		e.frame = frame
-		c.decodeNanos += st.DecodeNanos
-		c.tilesDecoded += st.TilesReencoded
-		c.tilesTotal += st.TilesTotal
-	} else {
-		base := c.decodeEntryLocked(loc).Image
-		for b, mask := range perBand {
-			if mask == nil {
-				continue
-			}
-			for t, set := range mask.Set {
-				if set {
-					raster.CopyTile(base, update, b, mask.Grid, t)
-				}
-			}
-		}
-		e.frame = c.encodeFrame(base)
-	}
-	e.day = day
-	if day > c.lastDay {
-		c.lastDay = day
-	}
-	// base (now spliced, pre-codec) must not serve future visits: the
-	// entry's content is the re-encoded frame's decode.
-	c.dropDecodedLocked(loc)
-	c.accountLocked(loc, int64(len(e.frame)))
+	c.entries[loc] = e
+	c.used += e.bytes
 	return c.evictLocked(loc)
-}
-
-// installLocked inserts or replaces loc's entry and its accounting. LRU
-// recency is stamped with the cache's current day (lastDay), NOT the
-// reference's content day: uplink updates install content captured days
-// ago, and stamping them with the content day would make every freshly
-// re-seeded entry the least-recently-visited one — it would be evicted
-// again on the very next install, thrashing the store into permanent
-// misses. lastDay is the maximum day any visit or install has reached,
-// which at the engine's serial install phases equals the current
-// simulation day at every worker count.
-func (c *RefCache) installLocked(loc int, ref *LowResRef, day int) {
-	if day > c.lastDay {
-		c.lastDay = day
-	}
-	var bytes int64
-	if c.cfg.Compress {
-		// The storage codec runs here: what the store keeps (and what
-		// every future Visit decodes) is the frame, not the caller's
-		// image — a stale decode of the previous frame must go too.
-		frame := c.encodeFrame(ref.Image)
-		bytes = int64(len(frame))
-		c.frames[loc] = &compRef{
-			frame: frame,
-			w:     ref.Image.Width, h: ref.Image.Height,
-			bands: ref.Image.Bands,
-			day:   ref.Day,
-		}
-		c.dropDecodedLocked(loc)
-	} else {
-		bytes = c.entryBytes(ref.Image)
-		c.refs[loc] = ref
-	}
-	c.accountLocked(loc, bytes)
-}
-
-// accountLocked books loc's entry at bytes, stamping install recency with
-// the cache's current day (see installLocked's doc for why lastDay, not
-// the content day).
-func (c *RefCache) accountLocked(loc int, bytes int64) {
-	if m := c.meta[loc]; m != nil {
-		c.used += bytes - m.bytes
-		m.bytes = bytes
-		if c.lastDay > m.lastVisit {
-			m.lastVisit = c.lastDay
-		}
-	} else {
-		c.used += bytes
-		c.meta[loc] = &refMeta{lastVisit: c.lastDay, bytes: bytes}
-	}
 }
 
 // evictLocked removes entries until the footprint fits the budget and
@@ -974,10 +660,10 @@ func (c *RefCache) evictLocked(installed int) []int {
 		return nil
 	}
 	var evicted []int
-	if m := c.meta[installed]; m != nil && m.bytes > c.cfg.BudgetBytes {
+	if c.entries[installed].bytes > c.cfg.BudgetBytes {
 		evicted = append(evicted, c.removeLocked(installed))
 	}
-	for c.used > c.cfg.BudgetBytes && len(c.meta) > 0 {
+	for c.used > c.cfg.BudgetBytes && len(c.entries) > 0 {
 		evicted = append(evicted, c.removeLocked(c.victimLocked()))
 	}
 	return evicted
@@ -985,14 +671,8 @@ func (c *RefCache) evictLocked(installed int) []int {
 
 // removeLocked drops one entry and its accounting, counting the eviction.
 func (c *RefCache) removeLocked(victim int) int {
-	c.used -= c.meta[victim].bytes
-	if c.cfg.Compress {
-		delete(c.frames, victim)
-		c.dropDecodedLocked(victim)
-	} else {
-		delete(c.refs, victim)
-	}
-	delete(c.meta, victim)
+	c.used -= c.entries[victim].bytes
+	delete(c.entries, victim)
 	c.evictions++
 	return victim
 }
@@ -1002,7 +682,7 @@ func (c *RefCache) removeLocked(victim int) int {
 // is unique regardless of map iteration order.
 func (c *RefCache) victimLocked() int {
 	victim, best := -1, 0
-	for loc, m := range c.meta {
+	for loc, e := range c.entries {
 		var key int
 		switch c.cfg.Policy {
 		case PolicySchedule:
@@ -1010,7 +690,7 @@ func (c *RefCache) victimLocked() int {
 			// shared "smaller key wins" comparison below applies.
 			key = -c.cfg.NextVisit(loc, c.lastDay)
 		default: // PolicyLRU
-			key = m.lastVisit
+			key = e.lastVisit
 		}
 		if victim < 0 || key < best || (key == best && loc < victim) {
 			victim, best = loc, key
@@ -1035,15 +715,8 @@ func (c *RefCache) StorageBytes(bitsPerSample int) int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var total int64
-	add := func(w, h, bands int) {
-		samples := int64(w) * int64(h) * int64(bands)
-		total += (samples*int64(bitsPerSample) + 7) / 8
-	}
-	for _, r := range c.refs {
-		add(r.Image.Width, r.Image.Height, r.Image.NumBands())
-	}
-	for _, e := range c.frames {
-		add(e.w, e.h, len(e.bands))
+	for _, e := range c.entries {
+		total += footprint(e.w, e.h, len(e.bands), bitsPerSample)
 	}
 	return total
 }
@@ -1056,232 +729,21 @@ func (c *RefCache) Stats() (evictions, misses int64) {
 	return c.evictions, c.misses
 }
 
-// DecodeStats reports how many frame decodes a compressed cache performed
-// and how many lookups the decoded-plane LRU absorbed instead. The
-// counters are advisory (zero in raw mode): visit interleaving across
-// locations — and hence LRU churn — varies with the engine's worker
-// count, so they are deliberately excluded from the determinism-checked
-// record stream.
-func (c *RefCache) DecodeStats() (decodes, lruHits int64) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.decodes, c.decodeHits
-}
-
-// TileStats reports the tile-granular decode accounting of a tiled
-// compressed store: decoded is the number of codec tiles tile-granular
-// operations (VisitRegion, per-tile splices) actually entropy-decoded,
-// total the tiles the same operations would have decoded at whole-frame
-// granularity. total-decoded is the measured decode-on-visit saving of
-// the tiled profile. Advisory, like DecodeStats; zero on raw stores and
-// monolithic frames.
-func (c *RefCache) TileStats() (decoded, total int64) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.tilesDecoded, c.tilesTotal
-}
+// Decodes reports how many stored frames the cache decoded: one per
+// compressed Visit or Get hit (plus one per monolithic ApplyTileUpdate),
+// zero in raw mode.
+func (c *RefCache) Decodes() int64 { return c.decodes.Load() }
 
 // DecodeWall reports the cumulative wall-clock spent decoding stored
-// frames on visit. Like DecodeStats it is advisory: the total varies
-// with LRU churn (and so with the engine's worker count), but it is the
-// actual decode-on-visit price a compressed store paid, which the
-// sim-engine snapshot records so the cost stops being invisible.
-func (c *RefCache) DecodeWall() time.Duration {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return time.Duration(c.decodeNanos)
-}
+// frames. Like every timing it stays out of the determinism-checked
+// record stream, but it is the actual decode-on-visit price a compressed
+// store paid, which the sim-engine snapshot records so the cost stops
+// being invisible.
+func (c *RefCache) DecodeWall() time.Duration { return time.Duration(c.decodeNanos.Load()) }
 
 // Len returns the number of cached references.
 func (c *RefCache) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if c.cfg.Compress {
-		return len(c.frames)
-	}
-	return len(c.refs)
-}
-
-// Pipeline is the on-board change-detection pipeline of §5.
-type Pipeline struct {
-	Bands []raster.BandInfo
-	// Grid is the full-resolution tile grid.
-	Grid raster.TileGrid
-	// Downsample is the per-axis factor for detection (reference images
-	// are cached at this resolution).
-	Downsample int
-	// CloudDet is the on-board detector (cheap decision tree).
-	CloudDet cloud.Detector
-	// Theta is the change threshold at detection resolution (profiled).
-	Theta float64
-	// DropCoverage drops captures whose detected cloud cover exceeds it
-	// (paper drops above 50%).
-	DropCoverage float64
-	// CloudTileFrac marks a tile cloudy when its cloudy-pixel fraction
-	// exceeds this.
-	CloudTileFrac float64
-}
-
-// Result is the pipeline's output for one capture.
-type Result struct {
-	// Dropped is set when detected cloud coverage exceeded DropCoverage.
-	Dropped bool
-	// CloudCover is the detected (not true) cloud coverage.
-	CloudCover float64
-	// CloudMask is the detected per-pixel mask.
-	CloudMask *cloud.Mask
-	// CloudTiles marks tiles considered cloudy (full-res grid indexing).
-	CloudTiles *raster.TileMask
-	// Changed holds, per band, the changed-tile mask (nil when no
-	// reference was available; the caller decides the fallback).
-	Changed []*raster.TileMask
-	// Illum holds the per-band alignment fitted against the reference.
-	Illum []illum.Model
-	// CapLow is the downsampled capture after cloud zeroing and
-	// illumination normalisation (used for reference bookkeeping).
-	CapLow *raster.Image
-	// CloudSec and ChangeSec are the measured wall-clock costs of the
-	// cloud-detection and change-detection stages (Fig 16).
-	CloudSec  float64
-	ChangeSec float64
-}
-
-// lowGrid returns the tile grid at detection resolution.
-func (p *Pipeline) lowGrid() (raster.TileGrid, error) {
-	return p.Grid.Scaled(p.Downsample)
-}
-
-// Process runs the §5 pipeline on one capture against the cached reference
-// (which may be nil).
-func (p *Pipeline) Process(capImg *raster.Image, ref *LowResRef) (*Result, error) {
-	if capImg.Width != p.Grid.ImageW || capImg.Height != p.Grid.ImageH {
-		return nil, fmt.Errorf("sat: capture %dx%d does not match grid", capImg.Width, capImg.Height)
-	}
-	res := &Result{}
-	// Cloud removal: detect, then drop heavily cloudy captures.
-	tCloud := time.Now() //lint:deterministic wall time feeds Record.CloudSec, excluded by EqualIgnoringTimings
-	res.CloudMask = p.CloudDet.Detect(capImg)
-	res.CloudSec = time.Since(tCloud).Seconds() //lint:deterministic wall time feeds Record.CloudSec, excluded by EqualIgnoringTimings
-	res.CloudCover = res.CloudMask.Coverage()
-	res.CloudTiles = res.CloudMask.TileMask(p.Grid, p.CloudTileFrac)
-	if res.CloudCover > p.DropCoverage {
-		res.Dropped = true
-		return res, nil
-	}
-	gLow, err := p.lowGrid()
-	if err != nil {
-		return nil, fmt.Errorf("sat: %w", err)
-	}
-	capLow, err := capImg.Downsample(p.Downsample)
-	if err != nil {
-		return nil, fmt.Errorf("sat: %w", err)
-	}
-	res.CapLow = capLow
-	if ref == nil {
-		return res, nil
-	}
-	if !ref.Image.SameShape(capLow) {
-		return nil, fmt.Errorf("sat: reference %dx%d does not match detection resolution %dx%d",
-			ref.Image.Width, ref.Image.Height, capLow.Width, capLow.Height)
-	}
-	// Clear-pixel mask at detection resolution for the illumination fit.
-	tChange := time.Now() //lint:deterministic wall time feeds Record.ChangeSec, excluded by EqualIgnoringTimings
-	clearLow := clearPixelsLow(res.CloudMask, p.Downsample, capLow.Width, capLow.Height)
-	det := change.Detector{Theta: p.Theta}
-	res.Changed = make([]*raster.TileMask, len(p.Bands))
-	res.Illum = make([]illum.Model, len(p.Bands))
-	for b := range p.Bands {
-		model, _ := illum.FitRobust(ref.Image.Plane(b), capLow.Plane(b), clearLow, 2, 0.2)
-		model.Normalize(capLow.Plane(b))
-		res.Illum[b] = model
-		res.Changed[b] = det.DetectBand(ref.Image, capLow, b, gLow, lowAlias(res.CloudTiles, gLow))
-	}
-	res.ChangeSec = time.Since(tChange).Seconds() //lint:deterministic wall time feeds Record.ChangeSec, excluded by EqualIgnoringTimings
-	return res, nil
-}
-
-// lowAlias reinterprets a full-resolution-grid tile mask as a mask over the
-// scaled grid (tile indices are identical across scales).
-func lowAlias(m *raster.TileMask, gLow raster.TileGrid) *raster.TileMask {
-	return &raster.TileMask{Grid: gLow, Set: m.Set}
-}
-
-// clearPixelsLow reduces a full-resolution cloud mask to a clear-pixel
-// selector at detection resolution: a low-res pixel is usable when fewer
-// than half of its footprint is cloudy.
-func clearPixelsLow(m *cloud.Mask, factor, lw, lh int) []bool {
-	out := make([]bool, lw*lh)
-	half := factor * factor / 2
-	for ly := 0; ly < lh; ly++ {
-		for lx := 0; lx < lw; lx++ {
-			n := 0
-			for dy := 0; dy < factor; dy++ {
-				row := (ly*factor + dy) * m.W
-				for dx := 0; dx < factor; dx++ {
-					if m.Bits[row+lx*factor+dx] {
-						n++
-					}
-				}
-			}
-			out[ly*lw+lx] = n <= half
-		}
-	}
-	return out
-}
-
-// EncodeROI encodes the capture for downlink: each band's ROI tiles are
-// packed into a mosaic and encoded at gammaBPP bits per ROI pixel — the
-// paper's constant per-tile bit budget γ (§5). Downloaded tiles carry
-// their original pixel values (§3): cloud zero-filling is a detection-side
-// device only, and mostly-cloudy tiles are excluded from the ROI by the
-// caller. Bands whose ROI is empty travel as absent container bands.
-//
-// The per-band codec streams are framed into one container.Codestream —
-// the wire unit every downlink consumer (ground station, HTTP serving
-// layer) speaks — with the per-band bytes inside exactly what
-// codec.EncodeROIPlane produced.
-//
-// Bands are encoded concurrently by a worker pool of
-// codec.Workers(opts.Parallelism, bands) goroutines, so whole-constellation
-// simulations scale with the host's cores.
-func EncodeROI(capImg *raster.Image, perBandROI []*raster.TileMask,
-	gammaBPP float64, opts codec.Options) (container.Codestream, error) {
-	streams := make([][]byte, len(perBandROI))
-	errs := make([]error, len(perBandROI))
-	codec.ParallelBands(opts.Parallelism, len(perBandROI), func(b int) {
-		roi := perBandROI[b]
-		if roi == nil || roi.Count() == 0 {
-			return
-		}
-		bandOpts := opts
-		roiPixels := roi.Count() * roi.Grid.Tile * roi.Grid.Tile
-		bandOpts.BudgetBytes = int(gammaBPP * float64(roiPixels) / 8)
-		if bandOpts.BudgetBytes < codec.MinBudgetBytes {
-			bandOpts.BudgetBytes = codec.MinBudgetBytes
-		}
-		data, err := codec.EncodeROIPlane(capImg.Plane(b), roi, bandOpts)
-		if err != nil {
-			errs[b] = fmt.Errorf("sat: encoding band %d: %w", b, err)
-			return
-		}
-		streams[b] = data
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return container.Pack(streams), nil
-}
-
-// MaskOverheadBytes is the downlink metadata cost of the per-band ROI
-// masks for one capture (one bit per tile per band with a non-empty ROI).
-func MaskOverheadBytes(perBandROI []*raster.TileMask) int64 {
-	var total int64
-	for _, roi := range perBandROI {
-		if roi != nil && roi.Count() > 0 {
-			total += codec.ROIMaskBytes(roi.Grid)
-		}
-	}
-	return total
+	return len(c.entries)
 }

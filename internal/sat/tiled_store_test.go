@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"earthplus/internal/codec"
@@ -31,134 +32,53 @@ func tiledStoreImage(seed, w, h int) *raster.Image {
 	return im
 }
 
-func newTiledStore(t *testing.T, cfg CacheConfig) *RefCache {
-	t.Helper()
-	cfg.Compress = true
-	cfg.StoreBPP = 6
-	cfg.Codec = tiledStoreOpts()
-	c, err := NewBoundedRefCache(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-// TestVisitRegionMatchesCroppedVisit is the region-visit property: on a
-// tiled compressed store, VisitRegion — which entropy-decodes only the
-// codec tiles the rectangle touches — returns exactly the crop of a full
-// Visit's decode, and the tile counters record the saving.
-func TestVisitRegionMatchesCroppedVisit(t *testing.T) {
-	const w, h = 192, 128 // 3x2 codec tiles
-	c := newTiledStore(t, CacheConfig{})
-	c.Put(3, tiledStoreImage(1, w, h), 0)
-
-	rects := [][4]int{{0, 0, 64, 64}, {32, 32, 64, 64}, {100, 60, 92, 68}, {-10, -10, 30, 30}, {0, 0, w, h}}
-	for _, r := range rects {
-		// Region-visit FIRST: a resident full decode would short-circuit
-		// the tiled path, so each rect gets a fresh store.
-		cr := newTiledStore(t, CacheConfig{})
-		cr.Put(3, tiledStoreImage(1, w, h), 0)
-		reg, err := cr.VisitRegion(3, 1, r[0], r[1], r[2], r[3])
-		if err != nil {
-			t.Fatalf("region %v: %v", r, err)
-		}
-		full := cr.Visit(3, 1)
-		x0, y0 := max(r[0], 0), max(r[1], 0)
-		x1, y1 := min(r[0]+r[2], w), min(r[1]+r[3], h)
-		if reg.Image.Width != x1-x0 || reg.Image.Height != y1-y0 {
-			t.Fatalf("region %v: got %dx%d", r, reg.Image.Width, reg.Image.Height)
-		}
-		if reg.Day != full.Day {
-			t.Fatalf("region %v: day %d, visit day %d", r, reg.Day, full.Day)
-		}
-		for b := 0; b < full.Image.NumBands(); b++ {
-			for y := y0; y < y1; y++ {
-				for x := x0; x < x1; x++ {
-					if got, want := reg.Image.At(b, x-x0, y-y0), full.Image.At(b, x, y); got != want {
-						t.Fatalf("region %v band %d (%d,%d): %v != %v", r, b, x, y, got, want)
+// TestConcurrentCompressedVisits visits distinct locations of one
+// compressed store from concurrent goroutines, as the sharded engine
+// does; run it under -race, since a compressed Visit decodes outside the
+// cache lock. The store keeps no decoded planes, so every visit decodes
+// its frame once, and each decode equals the storage codec's own.
+func TestConcurrentCompressedVisits(t *testing.T) {
+	const w, h = 128, 64 // 2x1 codec tiles
+	const locs, rounds = 6, 3
+	for _, tc := range []struct {
+		name string
+		opts codec.Options
+	}{{"monolithic", codec.DefaultOptions()}, {"tiled", tiledStoreOpts()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewBoundedRefCache(CacheConfig{Compress: true, StoreBPP: testStoreBPP, Codec: tc.opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]*raster.Image, locs)
+			for loc := range want {
+				im := tiledStoreImage(loc, w, h)
+				c.Put(loc, im, 0)
+				frame, err := EncodeStoredRef(im, testStoreBPP, tc.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want[loc], err = DecodeStoredRef(frame, w, h, im.Bands); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var wg sync.WaitGroup
+			for loc := range want {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for day := 1; day <= rounds; day++ {
+						ref := c.Visit(loc, day)
+						if ref == nil || ref.Day != 0 || !ref.Image.Equal(want[loc]) {
+							t.Errorf("loc %d day %d: visit diverged from the storage codec's decode", loc, day)
+							return
+						}
 					}
-				}
+				}()
 			}
-		}
-	}
-
-	// The single-tile rect decodes 1 of 6 tiles per band.
-	cr := newTiledStore(t, CacheConfig{})
-	cr.Put(3, tiledStoreImage(1, w, h), 0)
-	if _, err := cr.VisitRegion(3, 1, 0, 0, 64, 64); err != nil {
-		t.Fatal(err)
-	}
-	decoded, total := cr.TileStats()
-	bands := int64(len(raster.PlanetBands()))
-	if decoded != 1*bands || total != 6*bands {
-		t.Fatalf("TileStats = %d/%d, want %d/%d", decoded, total, bands, 6*bands)
-	}
-
-	// Misses and degenerate rectangles.
-	if lr, err := c.VisitRegion(99, 1, 0, 0, 8, 8); err != nil || lr != nil {
-		t.Fatalf("missing loc: (%v, %v), want (nil, nil)", lr, err)
-	}
-	if _, err := c.VisitRegion(3, 1, w, h, 8, 8); err == nil {
-		t.Fatal("out-of-bounds region accepted")
-	}
-	if _, err := c.VisitRegion(3, 1, 0, 0, 0, 8); err == nil {
-		t.Fatal("empty region accepted")
-	}
-}
-
-// TestVisitRegionRawStore pins the raw-store crop path.
-func TestVisitRegionRawStore(t *testing.T) {
-	const w, h = 96, 64
-	c := NewRefCache()
-	im := tiledStoreImage(2, w, h)
-	c.Put(1, im, 0)
-	reg, err := c.VisitRegion(1, 1, 16, 8, 40, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b := 0; b < im.NumBands(); b++ {
-		for y := 0; y < 24; y++ {
-			for x := 0; x < 40; x++ {
-				if reg.Image.At(b, x, y) != im.At(b, x+16, y+8) {
-					t.Fatalf("band %d (%d,%d) differs", b, x, y)
-				}
+			wg.Wait()
+			if got := c.Decodes(); got != locs*rounds {
+				t.Fatalf("Decodes = %d, want one per visit (%d)", got, locs*rounds)
 			}
-		}
-	}
-	if lr, err := c.VisitRegion(5, 1, 0, 0, 4, 4); err != nil || lr != nil {
-		t.Fatalf("missing loc: (%v, %v), want (nil, nil)", lr, err)
-	}
-}
-
-// TestDecodedTileCapAccounting pins the tile-granular decode-LRU bound:
-// with room for exactly one reference's tiles, alternating visits to two
-// locations re-decode every time; with room for both, the second round is
-// served from the LRU.
-func TestDecodedTileCapAccounting(t *testing.T) {
-	const w, h = 128, 128 // 2x2 codec tiles -> weight 4
-	build := func(tileCap int) *RefCache {
-		c := newTiledStore(t, CacheConfig{DecodedTileCap: tileCap})
-		c.Put(0, tiledStoreImage(3, w, h), 0)
-		c.Put(1, tiledStoreImage(4, w, h), 0)
-		return c
-	}
-	visitBoth := func(c *RefCache) {
-		for round := 0; round < 2; round++ {
-			for loc := 0; loc < 2; loc++ {
-				if c.Visit(loc, round+1) == nil {
-					t.Fatal("unexpected miss")
-				}
-			}
-		}
-	}
-	tight := build(4) // one entry's worth of tiles
-	visitBoth(tight)
-	if decodes, hits := tight.DecodeStats(); decodes != 4 || hits != 0 {
-		t.Fatalf("tight cap: %d decodes, %d hits; want 4, 0", decodes, hits)
-	}
-	roomy := build(8)
-	visitBoth(roomy)
-	if decodes, hits := roomy.DecodeStats(); decodes != 2 || hits != 2 {
-		t.Fatalf("roomy cap: %d decodes, %d hits; want 2, 2", decodes, hits)
+		})
 	}
 }

@@ -249,7 +249,7 @@ func TestCompressedReseedCycleCoherent(t *testing.T) {
 	if reseeds == 0 || hitsAfterMiss == 0 {
 		t.Fatalf("property not exercised: %d re-seeds, %d hits after miss", reseeds, hitsAfterMiss)
 	}
-	if d, _ := cache.DecodeStats(); d == 0 {
+	if cache.Decodes() == 0 {
 		t.Fatal("compressed store never decoded a frame")
 	}
 }

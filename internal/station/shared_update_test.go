@@ -287,11 +287,11 @@ func BenchmarkPackUplinkFleet(b *testing.B) {
 }
 
 // TestSharedMirrorsDoNotAliasOnboardStores pins the ownership rule of
-// shared mirror images: satellites that took the same update share one
-// mirror image on the ground, but each raw store gets its own
-// RefUpdate.Decoded. The store keeps that image and later splices into it
-// in place (ApplyTileUpdate), which must leave every other satellite's
-// mirror — and its store — untouched.
+// shared reference images: satellites that took the same update share
+// one image, in the ground's mirrors and in their raw stores alike (each
+// store keeps RefUpdate.Decoded, the mirror's image). A store's later
+// splice (ApplyTileUpdate) builds a new image, which must leave every
+// other satellite's mirror — and its store — untouched.
 func TestSharedMirrorsDoNotAliasOnboardStores(t *testing.T) {
 	const numLocs = 2
 	sats := []int{0, 1, 2, 3}

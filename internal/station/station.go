@@ -27,11 +27,13 @@ import (
 // spliced per-tile into it instead of re-encoding the whole reference.
 //
 // Ownership: img and frame are immutable values, shared freely — one
-// bootstrap seed or one coded update backs the mirrors of every satellite
-// that holds that content, and a ground reference may back mirrors too.
-// Code that needs different content builds a new image. Only the struct
-// itself (its day) is per-satellite state, so a refState is never shared
-// between two mirror slots.
+// bootstrap seed or one coded update backs the mirrors and the on-board
+// stores of every satellite that holds that content, and a ground
+// reference may back mirrors too. Neither side ever mutates a reference
+// image (sat.RefCache splices into a new one), so code that needs
+// different content builds a new image. Only the struct itself (its day)
+// is per-satellite state, so a refState is never shared between two
+// mirror slots.
 type refState struct {
 	img   *raster.Image
 	day   int
@@ -297,15 +299,13 @@ type RefUpdate struct {
 	// Day is the reference content's capture day.
 	Day int
 	// Decoded is the post-codec reference image the satellite should
-	// splice into its cache (the satellite sees exactly what survived
-	// the uplink encoding, not the pristine ground copy). Without
-	// CompressRefs it is the receiving satellite's private copy: a raw
-	// store keeps the image it is given (sat.RefCache.Put) and later
-	// splices into it in place (ApplyTileUpdate), so it never aliases the
-	// ground's mirror or another satellite's update. With CompressRefs it
-	// is the PRE-storage-codec content, shared and read-only: the store's
-	// entry is StoreFrame, whose decode the mirror tracks, and the store
-	// keeps no pixels of Decoded.
+	// install in its cache (the satellite sees exactly what survived the
+	// uplink encoding, not the pristine ground copy). Like every reference
+	// image it is immutable and shared: without CompressRefs a raw store
+	// keeps it (sat.RefCache.Put) while the ground's mirror and other
+	// satellites' updates hold the same image. With CompressRefs it is the
+	// PRE-storage-codec content: the store's entry is StoreFrame, whose
+	// decode the mirror tracks, and the store keeps no pixels of Decoded.
 	Decoded *raster.Image
 	// StoreFrame is the storage-codec frame of the full updated
 	// reference, set only under CompressRefs: a compressed on-board
@@ -445,10 +445,6 @@ func (g *Ground) PackUplink(sat, day int, locs []int, budget *link.Meter) ([]Ref
 		if g.compressRefs {
 			mirror[loc] = &refState{img: c.stored, day: best.day, frame: c.storeFrame}
 		} else {
-			// The mirror keeps the shared decode; the satellite's raw
-			// store keeps Decoded and splices into it in place, so it
-			// gets a private copy.
-			u.Decoded = c.decoded.Clone()
 			mirror[loc] = &refState{img: c.decoded, day: best.day}
 		}
 		updates = append(updates, u)
@@ -801,8 +797,8 @@ func (g *Ground) decodeRefUpdate(cs container.Codestream, masks []*raster.TileMa
 // operational history every deployed system would already have) and primes
 // every listed satellite mirror with it, free of uplink charge. The ground
 // keeps its own copy of full; the listed mirrors share one seed image (and,
-// under CompressRefs, one seed frame), which nothing mutates. Callers
-// seeding on-board caches must hand each cache its own image.
+// under CompressRefs, one seed frame). Reference images are immutable, so
+// callers seeding on-board caches may share one seed image among them too.
 func (g *Ground) SeedBootstrap(loc, day int, full *raster.Image, sats []int) error {
 	low, err := full.Downsample(g.downsample)
 	if err != nil {

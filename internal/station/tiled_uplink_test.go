@@ -172,9 +172,6 @@ func TestTiledCompressedUplinkCoherent(t *testing.T) {
 	if re >= total {
 		t.Fatalf("splice re-encoded %d of %d tiles; per-tile splice saved nothing", re, total)
 	}
-	if d, tt := cache.TileStats(); tt > 0 && d >= tt {
-		t.Fatalf("store splice re-encoded %d of %d tiles; per-tile splice saved nothing", d, tt)
-	}
 }
 
 // TestTiledSpliceMatchesWholeReencodePath pins the route equivalence

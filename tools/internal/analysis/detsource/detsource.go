@@ -6,7 +6,7 @@
 // inputs and seeds, or runs stop being byte-identical across reruns and
 // -simworkers counts. The only sanctioned wall-clock reads are the
 // documented timing fields that Record.EqualIgnoringTimings excludes
-// (EncodeSec, CloudSec, ChangeSec, DecodeStats wall time); each of those
+// (EncodeSec, CloudSec, ChangeSec, DecodeWall); each of those
 // sites carries a //lint:deterministic annotation naming the field it
 // feeds.
 //
