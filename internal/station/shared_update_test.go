@@ -117,8 +117,10 @@ func mirrorsDifferingBelowMask(t *testing.T, g *Ground, last int) {
 // state and retry count — on each side. Invalidated and NACKed mirrors,
 // trimmed re-seeds, trimmed deltas and mirrors that differ below the
 // change masks (mirrorsDifferingBelowMask) make the satellites' mirrors
-// diverge. Every satellite must still receive byte-identical updates and
-// end with byte-identical mirrors on both grounds.
+// diverge, and the tight meters leave some shared updates partly coded
+// for a later satellite to continue. Every satellite must still receive
+// byte-identical updates and end with byte-identical mirrors on both
+// grounds.
 func TestSharedUpdatesIndependentOfPackOrder(t *testing.T) {
 	const numLocs, numSats = 2, 8
 	for _, tc := range fleetCases() {
@@ -151,7 +153,7 @@ func TestSharedUpdatesIndependentOfPackOrder(t *testing.T) {
 			}
 			src := noise.New(8128)
 			locs := []int{0, 1}
-			shared, trimmed := 0, 0
+			shared, trimmed, partial := 0, 0, 0
 			for day := 1; day <= 3; day++ {
 				for loc := range state {
 					state[loc] = mutateTiles(src, day*numLocs+loc, state[loc], tc.grid, 2)
@@ -181,12 +183,17 @@ func TestSharedUpdatesIndependentOfPackOrder(t *testing.T) {
 						}
 					}
 				}
-				// Sharing and trimming both ran: some frame backs two
-				// satellites' updates, and some update is not a memo entry.
+				// Sharing, trimming and stopping early all ran: some frame
+				// backs two satellites' updates, some update is not a memo
+				// entry, and some memo entry was left partly coded.
 				memoFrames := map[*byte]bool{}
 				for loc := range state {
 					for _, e := range asc.memo[memoKey{loc: loc, ref: asc.bestRef[loc].img}] {
-						if e.coded != nil {
+						switch {
+						case e.coded == nil:
+						case e.coded.frame == nil:
+							partial++
+						default:
 							memoFrames[&e.coded.frame[0]] = true
 						}
 					}
@@ -221,11 +228,25 @@ func TestSharedUpdatesIndependentOfPackOrder(t *testing.T) {
 					g.EndUplinkDay()
 				}
 			}
-			if shared == 0 || trimmed == 0 {
-				t.Fatalf("property not exercised: %d shared updates, %d trimmed", shared, trimmed)
+			if shared == 0 || trimmed == 0 || partial == 0 {
+				t.Fatalf("property not exercised: %d shared updates, %d trimmed, %d partly coded", shared, trimmed, partial)
 			}
 		})
 	}
+}
+
+// fbmImage is a w x w fractal-noise capture in the given bands, each band
+// drawn from its own seed (seed + band index) into [0.1, 0.8].
+func fbmImage(w int, bands []raster.BandInfo, seed uint64) *raster.Image {
+	im := raster.New(w, w, bands)
+	for band := range bands {
+		p := im.Plane(band)
+		noise.New(seed+uint64(band)).FillFBM(p, w, w, 5, 3)
+		for i, v := range p {
+			p[i] = 0.1 + 0.7*v
+		}
+	}
+	return im
 }
 
 // BenchmarkPackUplinkFleet measures the day-end uplink stage at the
@@ -245,14 +266,7 @@ func BenchmarkPackUplinkFleet(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	contents := [2]*raster.Image{raster.New(w, w, bands)}
-	for band := range bands {
-		p := contents[0].Plane(band)
-		noise.New(uint64(31+band)).FillFBM(p, w, w, 5, 3)
-		for i, v := range p {
-			p[i] = 0.1 + 0.7*v
-		}
-	}
+	contents := [2]*raster.Image{fbmImage(w, bands, 31)}
 	contents[1] = mutateTiles(noise.New(7), 0, contents[0], grid, 8)
 	sats := make([]int, numSats)
 	for s := range sats {
@@ -279,6 +293,66 @@ func BenchmarkPackUplinkFleet(b *testing.B) {
 		b.StartTimer()
 		for _, s := range sats {
 			if _, err := g.PackUplink(s, day, locs, link.NewMeter(0)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		g.EndUplinkDay()
+	}
+}
+
+// BenchmarkPackUplinkContended measures the day-end uplink stage when the
+// meter, not the content, bounds it, at the constrained simulation's
+// scale: 8 satellites and 11 locations of 192x192 Sentinel-2 captures,
+// downsampled by 2 into compressed tiled stores, each satellite packing
+// against one station contact's 30,123 B meter. Every satellite's mirrors
+// hold their own content, so no update is shared and each differs from
+// the reference in nearly every tile: the first update overruns the
+// meter and is trimmed, and the meter runs dry for the rest. Each
+// iteration restores the seeded mirrors, packs every satellite and ends
+// the day.
+func BenchmarkPackUplinkContended(b *testing.B) {
+	const numSats, numLocs, w, tile, down, contact = 8, 11, 192, 16, 2, 30123
+	bands := raster.Sentinel2Bands()
+	opts := codec.DefaultOptions()
+	opts.Tiled = true
+	g, err := NewGround(Config{
+		Bands: bands, Grid: raster.MustTileGrid(w, w, tile), Downsample: down,
+		CodecOpts: opts, RefBPP: 6, MaxRefCloud: 0.05, CompressRefs: true,
+	}, numLocs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	seeded := make([][]refState, numSats) // restored before every iteration
+	for s := range seeded {
+		own := fbmImage(w, bands, uint64(100*(s+1)))
+		for loc := 0; loc < numLocs; loc++ {
+			if err := g.SeedBootstrap(loc, 0, own, []int{s}); err != nil {
+				b.Fatal(err)
+			}
+			seeded[s] = append(seeded[s], *g.mirrors[s][loc])
+		}
+	}
+	ref := fbmImage(w, bands, 31)
+	locs := make([]int, numLocs)
+	for loc := range locs {
+		locs[loc] = loc
+		g.archive[loc] = ref
+		if _, err := g.MaybePromote(loc, 1, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for s, mirrors := range seeded {
+			for loc, m := range mirrors {
+				g.mirrors[s][loc] = &m
+			}
+		}
+		b.StartTimer()
+		for s := range seeded {
+			if _, err := g.PackUplink(s, i+1, locs, link.NewMeter(contact)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -357,11 +357,13 @@ const refDiffEps = 2e-3
 // packing stays deterministic and byte-identical at any engine worker
 // count.
 //
-// Within one day, an untrimmed update is coded once and shared by every
-// satellite that needs it (see sharedUpdate); a budget-trimmed update
-// depends on the satellite's remaining meter and is coded for it alone.
-// Callers packing a whole fleet call EndUplinkDay once all satellites of
-// the day are packed.
+// Within one day, an untrimmed update is coded band by band, each band at
+// most once per day, and shared by every satellite that needs it (see
+// sharedUpdate); a budget-trimmed update depends on the satellite's
+// remaining meter and is coded for it alone. Either stops being coded
+// once the bands coded so far cost more than the meter has left, since
+// it can no longer fit (see codeWithin). Callers packing a whole fleet
+// call EndUplinkDay once all satellites of the day are packed.
 func (g *Ground) PackUplink(sat, day int, locs []int, budget *link.Meter) ([]RefUpdate, error) {
 	g.mirrorMu.Lock()
 	defer g.mirrorMu.Unlock()
@@ -402,16 +404,17 @@ func (g *Ground) PackUplink(sat, day int, locs []int, budget *link.Meter) ([]Ref
 		if mirror[loc] != nil && mirror[loc].day >= best.day && mirror[loc].img == best.img {
 			continue // nothing new since the last upload
 		}
-		c, err := g.sharedUpdate(loc, best, mirror[loc], gLow)
-		if err != nil {
-			return nil, err
-		}
+		c := g.sharedUpdate(loc, best, mirror[loc], gLow)
 		if c == nil {
 			// Content identical; just advance the mirror's age for free.
 			mirror[loc].day = best.day
 			continue
 		}
-		if !budget.TryConsume(c.bytes) {
+		coded, err := g.codeWithin(c, best.img, budget.Remaining())
+		if err != nil {
+			return nil, err
+		}
+		if !coded || !budget.TryConsume(c.bytes) {
 			// The full update does not fit. Ship the most-changed tiles
 			// that do — the paper skips reference data under uplink
 			// shortage (§5); skipping at tile granularity avoids the
@@ -425,10 +428,11 @@ func (g *Ground) PackUplink(sat, day int, locs []int, budget *link.Meter) ([]Ref
 			if totalTiles == 0 {
 				continue
 			}
-			if c, err = g.encodeRefUpdate(best.img, perBand); err != nil {
+			c = &codedUpdate{masks: perBand}
+			if coded, err = g.codeWithin(c, best.img, budget.Remaining()); err != nil {
 				return nil, err
 			}
-			if !budget.TryConsume(c.bytes) {
+			if !coded || !budget.TryConsume(c.bytes) {
 				continue // not even the trimmed update fits today
 			}
 		}
@@ -463,14 +467,26 @@ func (g *Ground) EndUplinkDay() {
 	g.memo = nil
 }
 
-// codedUpdate is one reference update as the ground codes it: the wire
-// frame and its uplink charge, then — once a satellite's budget admits the
-// update — what that satellite ends up holding. Every field is immutable
-// once set, so one codedUpdate may back several satellites' RefUpdates.
+// codedUpdate is one reference update as the ground codes it: its change
+// masks, then its bands, coded band by band and each band at most once per
+// day (see codeWithin), then the wire frame once every band is coded, and
+// — once a satellite's budget admits the update — what that satellite
+// ends up holding. Coding only moves forward and every other field is
+// immutable once set, so one codedUpdate may back several satellites'
+// RefUpdates, and a satellite with a larger meter may continue one that
+// an earlier satellite's meter stopped.
 type codedUpdate struct {
-	frame container.Codestream
 	masks []*raster.TileMask
-	bytes int64
+	// streams holds the coded bands' codec streams (nil for a band
+	// without changed tiles) until the frame packs them; bands before
+	// next are coded. bytes is their uplink charge: the codec payloads
+	// plus the shipped tile-mask metadata (framing overhead is a
+	// transport concern and not billed to the link).
+	streams [][]byte
+	next    int
+	bytes   int64
+	// frame is the wire frame; nil until every band is coded.
+	frame container.Codestream
 	// decoded is the post-uplink reference; nil until admitted.
 	decoded *raster.Image
 	// storeFrame and stored (its decode) are set under CompressRefs: the
@@ -531,18 +547,21 @@ func sameBits(a, b *raster.Image) bool {
 
 // sharedUpdate returns the untrimmed update of loc's reference best for a
 // mirror in state prev: the tiles whose content changed (every tile for a
-// re-seed) and their encoding, or nil when nothing changed. Every
-// satellite's mirror is refreshed from the same ground reference, so on
-// a day that promotes a reference, satellites whose mirrors hold the same
-// content need the same update: the first one packed diffs and encodes
-// it, and the rest of the day's satellites reuse the masks and frame —
-// and, once admitted, its decode and storage frame — instead of coding
-// it again.
-func (g *Ground) sharedUpdate(loc int, best, prev *refState, gLow raster.TileGrid) (*codedUpdate, error) {
+// re-seed), or nil when nothing changed. Every satellite's mirror is
+// refreshed from the same ground reference, so on a day that promotes a
+// reference, satellites whose mirrors hold the same content need the same
+// update: the first one packed diffs it, and the rest of the day's
+// satellites reuse the masks and the bands coded so far — and, once
+// admitted, its decode and storage frame. The update is coded band by
+// band, each band at most once per day: a satellite codes only the bands
+// its meter reaches (codeWithin), and a later one with a larger meter
+// continues from there. The key fixes best.img, so every satellite codes
+// from the same image.
+func (g *Ground) sharedUpdate(loc int, best, prev *refState, gLow raster.TileGrid) *codedUpdate {
 	key := memoKey{loc: loc, ref: best.img}
 	for _, e := range g.memo[key] {
 		if e.matches(prev) {
-			return e.coded, nil
+			return e.coded
 		}
 	}
 	perBand := make([]*raster.TileMask, len(g.bands))
@@ -562,10 +581,7 @@ func (g *Ground) sharedUpdate(loc int, best, prev *refState, gLow raster.TileGri
 	}
 	var c *codedUpdate
 	if totalTiles > 0 {
-		var err error
-		if c, err = g.encodeRefUpdate(best.img, perBand); err != nil {
-			return nil, err
-		}
+		c = &codedUpdate{masks: perBand}
 	}
 	e := &memoEntry{coded: c}
 	if prev != nil {
@@ -575,7 +591,7 @@ func (g *Ground) sharedUpdate(loc int, best, prev *refState, gLow raster.TileGri
 		g.memo = make(map[memoKey][]*memoEntry)
 	}
 	g.memo[key] = append(g.memo[key], e)
-	return c, nil
+	return c
 }
 
 // admit completes c for a satellite whose budget accepted it: the
@@ -703,7 +719,9 @@ func (g *Ground) trimUpdateToBudget(best, mirror *refState, perBand []*raster.Ti
 	for b := range out {
 		out[b] = raster.NewTileMask(gLow)
 	}
-	if remaining <= 0 {
+	// The diffs and the sort only choose the first keep units.
+	keep := int(remaining / g.trimUnitBytes(gLow))
+	if keep <= 0 {
 		return out
 	}
 	type unit struct {
@@ -731,24 +749,38 @@ func (g *Ground) trimUpdateToBudget(best, mirror *refState, perBand []*raster.Ti
 		}
 	}
 	sort.Slice(units, func(i, j int) bool { return units[i].diff > units[j].diff })
-	// Cost estimate per unit: the γ-style budget the encoder will spend,
-	// plus a small share of stream overhead.
-	costPerUnit := int64(g.refBPP*float64(gLow.Tile*gLow.Tile)/8) + 12
-	keep := int(remaining / costPerUnit)
 	for i := 0; i < keep && i < len(units); i++ {
 		out[units[i].band].Set[units[i].tile] = true
 	}
 	return out
 }
 
-// encodeRefUpdate ROI-encodes the changed tiles of the low-res reference
-// into one container frame. The returned byte count is the uplink charge:
-// the per-band codec payloads plus the shipped tile-mask metadata
-// (framing overhead is a transport concern and not billed to the link).
-func (g *Ground) encodeRefUpdate(ref *raster.Image, perBand []*raster.TileMask) (*codedUpdate, error) {
-	streams := make([][]byte, len(g.bands))
-	var total int64
-	for b, mask := range perBand {
+// trimUnitBytes is trimUpdateToBudget's cost estimate for one (band, tile)
+// unit of a low-res grid: the γ-style budget the encoder will spend, plus
+// a small share of stream overhead.
+func (g *Ground) trimUnitBytes(gLow raster.TileGrid) int64 {
+	return int64(g.refBPP*float64(gLow.Tile*gLow.Tile)/8) + 12
+}
+
+// codeWithin ROI-encodes the changed tiles of the low-res reference ref,
+// band by band from c's first uncoded band, and reports whether every
+// band is coded and packed into c's frame. It stops after the first band
+// that takes c's charge past limit, a meter's Remaining: the charge only
+// grows band by band, so the whole update could no longer pass that
+// meter's TryConsume. A negative limit, an unlimited meter, codes every
+// band. A band's encode error surfaces only when coding reaches that band.
+func (g *Ground) codeWithin(c *codedUpdate, ref *raster.Image, limit int64) (bool, error) {
+	if c.frame != nil {
+		return true, nil
+	}
+	if c.streams == nil {
+		c.streams = make([][]byte, len(c.masks))
+	}
+	for ; c.next < len(c.masks); c.next++ {
+		if limit >= 0 && c.bytes > limit {
+			return false, nil
+		}
+		mask := c.masks[c.next]
 		if mask.Count() == 0 {
 			continue
 		}
@@ -758,14 +790,15 @@ func (g *Ground) encodeRefUpdate(ref *raster.Image, perBand []*raster.TileMask) 
 		if opts.BudgetBytes < codec.MinBudgetBytes {
 			opts.BudgetBytes = codec.MinBudgetBytes
 		}
-		data, err := codec.EncodeROIPlane(ref.Plane(b), mask, opts)
+		data, err := codec.EncodeROIPlane(ref.Plane(c.next), mask, opts)
 		if err != nil {
-			return nil, fmt.Errorf("station: encoding reference band %d: %w", b, err)
+			return false, fmt.Errorf("station: encoding reference band %d: %w", c.next, err)
 		}
-		streams[b] = data
-		total += int64(len(data)) + codec.ROIMaskBytes(mask.Grid)
+		c.streams[c.next] = data
+		c.bytes += int64(len(data)) + codec.ROIMaskBytes(mask.Grid)
 	}
-	return &codedUpdate{frame: container.Pack(streams), masks: perBand, bytes: total}, nil
+	c.frame, c.streams = container.Pack(c.streams), nil
+	return true, nil
 }
 
 // decodeRefUpdate reconstructs the reference image a satellite ends up with
