@@ -47,11 +47,10 @@
 // by location onto a bounded worker pool (sim.Env.Parallelism, the
 // -simworkers flag; 0 = GOMAXPROCS), each location's visit sequence stays
 // ordered, records merge back into serial walk order, and day-end uplink
-// packing runs on a sequential barrier. Results are byte-identical to the
-// serial path at any worker count (only the measured wall-clock timing
-// fields vary); determinism is pinned under -race by the internal/sim
-// tests and tracked by the BENCH_sim.json snapshot
-// (cmd/earthplus-bench -only simbench). Scene synthesis draws capture
+// packing runs on a sequential barrier. A run's sim.WriteTrace bytes are
+// identical to the serial path's at any worker count; the determinism
+// matrix in internal/sim pins this under -race, and its golden digests
+// pin the serial traces themselves. Scene synthesis draws capture
 // buffers from pools (scene.ReleaseCapture recycles them), and
 // sim.RunStream plus sim.Accumulator aggregate records without retaining
 // them.

@@ -10,7 +10,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -157,7 +156,7 @@ func DefaultConfig() Config {
 // Concurrency: OnCapture is safe for concurrent calls on DISTINCT
 // locations (the sharded engine's contract). All mutable state is sharded
 // by location — lastGuar and the ground segment's archive/reference slots
-// are per-location, the per-satellite reference caches are only read
+// are per-location, the per-satellite reference caches are only visited
 // during captures (RefCache locks internally) — and the cross-location
 // uplink packing happens in OnDayEnd, which the engine runs on its
 // sequential day-end barrier.
@@ -165,9 +164,10 @@ type System struct {
 	cfg      Config
 	env      *sim.Env
 	pipeline *sat.Pipeline
-	cacheMu  sync.RWMutex
-	caches   map[int]*sat.RefCache // per satellite; prefilled in New
-	ground   *station.Ground
+	// caches holds one reference cache per satellite id. New fills it and
+	// nothing writes the slice again, so captures read it without a lock.
+	caches []*sat.RefCache
+	ground *station.Ground
 	// channel is the fault-injected link (nil = perfect channel, which
 	// bypasses the injector entirely). Transmit outcomes are pure
 	// functions of (seed, direction, sat, day, loc), so concurrent
@@ -231,13 +231,11 @@ func New(env *sim.Env, cfg Config) (*System, error) {
 	for i := range lastGuar {
 		lastGuar[i] = -1 << 30
 	}
-	// Prefill the per-satellite caches so the capture hot path only ever
-	// reads the map (concurrent lazy insertion would race). Each cache is
-	// bounded by the satellite's storage budget; the schedule policy
-	// predicts revisits from the same orbit schedule the uplink planner's
-	// per-phase visit sets are built from.
-	caches := make(map[int]*sat.RefCache, env.Orbit.Satellites)
-	for id := 0; id < env.Orbit.Satellites; id++ {
+	// Each satellite's cache is bounded by its storage budget; the
+	// schedule policy predicts revisits from the same orbit schedule the
+	// uplink planner's per-phase visit sets are built from.
+	caches := make([]*sat.RefCache, env.Orbit.Satellites)
+	for id := range caches {
 		satID := id
 		cc := cfg.CacheConfig()
 		cc.NextVisit = func(loc, afterDay int) int {
@@ -284,26 +282,6 @@ func New(env *sim.Env, cfg Config) (*System, error) {
 // Name implements sim.System.
 func (s *System) Name() string { return "Earth+" }
 
-// cacheFor returns a satellite's reference cache. Every id below
-// Orbit.Satellites is prefilled at construction; the locked fallback only
-// serves out-of-range ids (e.g. hand-built test fixtures).
-func (s *System) cacheFor(satID int) *sat.RefCache {
-	s.cacheMu.RLock()
-	c0 := s.caches[satID]
-	s.cacheMu.RUnlock()
-	if c0 != nil {
-		return c0
-	}
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	c := s.caches[satID]
-	if c == nil {
-		c = sat.NewRefCache()
-		s.caches[satID] = c
-	}
-	return c
-}
-
 // Bootstrap implements sim.System: it seeds the ground archive and every
 // satellite's reference cache with the location's pre-mission history.
 func (s *System) Bootstrap(cap *scene.Capture) error {
@@ -331,9 +309,9 @@ func (s *System) Bootstrap(cap *scene.Capture) error {
 	for _, id := range sats {
 		var evicted []int
 		if frame != nil {
-			evicted = s.cacheFor(id).PutFrame(cap.Loc, frame, low, cap.Day)
+			evicted = s.caches[id].PutFrame(cap.Loc, frame, low, cap.Day)
 		} else {
-			evicted = s.cacheFor(id).Put(cap.Loc, low, cap.Day)
+			evicted = s.caches[id].Put(cap.Loc, low, cap.Day)
 		}
 		for _, loc := range evicted {
 			// A bootstrap store already over budget sheds references; the
@@ -363,7 +341,7 @@ func (s *System) OnCapture(cap *scene.Capture) (sim.Outcome, error) {
 	// leaves ref nil, and the ROI selection below falls back to
 	// reference-free encoding of every non-cloudy tile; the ground re-seeds
 	// the reference on the next uplink cycle.
-	ref := s.cacheFor(cap.Sat).Visit(cap.Loc, cap.Day)
+	ref := s.caches[cap.Sat].Visit(cap.Loc, cap.Day)
 	res, err := s.pipeline.Process(cap.Image, ref)
 	if err != nil {
 		return sim.Outcome{}, err
@@ -553,7 +531,7 @@ func (s *System) contendedDayEnd(day int) (int64, error) {
 // the uplink bytes transmitted. It runs only on the sequential day-end
 // barrier.
 func (s *System) deliverUpdates(satID, day int, updates []station.RefUpdate) int64 {
-	cache := s.cacheFor(satID)
+	cache := s.caches[satID]
 	if s.channel.Enabled() && len(updates) > 0 && s.channel.ContactCanceled(link.Uplink, satID, day) {
 		s.linkStats.upContactsLost.Add(1)
 	}
@@ -698,15 +676,15 @@ func (s *System) Ground() *station.Ground { return s.ground }
 // RefCacheBytes reports the on-board reference cache footprint of one
 // satellite at the store's RefStoreBitsPerSample accounting.
 func (s *System) RefCacheBytes(satID int) int64 {
-	return s.cacheFor(satID).StorageBytes(RefStoreBitsPerSample)
+	return s.caches[satID].StorageBytes(RefStoreBitsPerSample)
 }
 
 // StorageStats sums capacity evictions and reference-lookup misses across
 // the fleet's on-board stores — the observable signal that a storage
 // budget is binding (the storage-sweep experiment reports it).
 func (s *System) StorageStats() (evictions, misses int64) {
-	for id := 0; id < s.env.Orbit.Satellites; id++ {
-		e, m := s.cacheFor(id).Stats()
+	for _, c := range s.caches {
+		e, m := c.Stats()
 		evictions += e
 		misses += m
 	}
@@ -718,8 +696,7 @@ func (s *System) StorageStats() (evictions, misses int64) {
 // otherwise) — what the storage sweep reads to show how many locations a
 // budget actually holds.
 func (s *System) ResidentRefs() (locations int, bytes int64) {
-	for id := 0; id < s.env.Orbit.Satellites; id++ {
-		c := s.cacheFor(id)
+	for _, c := range s.caches {
 		locations += c.Len()
 		bytes += c.FootprintBytes()
 	}
@@ -773,8 +750,8 @@ func (s *System) LinkStats() LinkStats {
 // RefCompression): one per compressed reference visit. The store keeps no
 // decoded planes, so lruHits is always 0; the benchmark reads both.
 func (s *System) DecodeStats() (decodes, lruHits int64) {
-	for id := 0; id < s.env.Orbit.Satellites; id++ {
-		decodes += s.cacheFor(id).Decodes()
+	for _, c := range s.caches {
+		decodes += c.Decodes()
 	}
 	return decodes, 0
 }
@@ -785,8 +762,8 @@ func (s *System) DecodeStats() (decodes, lruHits int64) {
 // records alongside the counters.
 func (s *System) DecodeWall() time.Duration {
 	var total time.Duration
-	for id := 0; id < s.env.Orbit.Satellites; id++ {
-		total += s.cacheFor(id).DecodeWall()
+	for _, c := range s.caches {
+		total += c.DecodeWall()
 	}
 	return total
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"math"
+	"bytes"
 	"testing"
 
 	"earthplus/internal/link"
@@ -208,11 +208,10 @@ func TestRefCacheBytesPositive(t *testing.T) {
 	if day := sys.Ground().BestRefDay(0); day < 0 {
 		t.Fatal("ground has no reference after run")
 	}
-	_ = math.Pi
 }
 
-// Two identical runs must produce byte-identical record streams — the
-// whole stack (scene, codec, detection, uplink packing) is deterministic.
+// Two identical runs must write byte-identical traces — the whole stack
+// (scene, codec, detection, uplink packing) is deterministic.
 func TestRunDeterminism(t *testing.T) {
 	run := func() *sim.Result {
 		env := planetEnv()
@@ -226,24 +225,10 @@ func TestRunDeterminism(t *testing.T) {
 		}
 		return res
 	}
-	a, b := run(), run()
-	if len(a.Records) != len(b.Records) {
-		t.Fatalf("record counts differ: %d vs %d", len(a.Records), len(b.Records))
-	}
-	for i := range a.Records {
-		ra, rb := a.Records[i], b.Records[i]
-		if ra.DownBytes != rb.DownBytes || ra.DownTileFrac != rb.DownTileFrac ||
-			ra.Dropped != rb.Dropped || ra.RefAge != rb.RefAge {
-			t.Fatalf("record %d differs:\n%+v\n%+v", i, ra, rb)
-		}
-		if !math.IsNaN(ra.PSNR) && ra.PSNR != rb.PSNR {
-			t.Fatalf("record %d PSNR %v vs %v", i, ra.PSNR, rb.PSNR)
-		}
-	}
-	for d, v := range a.UpBytesByDay {
-		if b.UpBytesByDay[d] != v {
-			t.Fatalf("uplink day %d: %d vs %d", d, v, b.UpBytesByDay[d])
-		}
+	a, errA := sim.TraceBytes(run())
+	b, errB := sim.TraceBytes(run())
+	if errA != nil || errB != nil || !bytes.Equal(a, b) {
+		t.Fatalf("two identical runs wrote different traces (errors %v, %v)", errA, errB)
 	}
 }
 
@@ -253,7 +238,7 @@ func TestRunDeterminism(t *testing.T) {
 // byte-identical record streams — bounding the cache changes nothing
 // until the budget actually binds.
 func TestUnlimitedStorageMatchesDefault(t *testing.T) {
-	run := func(cfg Config) []sim.Record {
+	run := func(cfg Config) *sim.Result {
 		t.Helper()
 		env := planetEnv()
 		sys, err := New(env, cfg)
@@ -264,15 +249,17 @@ func TestUnlimitedStorageMatchesDefault(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Records
+		return res
 	}
 	def := run(DefaultConfig())
 	unlimited := DefaultConfig()
 	unlimited.StorageBytes = -1
-	if !sim.RecordsEqualIgnoringTimings(def, run(unlimited)) {
-		t.Fatal("explicit unlimited storage diverged from the default budget")
+	a, errA := sim.TraceBytes(def)
+	b, errB := sim.TraceBytes(run(unlimited))
+	if errA != nil || errB != nil || !bytes.Equal(a, b) {
+		t.Fatalf("explicit unlimited storage diverged from the default budget (errors %v, %v)", errA, errB)
 	}
-	for _, r := range def {
+	for _, r := range def.Records {
 		if r.RefMiss {
 			t.Fatalf("unbounded run missed a reference at day %d loc %d", r.Day, r.Loc)
 		}
@@ -419,7 +406,7 @@ func TestCompressedStorageHoldsMoreAndStaysCoherent(t *testing.T) {
 // absence) is byte-identical to the default raw store, and anything but
 // on/off is rejected loudly.
 func TestRefCompressionKnobContract(t *testing.T) {
-	run := func(params map[string]string) []sim.Record {
+	run := func(params map[string]string) ([]byte, error) {
 		t.Helper()
 		env := planetEnv()
 		sys, err := registry.New(SystemName, env, registry.Spec{StrParams: params})
@@ -430,12 +417,12 @@ func TestRefCompressionKnobContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Records
+		return sim.TraceBytes(res)
 	}
-	def := run(nil)
-	off := run(map[string]string{"ref_compression": "off"})
-	if !sim.RecordsEqualIgnoringTimings(def, off) {
-		t.Fatal("explicit ref_compression=off diverged from the default")
+	def, errA := run(nil)
+	off, errB := run(map[string]string{"ref_compression": "off"})
+	if errA != nil || errB != nil || !bytes.Equal(def, off) {
+		t.Fatalf("explicit ref_compression=off diverged from the default (errors %v, %v)", errA, errB)
 	}
 	if _, err := registry.New(SystemName, planetEnv(), registry.Spec{
 		StrParams: map[string]string{"ref_compression": "maybe"},

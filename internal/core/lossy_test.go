@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"earthplus/internal/link"
@@ -55,7 +56,7 @@ func TestLossyRunGracefulAndCoherent(t *testing.T) {
 	// ever leave a mirror pointing at state the satellite does not have.
 	checked := 0
 	for satID := 0; satID < env.Orbit.Satellites; satID++ {
-		cache := sys.cacheFor(satID)
+		cache := sys.caches[satID]
 		for loc := 0; loc < env.Scene.NumLocations(); loc++ {
 			mirror := sys.ground.MirrorImage(satID, loc)
 			if mirror == nil {
@@ -88,7 +89,7 @@ func TestLossyRunGracefulAndCoherent(t *testing.T) {
 // byte-identity guarantee: not just "the injector is bypassed at zero",
 // but "the delivery-loop plumbing itself changes nothing".
 func TestEnabledButQuietChannelMatchesPerfectChannel(t *testing.T) {
-	run := func(cfg Config) []sim.Record {
+	run := func(cfg Config) ([]byte, error) {
 		t.Helper()
 		env := planetEnv()
 		sys, err := New(env, cfg)
@@ -99,13 +100,14 @@ func TestEnabledButQuietChannelMatchesPerfectChannel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Records
+		return sim.TraceBytes(res)
 	}
-	perfect := run(DefaultConfig())
+	perfect, errA := run(DefaultConfig())
 	quiet := DefaultConfig()
 	quiet.LinkFaults = link.UniformFaults(1e-12, 1)
-	if !sim.RecordsEqualIgnoringTimings(perfect, run(quiet)) {
-		t.Fatal("quiet fault-injected channel diverged from the perfect channel")
+	got, errB := run(quiet)
+	if errA != nil || errB != nil || !bytes.Equal(perfect, got) {
+		t.Fatalf("quiet fault-injected channel diverged from the perfect channel (errors %v, %v)", errA, errB)
 	}
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"reflect"
 
 	"earthplus/internal/constellation"
 	"earthplus/internal/core"
@@ -166,57 +165,6 @@ func ConstellationSweep(sc Scale) (*ConstSweepResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// constDeterminismCheck runs a contended 16-satellite / 2-station Earth+
-// configuration at each worker count and reports whether every run is
-// identical to the serial one — records, per-day uplink bytes AND the
-// contact log — and whether station contention actually fired (an
-// uncontended run would prove nothing). The scheduler runs on the
-// sequential day-end barrier, so the worker count must not change a single
-// booking.
-func constDeterminismCheck(sc Scale, workers []int) (deterministic, contended bool, err error) {
-	run := func(w int) ([]sim.Record, map[int]int64, []sim.ContactRecord, bool, error) {
-		cfg := constConfig(sc)
-		env := envFor(cfg, DenseOrbit(16), defaultUplinkDivisor)
-		env.Parallelism = w
-		spec := registry.Spec{
-			GammaBPP: fig12Gamma,
-			Params:   map[string]float64{"stations": 2},
-		}
-		sys, err := registry.New(core.SystemName, env, spec)
-		if err != nil {
-			return nil, nil, nil, false, err
-		}
-		var recs []sim.Record
-		r, err := runSystemStream(sc, env, sys, func(rec *sim.Record) { recs = append(recs, *rec) })
-		if err != nil {
-			return nil, nil, nil, false, err
-		}
-		cs := sys.(constStatser)
-		return recs, r.UpBytesByDay, cs.ContactLog(), cs.ConstellationStats().Stalls > 0, nil
-	}
-	serialRecs, serialUp, serialContacts, serialContended, err := run(1)
-	if err != nil {
-		return false, false, err
-	}
-	deterministic, contended = true, serialContended
-	for _, w := range workers {
-		if w <= 1 {
-			continue
-		}
-		recs, up, contacts, fired, err := run(w)
-		if err != nil {
-			return false, false, err
-		}
-		if !sim.RecordsEqualIgnoringTimings(serialRecs, recs) ||
-			!reflect.DeepEqual(serialUp, up) ||
-			!reflect.DeepEqual(serialContacts, contacts) {
-			deterministic = false
-		}
-		contended = contended && fired
-	}
-	return deterministic, contended, nil
 }
 
 // ID implements Result.

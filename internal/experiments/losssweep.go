@@ -134,53 +134,6 @@ func LossSweep(sc Scale) (*LossSweepResult, error) {
 	return res, nil
 }
 
-// lossDeterminismCheck runs a lossy Earth+ configuration at each worker
-// count and reports whether every run's records are identical to the
-// serial one and whether link faults actually fired (a fault-free run
-// would prove nothing). The sim-engine snapshot records both bits: fault
-// outcomes are pure functions of (seed, direction, satellite, day,
-// location), so the worker count must not change them.
-func lossDeterminismCheck(sc Scale, workers []int, rate float64) (deterministic, faulted bool, err error) {
-	run := func(w int) ([]sim.Record, bool, error) {
-		env := envFor(richConfig(sc), lossOrbit(), defaultUplinkDivisor)
-		env.Parallelism = w
-		spec := registry.Spec{
-			GammaBPP: fig12Gamma,
-			Params:   map[string]float64{"link_loss": rate, "link_seed": lossSweepSeed},
-		}
-		sys, err := registry.New(core.SystemName, env, spec)
-		if err != nil {
-			return nil, false, err
-		}
-		var recs []sim.Record
-		if _, err := runSystemStream(sc, env, sys, func(r *sim.Record) { recs = append(recs, *r) }); err != nil {
-			return nil, false, err
-		}
-		st := sys.(linkStatser).LinkStats()
-		fired := st.UplinkDropped+st.UplinkCorrupted+st.DownlinkDropped+st.DownlinkCorrupted > 0
-		return recs, fired, nil
-	}
-	serial, serialFaulted, err := run(1)
-	if err != nil {
-		return false, false, err
-	}
-	deterministic, faulted = true, serialFaulted
-	for _, w := range workers {
-		if w <= 1 {
-			continue
-		}
-		recs, fired, err := run(w)
-		if err != nil {
-			return false, false, err
-		}
-		if !sim.RecordsEqualIgnoringTimings(serial, recs) {
-			deterministic = false
-		}
-		faulted = faulted && fired
-	}
-	return deterministic, faulted, nil
-}
-
 // ID implements Result.
 func (r *LossSweepResult) ID() string { return "Link-loss robustness sweep" }
 

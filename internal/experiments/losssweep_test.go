@@ -70,19 +70,3 @@ func TestLossSweepGracefulAndBudgeted(t *testing.T) {
 		t.Fatalf("render missing columns:\n%s", out)
 	}
 }
-
-// TestLossDeterminismCheck pins the snapshot's determinism bit: the lossy
-// configuration it records must be record-identical across worker counts
-// with faults actually exercised.
-func TestLossDeterminismCheck(t *testing.T) {
-	det, faulted, err := lossDeterminismCheck(Tiny(), []int{4}, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !det {
-		t.Fatal("lossy run not deterministic across worker counts")
-	}
-	if !faulted {
-		t.Fatal("5% loss fired no faults; the determinism bit proves nothing")
-	}
-}

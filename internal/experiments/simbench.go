@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -22,7 +23,7 @@ import (
 // same multi-location, multi-satellite Earth+ workload at several worker
 // counts with the codec pinned to one thread — isolating the engine's
 // location-sharding speedup from the codec's own band parallelism — and
-// verifies the runs are record-identical while it is at it.
+// checks the runs write identical traces while it is at it.
 
 // SimBenchRun is one measured worker count.
 type SimBenchRun struct {
@@ -57,8 +58,8 @@ type SimScalingResult struct {
 	BootstrapSeconds float64       `json:"bootstrap_seconds"`
 	SerialSeconds    float64       `json:"serial_seconds"`
 	Runs             []SimBenchRun `json:"runs"`
-	// Deterministic reports whether every run produced records identical
-	// to the serial run (timing fields excluded).
+	// Deterministic reports whether every run wrote the serial run's
+	// trace bytes.
 	Deterministic bool `json:"deterministic"`
 }
 
@@ -69,61 +70,26 @@ type SimBenchResult struct {
 	// budget points and per-system compression ratios, uplink use and
 	// eviction/miss counts (run at a compact scale).
 	Storage *StorageSweepResult `json:"storage_sweep,omitempty"`
-	// StorageDeterministic reports whether a tightly storage-bounded
-	// Earth+ run — evictions and miss-fallbacks active — stayed
-	// record-identical across worker counts.
-	StorageDeterministic bool `json:"storage_deterministic"`
-	// StorageEvictionsExercised reports whether that bounded run actually
-	// evicted (a vacuously-deterministic run would prove nothing).
-	StorageEvictionsExercised bool `json:"storage_evictions_exercised"`
-	// RefCompressionDeterministic and RefCompressionEvictionsExercised
-	// are the same check with ref_compression=on: decode-on-visit and
-	// encoded-byte eviction accounting under the same worker sweep.
-	RefCompressionDeterministic      bool `json:"ref_compression_deterministic"`
-	RefCompressionEvictionsExercised bool `json:"ref_compression_evictions_exercised"`
-	// RefDecode is the decode-on-visit cost of that compressed-refs run
-	// (serial measurement): the frame decode count plus the measured
-	// wall-clock, so the price of ref_compression appears in the tracked
-	// snapshot instead of staying advisory-only.
+	// RefDecode is the decode-on-visit cost of a storage-bounded
+	// ref_compression=on run (serial measurement): the frame decode count
+	// plus the measured wall-clock, so the price of ref_compression
+	// appears in the tracked snapshot instead of staying advisory-only.
 	RefDecode *RefDecodeCost `json:"ref_decode,omitempty"`
 	// Compute is the Fig-16-style per-image on-board compute budget with
 	// RefDecode's wall-clock charged per visit next to the encode time.
 	Compute *OnboardComputeBudget `json:"onboard_compute,omitempty"`
-	// TiledStoreDeterministic is the worker-sweep determinism check with
-	// tiled_store=on AND ref_compression=on — per-tile ground splices,
-	// tiled frames through the lossy channel and the tiled store are then
-	// the newest state the contract has to cover — and
-	// TiledStoreSpliceExercised reports whether the run really spliced
-	// mirror frames per-tile (strictly fewer tiles re-encoded than a
-	// whole-frame pass; a splice-free run would prove nothing).
-	TiledStoreDeterministic   bool `json:"tiled_store_deterministic"`
-	TiledStoreSpliceExercised bool `json:"tiled_store_splice_exercised"`
-	// TiledRefDecode is RefDecode for that tiled run, including the
+	// TiledRefDecode is RefDecode with tiled_store=on, including the
 	// per-tile splice savings counters.
 	TiledRefDecode *RefDecodeCost `json:"tiled_ref_decode,omitempty"`
 	// Loss is the link-loss robustness sweep recorded alongside the perf
 	// runs (run at the same compact scale as the storage sweep).
 	Loss *LossSweepResult `json:"loss_sweep,omitempty"`
-	// LossDeterministic reports whether a lossy-link Earth+ run — drops,
-	// corruptions, retransmits active — stayed record-identical across
-	// worker counts, and LossFaultsExercised whether faults actually
-	// fired in it (a fault-free run would prove nothing).
-	LossDeterministic   bool `json:"loss_deterministic"`
-	LossFaultsExercised bool `json:"loss_faults_exercised"`
 	// Const is the constellation sweep recorded alongside the perf runs:
 	// fleet sizes x contended ground-station counts, with per-contact
 	// budgets, contention stalls, re-seed backlog and event
 	// time-to-usable-image (run at a compact single-location scale).
 	Const *ConstSweepResult `json:"constsweep,omitempty"`
-	// ConstDeterministic reports whether a contended 16-satellite /
-	// 2-station run — scheduler, per-contact meters and contact log active
-	// — stayed identical across worker counts (records, uplink bytes AND
-	// the contact log), and ConstContentionExercised whether satellites
-	// actually stalled for windows in it (an uncontended run would prove
-	// nothing).
-	ConstDeterministic       bool `json:"const_deterministic"`
-	ConstContentionExercised bool `json:"const_contention_exercised"`
-	path                     string
+	path  string
 }
 
 // ID implements Result.
@@ -139,7 +105,7 @@ func (r *SimScalingResult) Render(w io.Writer) error {
 		fmt.Fprintf(w, "%-10d %10.2f %9.2fx\n", run.Workers, run.Seconds, run.SpeedupVsSerial)
 	}
 	fmt.Fprintf(w, "scaling valid: %v (speedup figures are host artifacts below 2 cores)\n", r.ScalingValid)
-	fmt.Fprintf(w, "records identical across worker counts: %v\n", r.Deterministic)
+	fmt.Fprintf(w, "traces identical across worker counts: %v\n", r.Deterministic)
 	return nil
 }
 
@@ -151,10 +117,6 @@ func (r *SimBenchResult) Render(w io.Writer) error {
 	if err := r.SimScalingResult.Render(w); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "storage-bounded run identical across worker counts: %v (evictions exercised: %v)\n",
-		r.StorageDeterministic, r.StorageEvictionsExercised)
-	fmt.Fprintf(w, "compressed-refs bounded run identical across worker counts: %v (evictions exercised: %v)\n",
-		r.RefCompressionDeterministic, r.RefCompressionEvictionsExercised)
 	if r.RefDecode != nil {
 		fmt.Fprintf(w, "decode-on-visit cost (serial compressed run): %d decodes, %.3fs wall\n",
 			r.RefDecode.Decodes, r.RefDecode.WallSeconds)
@@ -164,17 +126,11 @@ func (r *SimBenchResult) Render(w io.Writer) error {
 			r.Compute.CloudMs, r.Compute.ChangeMs, r.Compute.EncodeMs,
 			r.Compute.DecodeMsPerVisit, r.Compute.TotalMs, r.Compute.DecodeSharePct)
 	}
-	fmt.Fprintf(w, "tiled-store run identical across worker counts: %v (per-tile splice exercised: %v)\n",
-		r.TiledStoreDeterministic, r.TiledStoreSpliceExercised)
 	if r.TiledRefDecode != nil && r.TiledRefDecode.SpliceTilesTotal > 0 {
 		fmt.Fprintf(w, "tiled ground splice: re-encoded %d of %d codec tiles (%.1f%% saved)\n",
 			r.TiledRefDecode.SpliceTilesReencoded, r.TiledRefDecode.SpliceTilesTotal,
 			100*(1-float64(r.TiledRefDecode.SpliceTilesReencoded)/float64(r.TiledRefDecode.SpliceTilesTotal)))
 	}
-	fmt.Fprintf(w, "lossy-link run identical across worker counts: %v (faults exercised: %v)\n",
-		r.LossDeterministic, r.LossFaultsExercised)
-	fmt.Fprintf(w, "contended constellation run identical across worker counts: %v (contention exercised: %v)\n",
-		r.ConstDeterministic, r.ConstContentionExercised)
 	if r.Storage != nil {
 		if err := r.Storage.Render(w); err != nil {
 			return err
@@ -238,8 +194,8 @@ const simBenchDays = 4
 // 1, 2, 4 and GOMAXPROCS: the engine's multi-core scaling probe, with the
 // codec pinned to one thread. ScalingValid is false when the host has
 // fewer than two scheduler cores — the sweep still runs (the determinism
-// bit is as meaningful as ever) but the speedup figures are host
-// artifacts.
+// bit, which compares whole traces, is as meaningful as ever) but the
+// speedup figures are host artifacts.
 func SimScaling() (*SimScalingResult, error) {
 	cfg := richConfig(QuickScale())
 	const satellites = 8
@@ -280,16 +236,13 @@ func SimScaling() (*SimScalingResult, error) {
 	}
 	res.BootstrapSeconds = bootSec
 
-	measure := func(workers int) ([]sim.Record, float64, error) {
+	measure := func(workers int) (*sim.Result, float64, error) {
 		env, sys, err := mkRun(workers)
 		if err != nil {
 			return nil, 0, err
 		}
-		var recs []sim.Record
 		t0 := time.Now()
-		_, err = sim.RunStream(env, sys, 10, 40, 40+simBenchDays, func(r *sim.Record) {
-			recs = append(recs, *r)
-		})
+		run, err := sim.Run(env, sys, 10, 40, 40+simBenchDays)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -297,15 +250,19 @@ func SimScaling() (*SimScalingResult, error) {
 		if sec < 0 {
 			sec = 0
 		}
-		return recs, sec, nil
+		return run, sec, nil
 	}
 
-	serialRecs, serialSec, err := measure(1)
+	serial, serialSec, err := measure(1)
+	if err != nil {
+		return nil, fmt.Errorf("simbench: serial run: %w", err)
+	}
+	serialTrace, err := sim.TraceBytes(serial)
 	if err != nil {
 		return nil, fmt.Errorf("simbench: serial run: %w", err)
 	}
 	res.SerialSeconds = serialSec
-	res.CapturesPerRun = len(serialRecs)
+	res.CapturesPerRun = len(serial.Records)
 	res.Runs = append(res.Runs, SimBenchRun{Workers: 1, Seconds: serialSec, SpeedupVsSerial: 1})
 	res.Deterministic = true
 
@@ -314,11 +271,15 @@ func SimScaling() (*SimScalingResult, error) {
 		workerSweep = append(workerSweep, p)
 	}
 	for _, wkr := range workerSweep {
-		recs, sec, err := measure(wkr)
+		run, sec, err := measure(wkr)
 		if err != nil {
 			return nil, fmt.Errorf("simbench: %d workers: %w", wkr, err)
 		}
-		if !sim.RecordsEqualIgnoringTimings(serialRecs, recs) {
+		trace, err := sim.TraceBytes(run)
+		if err != nil {
+			return nil, fmt.Errorf("simbench: %d workers: %w", wkr, err)
+		}
+		if !bytes.Equal(trace, serialTrace) {
 			res.Deterministic = false
 		}
 		res.Runs = append(res.Runs, SimBenchRun{Workers: wkr, Seconds: sec, SpeedupVsSerial: serialSec / sec})
@@ -327,9 +288,8 @@ func SimScaling() (*SimScalingResult, error) {
 }
 
 // SimBench runs the scaling probe plus the storage, link-loss and
-// constellation sweeps with their worker-count determinism checks and,
-// when outPath is non-empty, writes the JSON snapshot there
-// (BENCH_sim.json).
+// constellation sweeps and, when outPath is non-empty, writes the JSON
+// snapshot there (BENCH_sim.json).
 func SimBench(outPath string) (*SimBenchResult, error) {
 	scaling, err := SimScaling()
 	if err != nil {
@@ -337,42 +297,20 @@ func SimBench(outPath string) (*SimBenchResult, error) {
 	}
 	res := &SimBenchResult{SimScalingResult: *scaling, path: outPath}
 
-	// Storage snapshot: the budget sweep plus a determinism check of the
-	// eviction paths across worker counts, both at a compact scale so the
-	// snapshot stays cheap to regenerate.
+	// Storage snapshot: the budget sweep plus the decode-on-visit cost of
+	// serial compressed runs on the monolithic and tiled profiles, all at
+	// a compact scale so the snapshot stays cheap to regenerate.
 	storageSc := storageSnapshotScale()
 	sweep, err := StorageSweep(storageSc)
 	if err != nil {
 		return nil, fmt.Errorf("simbench: storage sweep: %w", err)
 	}
 	res.Storage = sweep
-	det, evicted, _, err := storageDeterminismCheck(storageSc, []int{4}, false, false)
-	if err != nil {
-		return nil, fmt.Errorf("simbench: storage determinism: %w", err)
+	if res.RefDecode, err = refDecodeCost(storageSc, false); err != nil {
+		return nil, fmt.Errorf("simbench: compressed-refs decode cost: %w", err)
 	}
-	res.StorageDeterministic = det
-	res.StorageEvictionsExercised = evicted
-	cdet, cevicted, cdecode, err := storageDeterminismCheck(storageSc, []int{4}, true, false)
-	if err != nil {
-		return nil, fmt.Errorf("simbench: compressed-refs determinism: %w", err)
-	}
-	res.RefCompressionDeterministic = cdet
-	res.RefCompressionEvictionsExercised = cevicted
-	res.RefDecode = cdecode
-
-	// The tiled (EPT1) storage profile under the same contract: per-tile
-	// ground splices and the tiled store must stay record-identical
-	// across worker counts, and the splice counters must show the
-	// profile actually saved tile re-encodes.
-	tdet, _, tdecode, err := storageDeterminismCheck(storageSc, []int{4}, true, true)
-	if err != nil {
-		return nil, fmt.Errorf("simbench: tiled-store determinism: %w", err)
-	}
-	res.TiledStoreDeterministic = tdet
-	res.TiledRefDecode = tdecode
-	if tdecode != nil {
-		res.TiledStoreSpliceExercised = tdecode.SpliceTilesTotal > 0 &&
-			tdecode.SpliceTilesReencoded < tdecode.SpliceTilesTotal
+	if res.TiledRefDecode, err = refDecodeCost(storageSc, true); err != nil {
+		return nil, fmt.Errorf("simbench: tiled-store decode cost: %w", err)
 	}
 
 	// Charge decode-on-visit into the Fig-16-style per-image compute
@@ -397,36 +335,20 @@ func SimBench(outPath string) (*SimBenchResult, error) {
 		return nil, fmt.Errorf("simbench: fig16 compute budget: %w", err)
 	}
 
-	// Link-loss snapshot: the loss sweep plus a determinism check of the
-	// fault-injection and retransmit paths across worker counts, at the
-	// same compact scale.
+	// Link-loss snapshot: the loss sweep at the same compact scale.
 	lossSweep, err := LossSweep(storageSc)
 	if err != nil {
 		return nil, fmt.Errorf("simbench: loss sweep: %w", err)
 	}
 	res.Loss = lossSweep
-	ldet, lfaulted, err := lossDeterminismCheck(storageSc, []int{4}, 0.05)
-	if err != nil {
-		return nil, fmt.Errorf("simbench: loss determinism: %w", err)
-	}
-	res.LossDeterministic = ldet
-	res.LossFaultsExercised = lfaulted
 
-	// Constellation snapshot: the fleet x station sweep plus a determinism
-	// check of the contended scheduler, per-contact meters and contact log
-	// across worker counts, at a compact single-location scale.
-	constSc := constSnapshotScale()
-	constSweep, err := ConstellationSweep(constSc)
+	// Constellation snapshot: the fleet x station sweep at a compact
+	// single-location scale.
+	constSweep, err := ConstellationSweep(constSnapshotScale())
 	if err != nil {
 		return nil, fmt.Errorf("simbench: constellation sweep: %w", err)
 	}
 	res.Const = constSweep
-	kdet, kcontended, err := constDeterminismCheck(constSc, []int{4})
-	if err != nil {
-		return nil, fmt.Errorf("simbench: constellation determinism: %w", err)
-	}
-	res.ConstDeterministic = kdet
-	res.ConstContentionExercised = kcontended
 
 	if outPath != "" {
 		data, err := json.MarshalIndent(res, "", "  ")

@@ -312,20 +312,12 @@ type spliceStatser interface {
 	SpliceTileStats() (reencoded, total int64)
 }
 
-// storageDeterminismCheck runs a tightly storage-bounded Earth+
-// configuration (a tenth of the reference working set, so evictions and
-// miss-fallbacks dominate) at each worker count and reports whether every
-// run's records are identical to the serial one and whether evictions
-// actually occurred. With compress it runs the ref_compression=on store —
-// decode-on-visit and encoded-byte accounting are then the newest state
-// the determinism contract has to cover — and also returns the serial
-// run's decode-on-visit cost (count and wall-clock), so
-// the sim-engine snapshot records what decode-on-visit actually costs
-// instead of leaving the counters advisory-only. The sim-engine snapshot
-// records both configurations. With tiled (implies compress) the store
-// runs the tiled (EPT1) codestream profile and the returned cost also
-// carries the ground's per-tile splice savings.
-func storageDeterminismCheck(sc Scale, workers []int, compress, tiled bool) (deterministic, evicted bool, decode *RefDecodeCost, err error) {
+// refDecodeCost runs one serial storage-bounded Earth+ configuration with
+// ref_compression=on and returns its decode-on-visit cost (count and
+// wall-clock), so the sim-engine snapshot records what decode-on-visit
+// actually costs. With tiled the store runs the tiled (EPT1) codestream
+// profile and the cost also carries the ground's per-tile splice savings.
+func refDecodeCost(sc Scale, tiled bool) (*RefDecodeCost, error) {
 	cfg := richConfig(sc)
 	def := core.DefaultConfig()
 	down := def.RefDownsample
@@ -338,71 +330,35 @@ func storageDeterminismCheck(sc Scale, workers []int, compress, tiled bool) (det
 		// tile grid) so localized deltas leave untouched tiles behind.
 		down = 2
 	}
-	workingSet := refWorkingSet(cfg, down, def.CacheConfig())
-	budget := workingSet / 10
-	if compress {
-		// A tenth of the RAW working set sits below even one compressed
-		// reference at the snapshot's few-location scale: the store would
-		// stay empty and the decode-on-visit path (the very state this
-		// check covers) would never run. A quarter keeps the compressed
-		// store pressured — capacity for some but not all locations — so
-		// evictions AND decodes both happen.
-		budget = workingSet / 4
+	// A quarter of the raw working set keeps the compressed store
+	// pressured — capacity for some but not all locations — so evictions
+	// AND decodes both happen.
+	budget := refWorkingSet(cfg, down, def.CacheConfig()) / 4
+	env := envFor(cfg, richOrbit(), defaultUplinkDivisor)
+	env.Parallelism = 1
+	spec := registry.Spec{
+		GammaBPP:  fig12Gamma,
+		Params:    map[string]float64{"storage_bytes": float64(budget)},
+		StrParams: map[string]string{"evict_policy": "lru", "ref_compression": "on"},
 	}
-	run := func(w int) ([]sim.Record, bool, *RefDecodeCost, error) {
-		env := envFor(cfg, richOrbit(), defaultUplinkDivisor)
-		env.Parallelism = w
-		spec := registry.Spec{
-			GammaBPP:  fig12Gamma,
-			Params:    map[string]float64{"storage_bytes": float64(budget)},
-			StrParams: map[string]string{"evict_policy": "lru"},
-		}
-		if compress {
-			spec.StrParams["ref_compression"] = "on"
-		}
-		if tiled {
-			spec.StrParams["tiled_store"] = "on"
-			spec.Params["ref_downsample"] = float64(down)
-		}
-		sys, err := registry.New(core.SystemName, env, spec)
-		if err != nil {
-			return nil, false, nil, err
-		}
-		var recs []sim.Record
-		if _, err := runSystemStream(sc, env, sys, func(r *sim.Record) { recs = append(recs, *r) }); err != nil {
-			return nil, false, nil, err
-		}
-		ev, _ := sys.(storageStatser).StorageStats()
-		var cost *RefDecodeCost
-		if compress {
-			ds := sys.(decodeStatser)
-			decodes, _ := ds.DecodeStats()
-			cost = &RefDecodeCost{Decodes: decodes, WallSeconds: ds.DecodeWall().Seconds()}
-			if tiled {
-				cost.SpliceTilesReencoded, cost.SpliceTilesTotal = sys.(spliceStatser).SpliceTileStats()
-			}
-		}
-		return recs, ev > 0, cost, nil
+	if tiled {
+		spec.StrParams["tiled_store"] = "on"
+		spec.Params["ref_downsample"] = float64(down)
 	}
-	serial, serialEvicted, serialDecode, err := run(1)
+	sys, err := registry.New(core.SystemName, env, spec)
 	if err != nil {
-		return false, false, nil, err
+		return nil, err
 	}
-	deterministic, evicted = true, serialEvicted
-	for _, w := range workers {
-		if w <= 1 {
-			continue
-		}
-		recs, ev, _, err := run(w)
-		if err != nil {
-			return false, false, nil, err
-		}
-		if !sim.RecordsEqualIgnoringTimings(serial, recs) {
-			deterministic = false
-		}
-		evicted = evicted && ev
+	if _, err := runSystemStream(sc, env, sys, nil); err != nil {
+		return nil, err
 	}
-	return deterministic, evicted, serialDecode, nil
+	ds := sys.(decodeStatser)
+	decodes, _ := ds.DecodeStats()
+	cost := &RefDecodeCost{Decodes: decodes, WallSeconds: ds.DecodeWall().Seconds()}
+	if tiled {
+		cost.SpliceTilesReencoded, cost.SpliceTilesTotal = sys.(spliceStatser).SpliceTileStats()
+	}
+	return cost, nil
 }
 
 // ID implements Result.

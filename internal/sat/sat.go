@@ -447,12 +447,12 @@ func (c *RefCache) encodeFrame(im *raster.Image) container.Codestream {
 
 // decode decodes a compressed entry's frame into a fresh image.
 func (c *RefCache) decode(loc int, e *entry) *raster.Image {
-	t0 := time.Now() //lint:deterministic wall time feeds the cache's DecodeWall only, excluded by EqualIgnoringTimings
+	t0 := time.Now() //lint:deterministic wall time feeds DecodeWall, which only the repo benchmark and simbench read
 	im, err := DecodeStoredRef(e.frame, e.w, e.h, e.bands)
 	if err != nil {
 		panic(fmt.Sprintf("sat: loc %d: %v", loc, err))
 	}
-	c.decodeNanos.Add(time.Since(t0).Nanoseconds()) //lint:deterministic wall time feeds the cache's DecodeWall only, excluded by EqualIgnoringTimings
+	c.decodeNanos.Add(time.Since(t0).Nanoseconds()) //lint:deterministic wall time feeds DecodeWall, which only the repo benchmark and simbench read
 	c.decodes.Add(1)
 	return im
 }

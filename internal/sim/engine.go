@@ -17,9 +17,8 @@
 // stay byte-identical to the serial walk at any worker count.
 //
 // The engine guarantees determinism: because Systems only share state
-// across locations at the day-end barrier, every Record field except the
-// measured wall-clock timings (EncodeSec, CloudSec, ChangeSec) is
-// byte-identical at any worker count, including the serial path.
+// across locations at the day-end barrier, a run's WriteTrace bytes are
+// identical at any worker count, including the serial path.
 package sim
 
 import (
@@ -251,9 +250,6 @@ func processVisit(env *Env, sys System, grid raster.TileGrid, day, loc, satID in
 		Guaranteed:    out.Guaranteed,
 		DownDropped:   out.DownDropped,
 		DownCorrupted: out.DownCorrupted,
-		EncodeSec:     out.EncodeSec,
-		CloudSec:      out.CloudSec,
-		ChangeSec:     out.ChangeSec,
 		PSNR:          math.NaN(),
 	}
 	if out.TotalTiles > 0 {

@@ -105,7 +105,8 @@ type Outcome struct {
 	// DownCorrupted marks captures whose downlink frame arrived damaged
 	// and was rejected whole by the ground's CRC gate.
 	DownCorrupted bool
-	// Component timings in seconds (measured on this machine, Fig 16).
+	// Component timings in seconds, measured on this machine. They stay
+	// out of Record; the repo benchmark reads them per capture.
 	EncodeSec, CloudSec, ChangeSec float64
 }
 
@@ -125,9 +126,10 @@ type System interface {
 	OnDayEnd(day int) (upBytes int64, err error)
 }
 
-// Record is one capture's evaluated outcome. The link-fault fields carry
-// omitempty so fault-free runs serialise byte-identically to traces
-// written before the channel fault injector existed.
+// Record is one capture's evaluated outcome. It carries no wall-clock
+// field, so two runs produced the same result exactly when their
+// WriteTrace bytes are equal. The link-fault fields carry omitempty so
+// fault-free runs serialise without them.
 type Record struct {
 	Day, Loc, Sat int
 	Dropped       bool
@@ -141,50 +143,6 @@ type Record struct {
 	Guaranteed    bool
 	DownDropped   bool `json:",omitempty"`
 	DownCorrupted bool `json:",omitempty"`
-	EncodeSec     float64
-	CloudSec      float64
-	ChangeSec     float64
-}
-
-// EqualIgnoringTimings reports whether two records carry identical results,
-// ignoring the measured wall-clock fields (EncodeSec, CloudSec, ChangeSec
-// legitimately vary run to run) and treating two NaN PSNRs as equal. This
-// is the engine's determinism contract: every other field is byte-identical
-// at any worker count.
-func (r Record) EqualIgnoringTimings(o Record) bool {
-	if r.Day != o.Day || r.Loc != o.Loc || r.Sat != o.Sat ||
-		r.Dropped != o.Dropped || r.TrueCoverage != o.TrueCoverage ||
-		r.DownBytes != o.DownBytes || r.DownTileFrac != o.DownTileFrac ||
-		r.RefAge != o.RefAge || r.RefMiss != o.RefMiss || r.Guaranteed != o.Guaranteed ||
-		r.DownDropped != o.DownDropped || r.DownCorrupted != o.DownCorrupted {
-		return false
-	}
-	if !(r.PSNR == o.PSNR || (math.IsNaN(r.PSNR) && math.IsNaN(o.PSNR))) {
-		return false
-	}
-	if len(r.PerBandBytes) != len(o.PerBandBytes) {
-		return false
-	}
-	for b := range r.PerBandBytes {
-		if r.PerBandBytes[b] != o.PerBandBytes[b] {
-			return false
-		}
-	}
-	return true
-}
-
-// RecordsEqualIgnoringTimings compares two record sequences with
-// EqualIgnoringTimings.
-func RecordsEqualIgnoringTimings(a, b []Record) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].EqualIgnoringTimings(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Result aggregates a run.

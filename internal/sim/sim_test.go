@@ -179,3 +179,18 @@ func TestRunRejectsBadOrbit(t *testing.T) {
 		t.Fatal("expected orbit validation error")
 	}
 }
+
+func TestWorkersConvention(t *testing.T) {
+	if got := Workers(1, 10); got != 1 {
+		t.Fatalf("Workers(1,10) = %d", got)
+	}
+	if got := Workers(8, 3); got != 3 {
+		t.Fatalf("Workers(8,3) = %d (must not exceed shard count)", got)
+	}
+	if got := Workers(0, 64); got < 1 {
+		t.Fatalf("Workers(0,64) = %d", got)
+	}
+	if got := Workers(-5, 0); got != 1 {
+		t.Fatalf("Workers(-5,0) = %d", got)
+	}
+}

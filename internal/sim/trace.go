@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -20,7 +21,8 @@ type TraceHeader struct {
 }
 
 // traceVersion is bumped when Record's serialised shape changes.
-const traceVersion = 1
+// Version 2 dropped the EncodeSec, CloudSec and ChangeSec keys.
+const traceVersion = 2
 
 // WriteTrace streams a result as a JSON-lines trace: one header line
 // followed by one line per record, then one line per (day, uplink bytes)
@@ -76,6 +78,15 @@ func WriteTrace(w io.Writer, res *Result) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// TraceBytes returns res as WriteTrace writes it. Two runs produced the
+// same result exactly when their TraceBytes are equal: records, per-day
+// uplink bytes and the contact log in one comparison.
+func TraceBytes(res *Result) ([]byte, error) {
+	var buf bytes.Buffer
+	err := WriteTrace(&buf, res)
+	return buf.Bytes(), err
 }
 
 // wireContact is ContactRecord's JSON-lines shape. The ctStation key also

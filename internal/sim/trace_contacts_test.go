@@ -104,8 +104,7 @@ func TestTraceContactsByteIdentical(t *testing.T) {
 }
 
 // TestTraceWithoutContactsUnchanged: a flat-budget run (no contact log)
-// writes no contact lines — the v1 format is unchanged for existing
-// consumers.
+// writes no contact lines and reads back without a contact log.
 func TestTraceWithoutContactsUnchanged(t *testing.T) {
 	res := contactResult()
 	res.Contacts = nil

@@ -2,64 +2,107 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
 
+// TestTraceRoundTrip: a trace read back and written again must be the
+// same bytes, so every field, the uplink lines and the header survive.
 func TestTraceRoundTrip(t *testing.T) {
-	env := testEnv(t)
-	res, err := Run(env, newFake(), 0, 30, 62)
+	res, err := Run(testEnv(t), newFake(), 0, 30, 62)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, res); err != nil {
-		t.Fatal(err)
+	if len(res.Records) == 0 {
+		t.Fatal("no captures simulated")
 	}
-	back, err := ReadTrace(&buf)
+	// The fake system never sets the flags; one record sets them all.
+	res.Records = append(res.Records, Record{
+		Day: 61, Dropped: true, TrueCoverage: 0.9, PerBandBytes: []int64{1, 2}, PSNR: math.NaN(),
+		RefAge: -1, RefMiss: true, Guaranteed: true, DownDropped: true, DownCorrupted: true,
+	})
+	first, err := TraceBytes(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.System != res.System || back.Days != res.Days {
-		t.Fatalf("header mismatch: %s/%d", back.System, back.Days)
+	back, err := ReadTrace(bytes.NewReader(first))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(back.Records) != len(res.Records) {
-		t.Fatalf("records %d != %d", len(back.Records), len(res.Records))
+	again, err := TraceBytes(back)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range res.Records {
-		a, b := res.Records[i], back.Records[i]
-		// NaN PSNR serialises as null and returns as zero value NaN-less;
-		// compare the rest exactly and PSNR only when finite.
-		if a.Day != b.Day || a.Loc != b.Loc || a.Sat != b.Sat ||
-			a.Dropped != b.Dropped || a.DownBytes != b.DownBytes ||
-			a.DownTileFrac != b.DownTileFrac || a.RefAge != b.RefAge {
-			t.Fatalf("record %d differs: %+v vs %+v", i, a, b)
+	if !bytes.Equal(first, again) {
+		t.Fatal("write -> read -> write changed the trace bytes")
+	}
+}
+
+// TestTraceDetectsEveryRecordField makes WriteTrace the equality oracle:
+// changing any Record field must change the trace bytes, and two NaN
+// PSNRs, whatever their bits, must write the same bytes.
+func TestTraceDetectsEveryRecordField(t *testing.T) {
+	base := Record{
+		Day: 3, Loc: 1, Sat: 2, TrueCoverage: 0.25, DownBytes: 1000,
+		PerBandBytes: []int64{400, 600}, DownTileFrac: 0.5, PSNR: 41.5, RefAge: 7,
+	}
+	trace := func(r Record) []byte {
+		t.Helper()
+		b, err := TraceBytes(&Result{System: "t", Days: 1, Records: []Record{r}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		switch {
-		case math.IsNaN(a.PSNR): // dropped: stays NaN
-		case math.IsInf(a.PSNR, 1): // bit-exact: clamped to the sentinel
-			if b.PSNR < 500 {
-				t.Fatalf("record %d infinite PSNR became %v", i, b.PSNR)
+		return b
+	}
+	nanA, nanB := base, base
+	nanA.PSNR, nanB.PSNR = math.NaN(), math.Float64frombits(0x7ff8000000000001)
+	if !bytes.Equal(trace(nanA), trace(nanB)) {
+		t.Fatal("two NaN PSNRs wrote different bytes")
+	}
+
+	mutations := map[string]func(*Record){
+		"day":           func(r *Record) { r.Day++ },
+		"loc":           func(r *Record) { r.Loc++ },
+		"sat":           func(r *Record) { r.Sat++ },
+		"dropped":       func(r *Record) { r.Dropped = true },
+		"coverage":      func(r *Record) { r.TrueCoverage += 0.01 },
+		"bytes":         func(r *Record) { r.DownBytes++ },
+		"tilefrac":      func(r *Record) { r.DownTileFrac += 0.01 },
+		"psnr":          func(r *Record) { r.PSNR += 0.01 },
+		"psnr-nan":      func(r *Record) { r.PSNR = math.NaN() },
+		"refage":        func(r *Record) { r.RefAge++ },
+		"refmiss":       func(r *Record) { r.RefMiss = true },
+		"guarantee":     func(r *Record) { r.Guaranteed = true },
+		"downdropped":   func(r *Record) { r.DownDropped = true },
+		"downcorrupted": func(r *Record) { r.DownCorrupted = true },
+		"bandlen":       func(r *Record) { r.PerBandBytes = []int64{400} },
+		"bandval":       func(r *Record) { r.PerBandBytes = []int64{400, 601} },
+	}
+	want := trace(base)
+	mutated := map[string]bool{}
+	//lint:deterministic independent per-mutation assertions; visit order cannot affect the outcome
+	for name, mutate := range mutations {
+		got := base
+		got.PerBandBytes = append([]int64(nil), base.PerBandBytes...)
+		mutate(&got)
+		if bytes.Equal(trace(got), want) {
+			t.Fatalf("%s mutation left the trace bytes unchanged", name)
+		}
+		bv, gv := reflect.ValueOf(base), reflect.ValueOf(got)
+		for i := 0; i < bv.NumField(); i++ {
+			if !reflect.DeepEqual(bv.Field(i).Interface(), gv.Field(i).Interface()) {
+				mutated[bv.Type().Field(i).Name] = true
 			}
-		case a.PSNR != b.PSNR:
-			t.Fatalf("record %d PSNR %v vs %v", i, a.PSNR, b.PSNR)
 		}
 	}
-	if len(back.UpBytesByDay) != len(res.UpBytesByDay) {
-		t.Fatalf("uplink days %d != %d", len(back.UpBytesByDay), len(res.UpBytesByDay))
-	}
-	//lint:deterministic per-key comparison; visit order cannot affect the outcome
-	for d, v := range res.UpBytesByDay {
-		if back.UpBytesByDay[d] != v {
-			t.Fatalf("uplink day %d: %d != %d", d, back.UpBytesByDay[d], v)
+	// A new Record field needs a row above, or the trace may miss it.
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Record{})) {
+		if !mutated[f.Name] {
+			t.Errorf("no mutation covers Record.%s", f.Name)
 		}
-	}
-	// Summaries computed from the restored trace must match.
-	sa := Summarize(res, env.Downlink)
-	sb := Summarize(back, env.Downlink)
-	if sa.TotalDownBytes != sb.TotalDownBytes || sa.Captures != sb.Captures {
-		t.Fatalf("summaries diverge: %+v vs %+v", sa, sb)
 	}
 }
 
@@ -70,7 +113,7 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 	if _, err := ReadTrace(strings.NewReader(`{"system":"x","days":1,"version":99}`)); err == nil {
 		t.Fatal("expected version error")
 	}
-	bad := `{"system":"x","days":1,"version":1,"generator":"g"}` + "\n[1,2,3]\n"
+	bad := fmt.Sprintf(`{"system":"x","days":1,"version":%d,"generator":"g"}`, traceVersion) + "\n[1,2,3]\n"
 	if _, err := ReadTrace(strings.NewReader(bad)); err == nil {
 		t.Fatal("expected record parse error")
 	}

@@ -4,11 +4,11 @@
 // Everything the simulation records — codec output, uplink schedules,
 // eviction decisions, fault outcomes — must be a pure function of its
 // inputs and seeds, or runs stop being byte-identical across reruns and
-// -simworkers counts. The only sanctioned wall-clock reads are the
-// documented timing fields that Record.EqualIgnoringTimings excludes
-// (EncodeSec, CloudSec, ChangeSec, DecodeWall); each of those
-// sites carries a //lint:deterministic annotation naming the field it
-// feeds.
+// -simworkers counts. The only sanctioned wall-clock reads feed timings
+// that never reach a sim.Record or its trace: sim.Outcome's EncodeSec,
+// CloudSec and ChangeSec and the reference cache's DecodeWall, which the
+// repo benchmark reads. Each of those sites carries a //lint:deterministic
+// annotation naming the field it feeds.
 //
 // Flagged in scoped packages:
 //

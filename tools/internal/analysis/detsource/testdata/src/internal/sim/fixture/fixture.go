@@ -17,9 +17,9 @@ func Elapsed(t time.Time) time.Duration {
 	return time.Since(t) // want "time.Since reads the wall clock"
 }
 
-// Annotated feeds a documented timing field excluded from equality.
+// Annotated feeds a documented timing field kept out of the trace.
 func Annotated() float64 {
-	start := time.Now() //lint:deterministic feeds Record.EncodeSec, excluded by EqualIgnoringTimings
+	start := time.Now() //lint:deterministic feeds Outcome.EncodeSec, which never reaches the trace
 	_ = start
 	return 0
 }
