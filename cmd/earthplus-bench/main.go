@@ -15,6 +15,7 @@
 //	earthplus-bench -only simscale     # engine worker-scaling probe
 //	earthplus-bench -parallel 8        # bound per-image band workers
 //	earthplus-bench -simworkers 8      # bound per-day location shards
+//	earthplus-bench -only fig17 -tiledstore   # system flags configure the Earth+ runs of Figs 11-19
 //	earthplus-bench -list
 package main
 
@@ -33,13 +34,9 @@ import (
 
 func main() {
 	var perf cli.Perf
-	var store cli.Storage
-	var lnk cli.Link
-	var fleet cli.Fleet
+	var sysFlags cli.SystemFlags
 	perf.Register(flag.CommandLine)
-	store.Register(flag.CommandLine)
-	lnk.Register(flag.CommandLine)
-	fleet.Register(flag.CommandLine)
+	sysFlags.Register(flag.CommandLine)
 	full := flag.Bool("full", false, "run at full (paper-ish) scale instead of quick")
 	only := flag.String("only", "", "run a single experiment (see -list)")
 	list := flag.Bool("list", false, "list experiment identifiers and exit")
@@ -50,16 +47,14 @@ func main() {
 	serveBenchJSON := flag.String("servebenchjson", "BENCH_serve.json",
 		"where servebench writes its JSON snapshot (empty = don't write)")
 	flag.Parse()
-	cli.MustValidate("earthplus-bench", &store, &lnk, &fleet)
+	cli.MustValidate("earthplus-bench", &sysFlags)
 	perf.Apply()
-	store.Apply()
-	lnk.Apply()
-	fleet.Apply()
 
 	sc := earthplus.QuickScale()
 	if *full {
 		sc = earthplus.FullScale()
 	}
+	sc.Spec = sysFlags.Spec()
 	jobs := earthplus.Experiments(sc, *benchJSON, *simBenchJSON)
 	// The serving-tier load snapshot lives outside the public catalog:
 	// internal/experiments sits below pkg/earthplus in the import graph and

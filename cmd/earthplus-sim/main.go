@@ -27,14 +27,10 @@ import (
 func main() {
 	var perf cli.Perf
 	var ds cli.Dataset
-	var store cli.Storage
-	var lnk cli.Link
-	var fleet cli.Fleet
+	var sysFlags cli.SystemFlags
 	perf.Register(flag.CommandLine)
 	ds.Register(flag.CommandLine, "planet", 8)
-	store.Register(flag.CommandLine)
-	lnk.Register(flag.CommandLine)
-	fleet.Register(flag.CommandLine)
+	sysFlags.Register(flag.CommandLine)
 	system := flag.String("system", earthplus.SystemEarthPlus,
 		fmt.Sprintf("system to run (%v)", earthplus.Systems()))
 	days := flag.Int("days", 60, "evaluation days")
@@ -43,7 +39,7 @@ func main() {
 	trace := flag.Bool("trace", false, "print the per-capture trace")
 	dump := flag.String("dump", "", "write the run as a JSON-lines trace to this file")
 	flag.Parse()
-	cli.MustValidate("earthplus-sim", &store, &lnk, &fleet)
+	cli.MustValidate("earthplus-sim", &sysFlags)
 	perf.Apply()
 
 	env, err := ds.Env()
@@ -52,10 +48,8 @@ func main() {
 	}
 	env.Parallelism = perf.SimWorkers
 
-	spec := earthplus.SystemSpec{GammaBPP: *gamma}
-	store.ApplyToSpec(&spec)
-	lnk.ApplyToSpec(&spec)
-	fleet.ApplyToSpec(&spec)
+	spec := sysFlags.Spec()
+	spec.GammaBPP = *gamma
 	sys, err := earthplus.NewSystem(*system, env, spec)
 	if err != nil {
 		cli.Fail("earthplus-sim", "%v", err)

@@ -90,10 +90,10 @@
 //
 // # Constellation ground segment
 //
-// With the constellation model on (registry param "stations" or StrParams
-// "constellation"="on", flag -stations, default off and byte-identical to
-// the flat budget) the fleet's uplink is served by N contended ground
-// stations, each handling at most one satellite per contact window
+// With the constellation model on (registry param "stations", flag
+// -stations, default off and byte-identical to the flat budget) the
+// fleet's uplink is served by N contended ground stations, each handling
+// at most one satellite per contact window
 // (constellation.DefaultContactsPerStation windows per station per day),
 // and the flat per-day uplink budget becomes a per-contact byte meter
 // (param "contact_budget", flag -contactbudget; zero derives

@@ -162,13 +162,9 @@ func TestHeadlineComparison(t *testing.T) {
 // storage model fixed: SatRoI's full-resolution store must account at the
 // SAME raw rate as Earth+'s detection-resolution store — one shared
 // constant, not an inlined 16. A one-location bootstrap's footprint is
-// exactly samples * sat.RawBitsPerSample / 8, and the constant is the one
-// core re-exports.
+// exactly samples * sat.RawBitsPerSample / 8, the constant core's store
+// accounts at too.
 func TestSatRoIStoreRateTiedToSharedConstant(t *testing.T) {
-	if core.RefStoreBitsPerSample != sat.RawBitsPerSample {
-		t.Fatalf("core rate %d drifted from sat.RawBitsPerSample %d",
-			core.RefStoreBitsPerSample, sat.RawBitsPerSample)
-	}
 	env := sampledEnv()
 	s, err := NewSatRoI(env, 1.0, codec.DefaultOptions())
 	if err != nil {

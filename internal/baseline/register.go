@@ -33,10 +33,11 @@ func init() {
 		if err := registry.CheckStrParams(spec, SatRoIName, "evict_policy"); err != nil {
 			return nil, err
 		}
-		var sc SatRoIConfig
-		if v, ok := spec.StorageBytesParam(); ok {
-			sc.StorageBytes = v
+		storage, err := spec.StorageBytesParam()
+		if err != nil {
+			return nil, err
 		}
+		sc := SatRoIConfig{StorageBytes: storage}
 		if v, ok := spec.StrParam("evict_policy"); ok {
 			sc.EvictPolicy = v
 		}

@@ -1,9 +1,10 @@
 // Package cli holds the flag plumbing shared by every executable under
-// cmd/: the performance knobs (-parallel, -simworkers), the dataset
-// selection flags (-dataset, -sats, -fullsize) with their environment
-// construction, and uniform fatal-error reporting. The cmds themselves
-// speak only the public pkg/earthplus API; this package exists so five
-// main functions do not each re-implement the same plumbing.
+// cmd/: the performance knobs (-parallel, -simworkers), the system flags
+// that build one SystemSpec, the dataset selection flags (-dataset, -sats,
+// -fullsize) with their environment construction, and uniform fatal-error
+// reporting. The cmds themselves speak only the public pkg/earthplus API;
+// this package exists so five main functions do not each re-implement the
+// same plumbing.
 package cli
 
 import (
@@ -42,15 +43,16 @@ func (p *Perf) Apply() {
 	earthplus.SetSimWorkers(p.SimWorkers)
 }
 
-// Storage bundles the on-board reference-store flags shared by the
-// simulation cmds: the byte budget of the satellite store and the
-// eviction policy that decides which reference goes first when it fills.
-type Storage struct {
-	// Bytes is the store budget: 0 = the paper's Table 1 default
+// SystemFlags bundles the system flags shared by the simulation cmds: the
+// on-board reference store, the fault-injected ground↔satellite link and
+// the contended ground segment. Spec turns them into the one SystemSpec
+// every Earth+ run of a cmd starts from.
+type SystemFlags struct {
+	// StorageBytes is the store budget: 0 = the paper's Table 1 default
 	// (360 GB), negative = explicitly unlimited.
-	Bytes int64
-	// Policy is the eviction policy ("lru" | "schedule"; empty = lru).
-	Policy string
+	StorageBytes int64
+	// EvictPolicy is the eviction policy ("lru" | "schedule"; empty = lru).
+	EvictPolicy string
 	// RefCompress stores on-board references compressed (encoded at the
 	// uplink's lossy reference rate; decode-on-visit) instead of as raw
 	// planes.
@@ -60,120 +62,14 @@ type Storage struct {
 	// region decode-on-visit. Off keeps the monolithic v1 profile byte
 	// for byte.
 	TiledStore bool
-}
-
-// Register installs the storage flags on fs.
-func (s *Storage) Register(fs *flag.FlagSet) {
-	fs.Int64Var(&s.Bytes, "storage", 0,
-		"on-board reference-store budget in bytes (0 = paper default 360 GB, negative = unlimited)")
-	fs.StringVar(&s.Policy, "evictpolicy", "",
-		"reference-store eviction policy: lru | schedule (empty = lru)")
-	fs.BoolVar(&s.RefCompress, "refcompress", false,
-		"store on-board references compressed (~2-5x more locations per storage budget, paid in decode-on-visit work; default off)")
-	fs.BoolVar(&s.TiledStore, "tiledstore", false,
-		"use the tiled (EPT1) codestream profile for updates, downloads and the store: per-tile splices and region decode (default off = monolithic v1 profile)")
-}
-
-// Apply pushes the parsed values into the experiment-sweep defaults.
-func (s *Storage) Apply() {
-	earthplus.SetStorageModel(s.Bytes, s.Policy)
-	earthplus.SetRefCompression(s.RefCompress)
-}
-
-// Validate rejects flag values no run could honour, so a typo fails with
-// one line on stderr before any simulation starts instead of erroring
-// mid-run.
-func (s *Storage) Validate() error {
-	switch s.Policy {
-	case "", "lru", "schedule":
-		return nil
-	default:
-		return fmt.Errorf("-evictpolicy must be lru or schedule, got %q", s.Policy)
-	}
-}
-
-// ApplyToSpec sets the parsed values as explicit system params on spec —
-// only when the flags were actually set, so the system defaults survive
-// (and systems without a reference store reject them loudly).
-func (s *Storage) ApplyToSpec(spec *earthplus.SystemSpec) {
-	if s.Bytes != 0 {
-		if spec.Params == nil {
-			spec.Params = map[string]float64{}
-		}
-		spec.Params["storage_bytes"] = float64(s.Bytes)
-	}
-	if s.Policy != "" {
-		if spec.StrParams == nil {
-			spec.StrParams = map[string]string{}
-		}
-		spec.StrParams["evict_policy"] = s.Policy
-	}
-	if s.RefCompress {
-		if spec.StrParams == nil {
-			spec.StrParams = map[string]string{}
-		}
-		spec.StrParams["ref_compression"] = "on"
-	}
-	if s.TiledStore {
-		if spec.StrParams == nil {
-			spec.StrParams = map[string]string{}
-		}
-		spec.StrParams["tiled_store"] = "on"
-	}
-}
-
-// Link bundles the fault-injected ground↔satellite channel flags shared
-// by the simulation cmds: an aggregate loss rate spread over frame drops,
-// corruptions, truncations and contact cancellations, and the seed that
-// picks the deterministic fault pattern.
-type Link struct {
-	// Loss is the aggregate fault rate in [0,1]; 0 keeps the perfect
-	// channel and is byte-identical to not having the flag at all.
-	Loss float64
-	// Seed picks the fault pattern; runs are byte-identical at any worker
-	// count for a fixed seed.
-	Seed uint64
-}
-
-// Register installs the link flags on fs.
-func (l *Link) Register(fs *flag.FlagSet) {
-	fs.Float64Var(&l.Loss, "linkloss", 0,
-		"aggregate link fault rate in [0,1], spread over frame drops, corruptions, truncations and contact cancellations (0 = perfect channel)")
-	fs.Uint64Var(&l.Seed, "linkseed", 1,
-		"seed of the deterministic link fault pattern (meaningful only with -linkloss > 0)")
-}
-
-// Validate rejects an out-of-range loss rate up front.
-func (l *Link) Validate() error {
-	if l.Loss != l.Loss || l.Loss < 0 || l.Loss > 1 {
-		return fmt.Errorf("-linkloss must be in [0,1], got %v", l.Loss)
-	}
-	return nil
-}
-
-// Apply pushes the parsed values into the experiment-sweep defaults.
-func (l *Link) Apply() {
-	earthplus.SetLinkFaults(l.Loss, l.Seed)
-}
-
-// ApplyToSpec sets the parsed values as explicit system params on spec —
-// only when a loss rate was actually set, so default runs stay
-// byte-identical to the perfect channel (and systems without a link
-// model reject the params loudly).
-func (l *Link) ApplyToSpec(spec *earthplus.SystemSpec) {
-	if l.Loss != 0 {
-		if spec.Params == nil {
-			spec.Params = map[string]float64{}
-		}
-		spec.Params["link_loss"] = l.Loss
-		spec.Params["link_seed"] = float64(l.Seed)
-	}
-}
-
-// Fleet bundles the constellation ground-segment flags shared by the
-// simulation cmds: the contended ground-station count and the per-contact
-// uplink budget that replaces the flat per-day budget when enabled.
-type Fleet struct {
+	// LinkLoss is the aggregate link fault rate in [0,1], spread over
+	// frame drops, corruptions, truncations and contact cancellations; 0
+	// keeps the perfect channel and is byte-identical to not having the
+	// flag at all.
+	LinkLoss float64
+	// LinkSeed picks the fault pattern; runs are byte-identical at any
+	// worker count for a fixed seed.
+	LinkSeed uint64
 	// Stations is the ground-station count; 0 keeps the flat per-day
 	// uplink budget (byte-identical to not having the flag at all).
 	Stations int
@@ -183,16 +79,38 @@ type Fleet struct {
 	ContactBudget int64
 }
 
-// Register installs the fleet flags on fs.
-func (f *Fleet) Register(fs *flag.FlagSet) {
+// Register installs the system flags on fs.
+func (f *SystemFlags) Register(fs *flag.FlagSet) {
+	fs.Int64Var(&f.StorageBytes, "storage", 0,
+		"on-board reference-store budget in bytes (0 = paper default 360 GB, negative = unlimited)")
+	fs.StringVar(&f.EvictPolicy, "evictpolicy", "",
+		"reference-store eviction policy: lru | schedule (empty = lru)")
+	fs.BoolVar(&f.RefCompress, "refcompress", false,
+		"store on-board references compressed (~2-5x more locations per storage budget, paid in decode-on-visit work; default off)")
+	fs.BoolVar(&f.TiledStore, "tiledstore", false,
+		"use the tiled (EPT1) codestream profile for updates, downloads and the store: per-tile splices and region decode (default off = monolithic v1 profile)")
+	fs.Float64Var(&f.LinkLoss, "linkloss", 0,
+		"aggregate link fault rate in [0,1], spread over frame drops, corruptions, truncations and contact cancellations (0 = perfect channel)")
+	fs.Uint64Var(&f.LinkSeed, "linkseed", 1,
+		"seed of the deterministic link fault pattern (meaningful only with -linkloss > 0)")
 	fs.IntVar(&f.Stations, "stations", 0,
 		"contended ground stations, each serving one satellite per contact window (0 = flat per-day uplink budget)")
 	fs.Int64Var(&f.ContactBudget, "contactbudget", 0,
 		"uplink bytes per contact window (0 = derive from the flat per-day budget, negative = unlimited; needs -stations)")
 }
 
-// Validate rejects combinations no run could honour.
-func (f *Fleet) Validate() error {
+// Validate rejects flag values no run could honour, so a typo fails with
+// one line on stderr before any simulation starts instead of erroring
+// mid-run.
+func (f *SystemFlags) Validate() error {
+	switch f.EvictPolicy {
+	case "", "lru", "schedule":
+	default:
+		return fmt.Errorf("-evictpolicy must be lru or schedule, got %q", f.EvictPolicy)
+	}
+	if f.LinkLoss != f.LinkLoss || f.LinkLoss < 0 || f.LinkLoss > 1 {
+		return fmt.Errorf("-linkloss must be in [0,1], got %v", f.LinkLoss)
+	}
 	if f.Stations < 0 {
 		return fmt.Errorf("-stations must be non-negative, got %d", f.Stations)
 	}
@@ -202,26 +120,44 @@ func (f *Fleet) Validate() error {
 	return nil
 }
 
-// Apply pushes the parsed values into the experiment-sweep defaults.
-func (f *Fleet) Apply() {
-	earthplus.SetConstellation(f.Stations, f.ContactBudget)
-}
-
-// ApplyToSpec sets the parsed values as explicit system params on spec —
-// only when stations were actually requested, so default runs keep the
-// flat-budget behavior byte for byte (and systems without a ground-segment
-// model reject the params loudly).
-func (f *Fleet) ApplyToSpec(spec *earthplus.SystemSpec) {
-	if f.Stations == 0 {
-		return
+// Spec returns the system params the flags set. A flag at its default
+// adds nothing, so the system defaults survive and default runs stay
+// byte-identical (presence of link_loss and stations is meaningful);
+// systems without the matching model reject a set flag loudly. The zero
+// group yields the zero spec.
+func (f *SystemFlags) Spec() earthplus.SystemSpec {
+	params := map[string]float64{}
+	strs := map[string]string{}
+	if f.StorageBytes != 0 {
+		params["storage_bytes"] = float64(f.StorageBytes)
 	}
-	if spec.Params == nil {
-		spec.Params = map[string]float64{}
+	if f.EvictPolicy != "" {
+		strs["evict_policy"] = f.EvictPolicy
 	}
-	spec.Params["stations"] = float64(f.Stations)
-	if f.ContactBudget != 0 {
-		spec.Params["contact_budget"] = float64(f.ContactBudget)
+	if f.RefCompress {
+		strs["ref_compression"] = "on"
 	}
+	if f.TiledStore {
+		strs["tiled_store"] = "on"
+	}
+	if f.LinkLoss != 0 {
+		params["link_loss"] = f.LinkLoss
+		params["link_seed"] = float64(f.LinkSeed)
+	}
+	if f.Stations != 0 {
+		params["stations"] = float64(f.Stations)
+		if f.ContactBudget != 0 {
+			params["contact_budget"] = float64(f.ContactBudget)
+		}
+	}
+	var spec earthplus.SystemSpec
+	if len(params) > 0 {
+		spec.Params = params
+	}
+	if len(strs) > 0 {
+		spec.StrParams = strs
+	}
+	return spec
 }
 
 // Dataset bundles the dataset-selection flags and the environment
@@ -293,22 +229,11 @@ type Validator interface {
 	Validate() error
 }
 
-// FirstError returns the first validation failure among the parsed flag
-// groups, or nil.
-func FirstError(groups ...Validator) error {
-	for _, g := range groups {
-		if err := g.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// MustValidate routes every flag group's validation through the one
-// fatal-error path: the first bad value prints a single line on stderr
-// and exits nonzero, before any simulation work starts.
-func MustValidate(cmd string, groups ...Validator) {
-	if err := FirstError(groups...); err != nil {
+// MustValidate routes a flag group's validation through the one
+// fatal-error path: a bad value prints a single line on stderr and exits
+// nonzero, before any simulation work starts.
+func MustValidate(cmd string, v Validator) {
+	if err := v.Validate(); err != nil {
 		Fail(cmd, "%v", err)
 	}
 }

@@ -3,6 +3,7 @@ package cli
 import (
 	"flag"
 	"math"
+	"reflect"
 	"testing"
 
 	"earthplus/pkg/earthplus"
@@ -25,87 +26,131 @@ func TestPerfFlags(t *testing.T) {
 	}()
 }
 
-func TestStorageFlags(t *testing.T) {
+// parseSystemFlags registers the system flags on a fresh flag set, parses
+// args, validates the group and returns the spec it builds.
+func parseSystemFlags(t *testing.T, args ...string) earthplus.SystemSpec {
+	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	var s Storage
-	s.Register(fs)
-	if err := fs.Parse([]string{"-storage", "12345", "-evictpolicy", "schedule", "-refcompress"}); err != nil {
+	var f SystemFlags
+	f.Register(fs)
+	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	if s.Bytes != 12345 || s.Policy != "schedule" || !s.RefCompress {
-		t.Fatalf("parsed %+v", s)
+	if err := f.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	var spec earthplus.SystemSpec
-	s.ApplyToSpec(&spec)
-	if spec.Params["storage_bytes"] != 12345 ||
-		spec.StrParams["evict_policy"] != "schedule" ||
-		spec.StrParams["ref_compression"] != "on" {
-		t.Fatalf("spec %+v", spec)
+	return f.Spec()
+}
+
+// TestSystemFlags pins the one path from the system flags to Earth+: all
+// eight flags parse into exactly the spec below, Earth+ accepts every
+// param it names, and a flag left at its default adds nothing.
+func TestSystemFlags(t *testing.T) {
+	spec := parseSystemFlags(t,
+		"-storage", "12345", "-evictpolicy", "schedule", "-refcompress", "-tiledstore",
+		"-linkloss", "0.05", "-linkseed", "9", "-stations", "3", "-contactbudget", "2048",
+	)
+	want := earthplus.SystemSpec{
+		Params: map[string]float64{
+			"storage_bytes": 12345, "link_loss": 0.05, "link_seed": 9,
+			"stations": 3, "contact_budget": 2048,
+		},
+		StrParams: map[string]string{
+			"evict_policy": "schedule", "ref_compression": "on", "tiled_store": "on",
+		},
 	}
-	// Unset flags leave the spec untouched so system defaults survive.
-	var zero Storage
-	var clean earthplus.SystemSpec
-	zero.ApplyToSpec(&clean)
-	if clean.Params != nil || clean.StrParams != nil {
-		t.Fatalf("zero storage flags touched the spec: %+v", clean)
+	if !reflect.DeepEqual(spec, want) {
+		t.Fatalf("spec %+v, want %+v", spec, want)
+	}
+	env, err := (&Dataset{Name: "rich"}).Env()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := earthplus.NewSystem(earthplus.SystemEarthPlus, env, spec); err != nil {
+		t.Fatalf("Earth+ rejected the flags' spec: %v", err)
+	}
+
+	// Defaults leave the spec untouched so system defaults survive, and
+	// presence of link_loss and stations is meaningful: default runs stay
+	// byte-identical to the perfect channel and the flat per-day budget.
+	var zero SystemFlags
+	if got := zero.Spec(); !reflect.DeepEqual(got, earthplus.SystemSpec{}) {
+		t.Fatalf("zero flags gave spec %+v", got)
 	}
 }
 
+// TestStorageFlags pins the four storage flags: they set exactly their own
+// params and nothing of the link or the fleet.
+func TestStorageFlags(t *testing.T) {
+	spec := parseSystemFlags(t,
+		"-storage", "12345", "-evictpolicy", "schedule", "-refcompress", "-tiledstore")
+	want := earthplus.SystemSpec{
+		Params: map[string]float64{"storage_bytes": 12345},
+		StrParams: map[string]string{
+			"evict_policy": "schedule", "ref_compression": "on", "tiled_store": "on",
+		},
+	}
+	if !reflect.DeepEqual(spec, want) {
+		t.Fatalf("spec %+v, want %+v", spec, want)
+	}
+}
+
+// TestLinkFlags pins the two link flags: a lossy channel sets link_loss
+// and link_seed, and a seed without loss adds nothing, so default runs
+// stay byte-identical to the perfect channel.
 func TestLinkFlags(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	var l Link
-	l.Register(fs)
-	if err := fs.Parse([]string{"-linkloss", "0.05", "-linkseed", "9"}); err != nil {
-		t.Fatal(err)
+	spec := parseSystemFlags(t, "-linkloss", "0.05", "-linkseed", "9")
+	want := earthplus.SystemSpec{Params: map[string]float64{"link_loss": 0.05, "link_seed": 9}}
+	if !reflect.DeepEqual(spec, want) {
+		t.Fatalf("spec %+v, want %+v", spec, want)
 	}
-	if l.Loss != 0.05 || l.Seed != 9 {
-		t.Fatalf("parsed %+v", l)
+	if got := parseSystemFlags(t, "-linkseed", "9"); !reflect.DeepEqual(got, earthplus.SystemSpec{}) {
+		t.Fatalf("-linkseed without -linkloss gave spec %+v", got)
 	}
-	if err := l.Validate(); err != nil {
-		t.Fatal(err)
+}
+
+// TestFleetFlags pins the two fleet flags: -stations and -contactbudget set
+// exactly stations and contact_budget, and -stations alone leaves the
+// contact budget to be derived.
+func TestFleetFlags(t *testing.T) {
+	spec := parseSystemFlags(t, "-stations", "3", "-contactbudget", "2048")
+	want := earthplus.SystemSpec{Params: map[string]float64{"stations": 3, "contact_budget": 2048}}
+	if !reflect.DeepEqual(spec, want) {
+		t.Fatalf("spec %+v, want %+v", spec, want)
 	}
-	var spec earthplus.SystemSpec
-	l.ApplyToSpec(&spec)
-	if spec.Params["link_loss"] != 0.05 || spec.Params["link_seed"] != 9 {
-		t.Fatalf("spec %+v", spec)
-	}
-	// Loss 0 leaves the spec untouched: presence of link_loss is
-	// meaningful, and default runs must stay byte-identical to the
-	// perfect channel.
-	var zero Link
-	var clean earthplus.SystemSpec
-	zero.ApplyToSpec(&clean)
-	if clean.Params != nil {
-		t.Fatalf("zero link flags touched the spec: %+v", clean)
+	want = earthplus.SystemSpec{Params: map[string]float64{"stations": 2}}
+	if got := parseSystemFlags(t, "-stations", "2"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("-stations alone gave spec %+v", got)
 	}
 }
 
 // TestFlagValidationPath pins the satellite bugfix: every bad flag value
 // — -linkloss out of range, an unknown -evictpolicy — surfaces through
-// ONE error path (FirstError, which MustValidate routes to the uniform
+// ONE error path (Validate, which MustValidate routes to the uniform
 // one-line fatal report) instead of erroring mid-run or panicking.
 func TestFlagValidationPath(t *testing.T) {
 	bad := []struct {
-		name   string
-		groups []Validator
+		name  string
+		flags SystemFlags
 	}{
-		{"linkloss negative", []Validator{&Link{Loss: -0.5}}},
-		{"linkloss above one", []Validator{&Link{Loss: 1.5}}},
-		{"linkloss NaN", []Validator{&Link{Loss: math.NaN()}}},
-		{"evictpolicy unknown", []Validator{&Storage{Policy: "random"}}},
-		{"second group bad", []Validator{&Storage{}, &Link{Loss: 2}}},
+		{"linkloss negative", SystemFlags{LinkLoss: -0.5}},
+		{"linkloss above one", SystemFlags{LinkLoss: 1.5}},
+		{"linkloss NaN", SystemFlags{LinkLoss: math.NaN()}},
+		{"evictpolicy unknown", SystemFlags{EvictPolicy: "random"}},
+		{"valid storage, bad link", SystemFlags{EvictPolicy: "lru", LinkLoss: 2}},
 	}
 	for _, tc := range bad {
-		if err := FirstError(tc.groups...); err == nil {
+		if err := tc.flags.Validate(); err == nil {
 			t.Fatalf("%s: accepted", tc.name)
 		}
 	}
-	ok := []Validator{
-		&Storage{}, &Storage{Policy: "lru"}, &Storage{Policy: "schedule"},
-		&Link{}, &Link{Loss: 1}, &Link{Loss: 0.01, Seed: 7},
-	}
-	if err := FirstError(ok...); err != nil {
-		t.Fatalf("valid flag groups rejected: %v", err)
+	for _, ok := range []SystemFlags{
+		{}, {EvictPolicy: "lru"}, {EvictPolicy: "schedule"},
+		{LinkLoss: 1}, {LinkLoss: 0.01, LinkSeed: 7},
+	} {
+		if err := ok.Validate(); err != nil {
+			t.Fatalf("valid flags %+v rejected: %v", ok, err)
+		}
 	}
 }
 
@@ -186,63 +231,24 @@ func TestDatasetEnv(t *testing.T) {
 	}
 }
 
-func TestFleetFlags(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	var f Fleet
-	f.Register(fs)
-	if err := fs.Parse([]string{"-stations", "3", "-contactbudget", "2048"}); err != nil {
-		t.Fatal(err)
-	}
-	if f.Stations != 3 || f.ContactBudget != 2048 {
-		t.Fatalf("parsed %+v", f)
-	}
-	if err := f.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	var spec earthplus.SystemSpec
-	f.ApplyToSpec(&spec)
-	if spec.Params["stations"] != 3 || spec.Params["contact_budget"] != 2048 {
-		t.Fatalf("spec %+v", spec)
-	}
-	// Unset fleet flags leave the spec untouched: presence of "stations" is
-	// meaningful, and default runs must stay byte-identical to the flat
-	// per-day budget.
-	var zero Fleet
-	var clean earthplus.SystemSpec
-	zero.ApplyToSpec(&clean)
-	if clean.Params != nil {
-		t.Fatalf("zero fleet flags touched the spec: %+v", clean)
-	}
-	// A derived (zero) contact budget sets only the station count.
-	derive := Fleet{Stations: 2}
-	var derived earthplus.SystemSpec
-	derive.ApplyToSpec(&derived)
-	if derived.Params["stations"] != 2 {
-		t.Fatalf("derived spec %+v", derived)
-	}
-	if _, ok := derived.Params["contact_budget"]; ok {
-		t.Fatalf("zero contact budget leaked into the spec: %+v", derived)
-	}
-}
-
 func TestFleetValidation(t *testing.T) {
-	bad := []Validator{
-		&Fleet{Stations: -1},
-		&Fleet{ContactBudget: 100},
-		&Fleet{ContactBudget: -1},
-	}
-	for i, v := range bad {
-		if err := v.Validate(); err == nil {
-			t.Fatalf("bad fleet config %d accepted: %+v", i, v)
+	for _, bad := range []SystemFlags{
+		{Stations: -1},
+		{ContactBudget: 100},
+		{ContactBudget: -1},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("bad fleet config accepted: %+v", bad)
 		}
 	}
-	ok := []Validator{
-		&Fleet{},
-		&Fleet{Stations: 1},
-		&Fleet{Stations: 2, ContactBudget: -1},
-		&Fleet{Stations: 4, ContactBudget: 4096},
-	}
-	if err := FirstError(ok...); err != nil {
-		t.Fatalf("valid fleet configs rejected: %v", err)
+	for _, ok := range []SystemFlags{
+		{},
+		{Stations: 1},
+		{Stations: 2, ContactBudget: -1},
+		{Stations: 4, ContactBudget: 4096},
+	} {
+		if err := ok.Validate(); err != nil {
+			t.Fatalf("valid fleet config %+v rejected: %v", ok, err)
+		}
 	}
 }

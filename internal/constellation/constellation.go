@@ -15,10 +15,6 @@ import (
 	"earthplus/internal/sim"
 )
 
-// DefaultStations is the station count the "constellation" registry switch
-// enables when no explicit "stations" param is given.
-const DefaultStations = 2
-
 // DefaultContactsPerStation is each station's daily contact-window count
 // (the Doves Table 1 contact cadence, orbit.DovesSpec().ContactsPerDay).
 const DefaultContactsPerStation = 7

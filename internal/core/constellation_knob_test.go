@@ -9,11 +9,11 @@ import (
 )
 
 // TestConstellationKnobContract pins the registry surface of the contended
-// ground-station model: "stations"/"constellation" enable it, implied
-// defaults resolve, and every inconsistent combination is rejected loudly.
+// ground-station model: "stations" enables it, implied defaults resolve,
+// and every inconsistent combination is rejected loudly.
 func TestConstellationKnobContract(t *testing.T) {
-	mk := func(params map[string]float64, strParams map[string]string) (*System, error) {
-		sys, err := registry.New(SystemName, planetEnv(), registry.Spec{Params: params, StrParams: strParams})
+	mk := func(params map[string]float64) (*System, error) {
+		sys, err := registry.New(SystemName, planetEnv(), registry.Spec{Params: params})
 		if err != nil {
 			return nil, err
 		}
@@ -21,7 +21,7 @@ func TestConstellationKnobContract(t *testing.T) {
 	}
 
 	// Explicit station count enables the scheduler.
-	sys, err := mk(map[string]float64{"stations": 3}, nil)
+	sys, err := mk(map[string]float64{"stations": 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,18 +29,9 @@ func TestConstellationKnobContract(t *testing.T) {
 		t.Fatalf("stations=3 scheduler config: %+v", sys.sched)
 	}
 
-	// The on/off switch alone selects the default station count.
-	sys, err = mk(nil, map[string]string{"constellation": "on"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.sched == nil || sys.sched.Config().Stations != constellation.DefaultStations {
-		t.Fatalf("constellation=on scheduler config: %+v", sys.sched)
-	}
-
 	// An explicit contact budget rides along; unlimited env budget still
 	// honours the explicit cap.
-	sys, err = mk(map[string]float64{"stations": 2, "contact_budget": 4096}, nil)
+	sys, err = mk(map[string]float64{"stations": 2, "contact_budget": 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,33 +39,29 @@ func TestConstellationKnobContract(t *testing.T) {
 		t.Fatalf("explicit contact budget resolved to %d", sys.ContactBudget())
 	}
 
-	// Off (and absence) means no scheduler and no contact log.
-	sys, err = mk(nil, map[string]string{"constellation": "off"})
+	// No param means no scheduler and no contact log.
+	sys, err = mk(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sys.sched != nil || sys.ContactLog() != nil {
-		t.Fatal("constellation=off built a scheduler")
+		t.Fatal("a spec without stations built a scheduler")
 	}
 	if st := sys.ConstellationStats(); st != (constellation.Stats{}) {
 		t.Fatalf("disabled model reports stats %+v", st)
 	}
 
 	bad := []struct {
-		name      string
-		params    map[string]float64
-		strParams map[string]string
+		name   string
+		params map[string]float64
 	}{
-		{"unknown switch value", nil, map[string]string{"constellation": "maybe"}},
-		{"stations zero", map[string]float64{"stations": 0}, nil},
-		{"stations negative", map[string]float64{"stations": -2}, nil},
-		{"stations fractional", map[string]float64{"stations": 1.5}, nil},
-		{"stations vs off", map[string]float64{"stations": 2}, map[string]string{"constellation": "off"}},
-		{"contact budget without model", map[string]float64{"contact_budget": 1024}, nil},
-		{"contact budget with off", map[string]float64{"contact_budget": 1024}, map[string]string{"constellation": "off"}},
+		{"stations zero", map[string]float64{"stations": 0}},
+		{"stations negative", map[string]float64{"stations": -2}},
+		{"stations fractional", map[string]float64{"stations": 1.5}},
+		{"contact budget without model", map[string]float64{"contact_budget": 1024}},
 	}
 	for _, tc := range bad {
-		if _, err := mk(tc.params, tc.strParams); err == nil {
+		if _, err := mk(tc.params); err == nil {
 			t.Fatalf("%s: accepted", tc.name)
 		}
 	}

@@ -34,23 +34,8 @@ type Config struct {
 	GammaBPP float64
 	// RefDownsample is the per-axis reference downsampling factor (§4.3).
 	RefDownsample int
-	// DropCoverage drops captures with more detected cloud than this.
-	DropCoverage float64
-	// CloudTileFrac marks a tile cloudy above this cloudy-pixel fraction.
-	CloudTileFrac float64
 	// GuaranteePeriodDays is the guaranteed-download cadence (§5).
 	GuaranteePeriodDays int
-	// GuaranteeMaxCloud is the most cloud a guaranteed download accepts.
-	GuaranteeMaxCloud float64
-	// RefBPP is the bits per pixel spent on uplinked reference tiles.
-	RefBPP float64
-	// MaxRefCloud bounds reference-candidate cloudiness. The paper uses
-	// <1% on whole images; our ground promotes the cloud-free archive
-	// MOSAIC (cloudy tiles keep their older clear content), so a looser
-	// gate only staggers per-tile freshness and never injects clouds.
-	MaxRefCloud float64
-	// LookaheadDays is how far ahead reference uploads are planned.
-	LookaheadDays int
 	// RejectCloudFrac makes the ground discard downloaded tiles whose
 	// accurately-detected cloud fraction exceeds it instead of applying
 	// them to the archive — the operational payoff of ground-side cloud
@@ -63,7 +48,7 @@ type Config struct {
 	// 360 GB — never binding at modeled scene scale, so results match the
 	// unbounded pre-storage-model behavior byte for byte); negative means
 	// explicitly unlimited. References are accounted at the detection
-	// resolution, RefStoreBitsPerSample bits per stored sample.
+	// resolution, sat.RawBitsPerSample bits per stored sample.
 	StorageBytes int64
 	// EvictPolicy picks which reference goes first when the store is full
 	// ("lru" | "schedule"; empty = lru). See sat.Policies.
@@ -79,9 +64,9 @@ type Config struct {
 	// stale for that capture.
 	LinkFaults link.FaultConfig
 	// RefCompression stores each on-board reference as its encoded
-	// codestream at the uplink's reference rate (RefBPP, lossy) instead
+	// codestream at the uplink's reference rate (refBPP, lossy) instead
 	// of raw planes: the store charges real encoded bytes against
-	// StorageBytes (typically 2-5x below the raw RefStoreBitsPerSample
+	// StorageBytes (typically 2-5x below the raw sat.RawBitsPerSample
 	// rate, so the same budget holds more locations), captures decode the
 	// reference on visit, and the ground simulates the same storage codec
 	// on its mirrors so delta uplinks stay bit-coherent with what the
@@ -99,18 +84,26 @@ type Config struct {
 	CodecOpts codec.Options
 }
 
-// RefStoreBitsPerSample is the a-priori storage cost of one cached
-// reference sample at detection resolution: raw 16-bit quantisation,
-// matching the ground mirror's content so delta uplinks stay
-// bit-coherent. It aliases sat.RawBitsPerSample — ONE constant across
-// layers — and with RefCompression on it is only the estimate rate
-// (working sets, sweep budget fractions); real footprints are the
-// measured encoded bytes.
-const RefStoreBitsPerSample = sat.RawBitsPerSample
-
-// DefaultStorageBudget is the derived default reference-store budget: the
-// Doves Table 1 on-board storage (360 GB).
-func DefaultStorageBudget() int64 { return sat.ResolveBudget(0) }
+// Fixed operating points of the pipeline: no experiment or flag varies
+// them.
+const (
+	// dropCoverage drops captures with more detected cloud than this.
+	dropCoverage = 0.5
+	// cloudTileFrac marks a tile cloudy above this cloudy-pixel fraction.
+	cloudTileFrac = 0.25
+	// guaranteeMaxCloud is the most cloud a guaranteed download accepts.
+	guaranteeMaxCloud = 0.05
+	// refBPP is the bits per pixel spent on uplinked reference tiles, and
+	// the rate compressed references are stored at.
+	refBPP = 6.0
+	// maxRefCloud bounds reference-candidate cloudiness. The paper uses
+	// <1% on whole images; our ground promotes the cloud-free archive
+	// MOSAIC (cloudy tiles keep their older clear content), so a looser
+	// gate only staggers per-tile freshness and never injects clouds.
+	maxRefCloud = 0.05
+	// lookaheadDays is how far ahead reference uploads are planned.
+	lookaheadDays = 3
+)
 
 // CacheConfig resolves the on-board reference-store configuration this
 // Config produces, minus the per-satellite NextVisit schedule core.New
@@ -120,13 +113,13 @@ func DefaultStorageBudget() int64 { return sat.ResolveBudget(0) }
 func (c Config) CacheConfig() sat.CacheConfig {
 	return sat.CacheConfig{
 		BudgetBytes:   sat.ResolveBudget(c.StorageBytes),
-		BitsPerSample: RefStoreBitsPerSample,
+		BitsPerSample: sat.RawBitsPerSample,
 		Policy:        sat.Policy(c.EvictPolicy),
 		Compress:      c.RefCompression,
 		// One representation for uplink and storage: references live on
 		// board at the rate they arrived at, with the ground's update
 		// codec options, so mirror simulation and store agree bit-exact.
-		StoreBPP: c.RefBPP,
+		StoreBPP: refBPP,
 		Codec:    c.CodecOpts,
 	}
 }
@@ -137,13 +130,7 @@ func DefaultConfig() Config {
 		Theta:               0.008,
 		GammaBPP:            1.0,
 		RefDownsample:       4,
-		DropCoverage:        0.5,
-		CloudTileFrac:       0.25,
 		GuaranteePeriodDays: 30,
-		GuaranteeMaxCloud:   0.05,
-		RefBPP:              6.0,
-		MaxRefCloud:         0.05,
-		LookaheadDays:       3,
 		RejectCloudFrac:     0, // self-heal via re-download beats rejection (see ablation bench)
 		StorageBytes:        0, // Table 1 default (360 GB)
 		EvictPolicy:         string(sat.PolicyLRU),
@@ -217,8 +204,8 @@ func New(env *sim.Env, cfg Config) (*System, error) {
 		Downsample:  cfg.RefDownsample,
 		Accurate:    cloud.DefaultTemporal(bands),
 		CodecOpts:   cfg.CodecOpts,
-		RefBPP:      cfg.RefBPP,
-		MaxRefCloud: cfg.MaxRefCloud,
+		RefBPP:      refBPP,
+		MaxRefCloud: maxRefCloud,
 		// A compressed on-board store holds storage-codec content; the
 		// ground must model exactly that, or delta uplinks would be
 		// encoded against references the satellite never quite held.
@@ -262,15 +249,15 @@ func New(env *sim.Env, cfg Config) (*System, error) {
 		env:           env,
 		sched:         sched,
 		contactBudget: contactBudget,
-		planned:       planVisits(env, cfg.LookaheadDays),
+		planned:       planVisits(env, lookaheadDays),
 		pipeline: &sat.Pipeline{
 			Bands:         bands,
 			Grid:          grid,
 			Downsample:    cfg.RefDownsample,
 			CloudDet:      cloud.DefaultCheap(bands),
 			Theta:         cfg.Theta,
-			DropCoverage:  cfg.DropCoverage,
-			CloudTileFrac: cfg.CloudTileFrac,
+			DropCoverage:  dropCoverage,
+			CloudTileFrac: cloudTileFrac,
 		},
 		caches:   caches,
 		ground:   ground,
@@ -302,7 +289,7 @@ func (s *System) Bootstrap(cap *scene.Capture) error {
 	// the deterministic storage encode per satellite.
 	var frame container.Codestream
 	if s.cfg.RefCompression {
-		if frame, err = sat.EncodeStoredRef(low, s.cfg.RefBPP, s.cfg.CodecOpts); err != nil {
+		if frame, err = sat.EncodeStoredRef(low, refBPP, s.cfg.CodecOpts); err != nil {
 			return fmt.Errorf("core: bootstrap: %w", err)
 		}
 	}
@@ -365,7 +352,7 @@ func (s *System) OnCapture(cap *scene.Capture) (sim.Outcome, error) {
 	nonCloud := res.CloudTiles.Clone()
 	nonCloud.Invert()
 	guaranteed := cap.Day-s.lastGuar[cap.Loc] >= s.cfg.GuaranteePeriodDays &&
-		res.CloudCover <= s.cfg.GuaranteeMaxCloud
+		res.CloudCover <= guaranteeMaxCloud
 	roi := make([]*raster.TileMask, len(s.pipeline.Bands))
 	switch {
 	case guaranteed || res.Changed == nil:
@@ -674,9 +661,9 @@ func (s *System) plannedLocs(satID, day int) []int {
 func (s *System) Ground() *station.Ground { return s.ground }
 
 // RefCacheBytes reports the on-board reference cache footprint of one
-// satellite at the store's RefStoreBitsPerSample accounting.
+// satellite at the store's sat.RawBitsPerSample accounting.
 func (s *System) RefCacheBytes(satID int) int64 {
-	return s.caches[satID].StorageBytes(RefStoreBitsPerSample)
+	return s.caches[satID].StorageBytes(sat.RawBitsPerSample)
 }
 
 // StorageStats sums capacity evictions and reference-lookup misses across

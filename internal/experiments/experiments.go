@@ -39,6 +39,13 @@ type Scale struct {
 	// UplinkDivisors sweep the uplink budget for Fig 18 (budget =
 	// rawRefBytesPerDay / divisor).
 	UplinkDivisors []float64
+	// Spec is the base configuration of every Earth+ run of Figs 11-19
+	// (each run sets its own γ and θ on top) and supplies the main
+	// series' "evict_policy" of the storage sweep. The zero value keeps
+	// Earth+'s defaults. The loss and constellation sweeps, the
+	// ablations and the baselines set their own knobs and ignore it.
+	// cmd/earthplus-bench fills it from its system flags.
+	Spec registry.Spec
 }
 
 // Tiny returns the smallest meaningful scale — used by unit tests.
@@ -152,109 +159,6 @@ const defaultUplinkDivisor = 50
 // setting; cmd/earthplus-bench exposes it as -simworkers.
 var SimWorkers int
 
-// StorageBytes and EvictPolicy are the package defaults for the bounded
-// on-board reference store in every Earth+ experiment run: 0 bytes /
-// empty string keep the system defaults (Table 1's 360 GB, lru), a
-// positive byte count bounds the store, a negative one makes it
-// explicitly unlimited. cmd/earthplus-bench exposes them as -storage and
-// -evictpolicy; the storage sweep sets its own budgets and only honours
-// EvictPolicy.
-var (
-	StorageBytes int64
-	EvictPolicy  string
-)
-
-// RefCompression is the package default for the on-board reference
-// representation in every Earth+ experiment run: true stores references
-// as codestreams encoded at the uplink's reference rate (real encoded
-// bytes charged against the storage budget, decode-on-visit), false
-// keeps raw planes.
-// cmd/earthplus-bench and cmd/earthplus-sim expose it as -refcompress;
-// the storage sweep always runs BOTH representations side by side and
-// ignores this default.
-var RefCompression bool
-
-// LinkLoss and LinkSeed are the package defaults for the fault-injected
-// ground↔satellite link in every Earth+ experiment run: LinkLoss 0 keeps
-// the perfect channel (the default runs stay byte-identical to it),
-// a rate in (0,1] spreads that aggregate loss over frame drops,
-// corruptions, truncations and contact cancellations, and LinkSeed picks
-// the deterministic fault pattern. cmd/earthplus-bench and
-// cmd/earthplus-sim expose them as -linkloss and -linkseed; the loss
-// sweep sets its own rates and ignores these defaults.
-var (
-	LinkLoss float64
-	LinkSeed uint64 = 1
-)
-
-// ConstellationStations and ConstellationContactBudget are the package
-// defaults for the contended ground-station model in every Earth+
-// experiment run: 0 stations keeps the flat per-day uplink budget (the
-// default runs stay byte-identical to it), a positive count books that
-// many stations — each serving one satellite per contact window — and the
-// contact budget caps each window's uplink bytes (0 = derived from the
-// flat per-day budget, negative = unlimited). cmd/earthplus-bench and
-// cmd/earthplus-sim expose them as -stations and -contactbudget; the
-// constellation sweep sets its own station counts and ignores these
-// defaults.
-var (
-	ConstellationStations      int
-	ConstellationContactBudget int64
-)
-
-// applyConstellationDefaults pushes the package ground-station knobs onto
-// a spec (untouched at 0 stations: presence of stations is meaningful).
-func applyConstellationDefaults(spec registry.Spec) registry.Spec {
-	if ConstellationStations != 0 {
-		if spec.Params == nil {
-			spec.Params = map[string]float64{}
-		}
-		spec.Params["stations"] = float64(ConstellationStations)
-		if ConstellationContactBudget != 0 {
-			spec.Params["contact_budget"] = float64(ConstellationContactBudget)
-		}
-	}
-	return spec
-}
-
-// applyLinkDefaults pushes the package link-fault knobs onto a spec
-// (untouched at LinkLoss 0: presence of link_loss is meaningful).
-func applyLinkDefaults(spec registry.Spec) registry.Spec {
-	if LinkLoss != 0 {
-		if spec.Params == nil {
-			spec.Params = map[string]float64{}
-		}
-		spec.Params["link_loss"] = LinkLoss
-		spec.Params["link_seed"] = float64(LinkSeed)
-	}
-	return spec
-}
-
-// applyStorageDefaults pushes the package storage knobs onto a spec
-// (leaving it untouched when both are unset, so default runs stay
-// byte-identical to the unbounded behavior).
-func applyStorageDefaults(spec registry.Spec) registry.Spec {
-	if StorageBytes != 0 {
-		if spec.Params == nil {
-			spec.Params = map[string]float64{}
-		}
-		spec.Params["storage_bytes"] = float64(StorageBytes)
-	}
-	if EvictPolicy != "" {
-		if spec.StrParams == nil {
-			spec.StrParams = map[string]string{}
-		}
-		spec.StrParams["evict_policy"] = EvictPolicy
-	}
-	if RefCompression {
-		if spec.StrParams == nil {
-			spec.StrParams = map[string]string{}
-		}
-		spec.StrParams["ref_compression"] = "on"
-	}
-	return spec
-}
-
 // envFor assembles a simulation environment.
 func envFor(cfg scene.Config, cons orbit.Constellation, uplinkDivisor float64) *sim.Env {
 	env := &sim.Env{
@@ -275,11 +179,12 @@ func profiledTheta(sc Scale, cfg scene.Config, downsample int) float64 {
 	return ProfileThetaOnScene(scene.New(cfg), 0, sc.ProfileStart, sc.ProfileStart+sc.ProfileDays, downsample, 0.02, core.DefaultConfig().Theta)
 }
 
-// earthPlus builds an Earth+ system through the system registry with the
-// profiled θ and a γ.
-func earthPlus(env *sim.Env, theta, gamma float64) (sim.System, error) {
-	return registry.New(core.SystemName, env,
-		applyConstellationDefaults(applyLinkDefaults(applyStorageDefaults(registry.Spec{GammaBPP: gamma, Theta: theta}))))
+// earthPlus builds an Earth+ system through the system registry from the
+// scale's base spec with the profiled θ and a γ.
+func earthPlus(sc Scale, env *sim.Env, theta, gamma float64) (sim.System, error) {
+	spec := sc.Spec
+	spec.GammaBPP, spec.Theta = gamma, theta
+	return registry.New(core.SystemName, env, spec)
 }
 
 // runSystemStream runs one system over the scale's evaluation window,
@@ -314,7 +219,7 @@ func threeSystemsStream(sc Scale, mkEnv func() *sim.Env, theta, gamma float64, m
 		name string
 		mk   func(env *sim.Env) (sim.System, error)
 	}{
-		{"Earth+", func(env *sim.Env) (sim.System, error) { return earthPlus(env, theta, gamma) }},
+		{"Earth+", func(env *sim.Env) (sim.System, error) { return earthPlus(sc, env, theta, gamma) }},
 		{"Kodan", func(env *sim.Env) (sim.System, error) {
 			return registry.New(baseline.KodanName, env, registry.Spec{GammaBPP: gamma})
 		}},

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
+
+	"earthplus/internal/eperr"
+	"earthplus/internal/registry"
 )
 
 // render exercises a Result's Render without caring about the text.
@@ -252,6 +256,24 @@ func TestFig17RatiosCompound(t *testing.T) {
 		t.Fatalf("achieved %.0fx below required %.0fx", r.WithUpdates, r.Required)
 	}
 	render(t, r)
+
+	// Scale.Spec is the one path from the bench's system flags to the
+	// Earth+ runs: it must reach them, and an unknown param must fail
+	// loudly instead of running the defaults.
+	sc := Tiny()
+	sc.Spec = registry.Spec{StrParams: map[string]string{"tiled_store": "on"}}
+	tiled, err := Fig17(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("update ratio %.2fx default, %.2fx tiled", r.WithUpdates, tiled.WithUpdates)
+	if tiled.WithUpdates == r.WithUpdates {
+		t.Fatalf("tiled_store=on left Fig 17 at %.2fx", r.WithUpdates)
+	}
+	sc.Spec = registry.Spec{Params: map[string]float64{"no_such_knob": 1}}
+	if _, err := Fig17(sc); !errors.Is(err, eperr.ErrBadConfig) {
+		t.Fatalf("unknown param: error %v, want ErrBadConfig", err)
+	}
 }
 
 func TestFig18MoreUplinkLessDownlink(t *testing.T) {

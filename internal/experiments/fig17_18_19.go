@@ -48,7 +48,7 @@ func Fig17(sc Scale) (*Fig17Result, error) {
 	// Earth+ run with an unconstrained uplink.
 	theta := profiledTheta(sc, cfg, down)
 	env := envFor(cfg, richOrbit(), 0)
-	sys, err := earthPlus(env, theta, fig12Gamma)
+	sys, err := earthPlus(sc, env, theta, fig12Gamma)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +119,7 @@ func Fig18(sc Scale) (*Fig18Result, error) {
 	res := &Fig18Result{}
 	for _, div := range sc.UplinkDivisors {
 		env := envFor(cfg, richOrbit(), div)
-		sys, err := earthPlus(env, theta, fig12Gamma)
+		sys, err := earthPlus(sc, env, theta, fig12Gamma)
 		if err != nil {
 			return nil, err
 		}
@@ -176,7 +176,7 @@ func Fig19(sc Scale) (*Fig19Result, error) {
 	res := &Fig19Result{}
 	for _, n := range sc.FleetSweep {
 		env := envFor(cfg, planetOrbit(n), defaultUplinkDivisor)
-		sys, err := earthPlus(env, theta, fig12Gamma)
+		sys, err := earthPlus(sc, env, theta, fig12Gamma)
 		if err != nil {
 			return nil, err
 		}

@@ -372,7 +372,8 @@ func simBenchOrbit(satellites int) orbit.Constellation {
 // storageSnapshotScale sizes the storage sweep recorded in BENCH_sim.json:
 // a few locations and a short evaluation window — enough churn for
 // evictions and miss-fallbacks at the small budget points, cheap enough to
-// regenerate with every snapshot.
+// regenerate with every snapshot. Its zero Spec pins the main series to
+// the lru policy, so the snapshot never depends on flags.
 func storageSnapshotScale() Scale {
 	return Scale{
 		Size:         scene.Quick,

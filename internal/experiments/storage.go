@@ -29,9 +29,10 @@ import (
 
 // storageBudgetFracs are the sweep points: fractions of the system's
 // unlimited reference working set (0 = unlimited). The tail point sits
-// above one COMPRESSED reference per satellite (~RefBPP/16 of a raw one),
-// so every pressured point discriminates between the raw and compressed
-// representations instead of starving both to an identical zero.
+// above one COMPRESSED reference per satellite (~6/16 of a raw one at the
+// 6 bpp reference rate), so every pressured point discriminates between
+// the raw and compressed representations instead of starving both to an
+// identical zero.
 var storageBudgetFracs = []float64{0, 1.0, 0.5, 0.25, 0.2}
 
 // policySweepFrac is the fixed budget (as a working-set fraction) the
@@ -161,7 +162,9 @@ type sweepRun struct {
 // StorageSweep measures compression ratio, uplink consumption and
 // reference residency against the on-board storage budget for every
 // registered system on the rich-content dataset, plus an eviction-policy
-// comparison at a fixed budget.
+// comparison at a fixed budget. The main series run under sc.Spec's
+// "evict_policy" (lru when unset); the sweep sets its own budgets and
+// store representations.
 func StorageSweep(sc Scale) (*StorageSweepResult, error) {
 	mkEnv, theta := datasetEnv(sc, RichContent)
 	cfg := richConfig(sc)
@@ -169,9 +172,9 @@ func StorageSweep(sc Scale) (*StorageSweepResult, error) {
 	satroiSet := satroiRefWorkingSet(cfg)
 	rawCaptureBytes := int64(cfg.Width) * int64(cfg.Height) * int64(len(cfg.Bands)) * 2
 
-	policy := EvictPolicy
-	if policy == "" {
-		policy = "lru"
+	policy, ok := sc.Spec.StrParam("evict_policy")
+	if !ok {
+		policy = string(sat.PolicyLRU)
 	}
 
 	runOne := func(system string, budget int64, pol string, compress bool) (sweepRun, error) {

@@ -26,10 +26,7 @@ func TestRefWorkingSetUsesResolvedRate(t *testing.T) {
 		t.Fatalf("12-bit working set %d, want %d", got, want)
 	}
 	// The zero config resolves to the shared raw rate — the same constant
-	// core.RefStoreBitsPerSample and the SatRoI store alias.
-	if sat.RawBitsPerSample != core.RefStoreBitsPerSample {
-		t.Fatalf("rate constants drifted: sat %d vs core %d", sat.RawBitsPerSample, core.RefStoreBitsPerSample)
-	}
+	// core and the SatRoI store account at.
 	got = refWorkingSet(cfg, 1, sat.CacheConfig{})
 	want = 3 * ((samples*sat.RawBitsPerSample + 7) / 8)
 	if got != want {

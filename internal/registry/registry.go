@@ -8,6 +8,7 @@
 package registry
 
 import (
+	"math"
 	"sort"
 	"sync"
 
@@ -70,20 +71,32 @@ func (s Spec) StrParam(name string) (string, bool) {
 	return v, ok
 }
 
-// StorageBytesParam decodes the shared "storage_bytes" knob with its
-// presence-is-meaningful convention: absent returns (0, false); an
-// explicit non-positive value means "unlimited" and returns -1; a
-// positive value is the budget in bytes. Every system with a bounded
-// reference store decodes the knob through this one helper.
-func (s Spec) StorageBytesParam() (int64, bool) {
-	v, ok := s.Param("storage_bytes")
+// IntParam returns the named knob as an integer and whether it was set.
+// A fractional, NaN, infinite or out-of-range value is a BadConfig error,
+// so an integer knob never silently truncates.
+func (s Spec) IntParam(name string) (int64, bool, error) {
+	v, ok := s.Params[name]
 	if !ok {
-		return 0, false
+		return 0, false, nil
 	}
-	if v <= 0 {
-		return -1, true
+	if v != math.Trunc(v) || v < math.MinInt64 || v >= math.MaxInt64 {
+		return 0, true, eperr.New(eperr.BadConfig, "registry", "param %q must be an integer, got %v", name, v)
 	}
-	return int64(v), true
+	return int64(v), true, nil
+}
+
+// StorageBytesParam decodes the shared "storage_bytes" knob into the
+// store-budget convention every bounded reference store shares: absent
+// returns 0 (the system default); an explicit non-positive value means
+// "unlimited" and returns -1; a positive value is the budget in bytes.
+// Every system with a bounded reference store decodes the knob through
+// this one helper.
+func (s Spec) StorageBytesParam() (int64, error) {
+	v, ok, err := s.IntParam("storage_bytes")
+	if ok && err == nil && v <= 0 {
+		return -1, nil
+	}
+	return v, err
 }
 
 // Factory builds a configured system for an environment.

@@ -47,8 +47,8 @@ func Policies() []string { return []string{string(PolicyLRU), string(PolicySched
 
 // RawBitsPerSample is the raw on-board storage cost of one reference band
 // sample: the 16-bit quantisation the codec's lossless mode (and hence the
-// ground mirror) assumes. core.RefStoreBitsPerSample and the SatRoI
-// baseline's full-resolution store both alias this one constant, so the
+// ground mirror) assumes. Earth+'s store and the SatRoI baseline's
+// full-resolution store both account at this one constant, so the
 // accounting rate cannot drift between layers.
 const RawBitsPerSample = 16
 

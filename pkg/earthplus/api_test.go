@@ -86,6 +86,42 @@ func TestUnknownParamTypedError(t *testing.T) {
 	}
 }
 
+// TestIntegerParamsRejectNonIntegers: an integer knob given a fractional,
+// NaN or out-of-range value is a BadConfig error, never a silent
+// truncation (ref_downsample 2.5 used to run at 2, guarantee_days 0.5 at
+// 0). Each row carries the params its knob needs to be read at all.
+func TestIntegerParamsRejectNonIntegers(t *testing.T) {
+	rows := []struct {
+		system, param string
+		with          map[string]float64
+	}{
+		{earthplus.SystemEarthPlus, "ref_downsample", nil},
+		{earthplus.SystemEarthPlus, "guarantee_days", nil},
+		{earthplus.SystemEarthPlus, "link_seed", map[string]float64{"link_loss": 0.05}},
+		{earthplus.SystemEarthPlus, "stations", nil},
+		{earthplus.SystemEarthPlus, "contact_budget", map[string]float64{"stations": 1}},
+		{earthplus.SystemEarthPlus, "storage_bytes", nil},
+		{earthplus.SystemSatRoI, "storage_bytes", nil},
+	}
+	for _, row := range rows {
+		for _, v := range []float64{2.5, math.NaN(), math.Inf(1), 1e19} {
+			params := map[string]float64{row.param: v}
+			for k, w := range row.with {
+				params[k] = w
+			}
+			_, err := earthplus.NewSystem(row.system, testEnv(), earthplus.SystemSpec{Params: params})
+			if !errors.Is(err, earthplus.ErrBadConfig) {
+				t.Errorf("%s %s=%v: error %v, want ErrBadConfig", row.system, row.param, v, err)
+			}
+		}
+	}
+	// A negative seed cannot convert to the link's uint64 seed.
+	spec := earthplus.SystemSpec{Params: map[string]float64{"link_loss": 0.05, "link_seed": -1}}
+	if _, err := earthplus.NewSystem(earthplus.SystemEarthPlus, testEnv(), spec); !errors.Is(err, earthplus.ErrBadConfig) {
+		t.Errorf("link_seed=-1: error %v, want ErrBadConfig", err)
+	}
+}
+
 // TestSystemSpecParams drives an Earth+ ablation knob through the unified
 // spec: disabling the guaranteed download must eliminate guaranteed
 // records that the default config produces.

@@ -3,7 +3,7 @@ package earthplus
 import "earthplus/internal/experiments"
 
 // Scale sizes an experiment run: scene size, profiling and evaluation
-// windows, and the sweep points.
+// windows, the sweep points, and the base SystemSpec of the Earth+ runs.
 type Scale = experiments.Scale
 
 // ExperimentResult is one regenerated table or figure.
@@ -26,27 +26,8 @@ func Experiments(sc Scale, benchJSON, simBenchJSON string) []ExperimentJob {
 	return experiments.Catalog(sc, benchJSON, simBenchJSON)
 }
 
-// experimentsSimWorkers backs SetSimWorkers (declared next to the other
-// simulation knobs in sim.go).
-func experimentsSimWorkers(n int) { experiments.SimWorkers = n }
-
-// experimentsStorageModel backs SetStorageModel.
-func experimentsStorageModel(budgetBytes int64, policy string) {
-	experiments.StorageBytes = budgetBytes
-	experiments.EvictPolicy = policy
-}
-
-// experimentsRefCompression backs SetRefCompression.
-func experimentsRefCompression(on bool) { experiments.RefCompression = on }
-
-// experimentsLinkFaults backs SetLinkFaults.
-func experimentsLinkFaults(loss float64, seed uint64) {
-	experiments.LinkLoss = loss
-	experiments.LinkSeed = seed
-}
-
-// experimentsConstellation backs SetConstellation.
-func experimentsConstellation(stations int, contactBudgetBytes int64) {
-	experiments.ConstellationStations = stations
-	experiments.ConstellationContactBudget = contactBudgetBytes
-}
+// SetSimWorkers sets the default number of locations simulated
+// concurrently per day for the experiment sweeps (<= 0 means GOMAXPROCS,
+// 1 forces the serial path; results are identical at any setting).
+// Per-run control is Env.Parallelism.
+func SetSimWorkers(n int) { experiments.SimWorkers = n }

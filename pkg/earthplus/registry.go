@@ -24,16 +24,24 @@ const (
 
 // SystemSpec is the unified system configuration: γ (bits per pixel per
 // downloaded tile), an optional change threshold θ, codec options, and
-// system-specific knobs by name under Params (for Earth+:
-// "guarantee_days", "guarantee_max_cloud", "reject_cloud_frac",
-// "ref_downsample", "lookahead_days", "drop_coverage", "ref_bpp",
-// "storage_bytes") and StrParams (for Earth+ and SatRoI:
-// "evict_policy" = "lru" | "schedule"). "storage_bytes" bounds the
-// on-board reference store (explicit non-positive = unlimited; absent =
-// the Table 1 default of 360 GB); SatRoI shares both storage knobs so
-// the storage sweep bounds its full-resolution store the same way.
-// The zero value means the system's defaults; unknown Params or
-// StrParams keys are a CodeBadConfig error.
+// system-specific knobs by name. Earth+ takes eleven:
+//
+//   - Params "guarantee_days" (guaranteed-download cadence),
+//     "reject_cloud_frac" (ground-side cloudy-tile rejection),
+//     "ref_downsample" (per-axis reference downsampling), "storage_bytes"
+//     (on-board reference-store budget; explicit non-positive =
+//     unlimited, absent = the Table 1 default of 360 GB), "link_loss" and
+//     "link_seed" (fault-injected link), "stations" and "contact_budget"
+//     (contended ground stations, bytes per contact window).
+//   - StrParams "evict_policy" = "lru" | "schedule", and
+//     "ref_compression" and "tiled_store" = "on" | "off".
+//
+// SatRoI takes "storage_bytes" and "evict_policy", so the storage sweep
+// bounds its full-resolution store the same way; Kodan takes none.
+// "guarantee_days", "ref_downsample", "link_seed", "stations",
+// "contact_budget" and "storage_bytes" must be integers. The zero value
+// means the system's defaults; unknown Params or StrParams keys and
+// invalid values are a CodeBadConfig error.
 type SystemSpec = registry.Spec
 
 // SystemFactory builds a configured system for an environment.

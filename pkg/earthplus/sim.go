@@ -70,59 +70,3 @@ func WriteTrace(w io.Writer, res *Result) error { return sim.WriteTrace(w, res) 
 
 // ReadTrace reads a JSON-lines trace back into a Result.
 func ReadTrace(r io.Reader) (*Result, error) { return sim.ReadTrace(r) }
-
-// SetSimWorkers sets the default number of locations simulated
-// concurrently per day for the experiment sweeps (<= 0 means GOMAXPROCS,
-// 1 forces the serial path; results are identical at any setting).
-// Per-run control is Env.Parallelism.
-func SetSimWorkers(n int) { experimentsSimWorkers(n) }
-
-// SetStorageModel sets the default on-board reference-store model for the
-// experiment sweeps: budgetBytes bounds each satellite's store (0 = the
-// paper's Table 1 default of 360 GB, negative = unlimited) and policy
-// picks the eviction order ("lru" | "schedule"; empty = lru). Per-run
-// control is SystemSpec.Params["storage_bytes"] and
-// SystemSpec.StrParams["evict_policy"].
-func SetStorageModel(budgetBytes int64, policy string) {
-	experimentsStorageModel(budgetBytes, policy)
-}
-
-// SetRefCompression sets the default on-board reference representation
-// for the experiment sweeps: on stores each satellite's references as
-// encoded codestreams at the uplink's reference rate (the lossy wavelet
-// codec at RefBPP — the representation updates already arrive in) — real
-// encoded bytes charged against the storage budget (typically 2-5x below
-// the raw 16-bit rate, so the same budget holds more locations) at the
-// price of decoding the reference on each visit. The ground mirrors the
-// same codec transform, so delta uplinks stay byte-coherent. Off (the
-// default) keeps the raw planes and is byte-identical to the
-// pre-compression behavior. Per-run control is
-// SystemSpec.StrParams["ref_compression"] = "on" | "off".
-func SetRefCompression(on bool) { experimentsRefCompression(on) }
-
-// SetLinkFaults sets the default fault-injected ground↔satellite channel
-// for the experiment sweeps: loss is the aggregate fault rate in [0,1],
-// spread over frame drops, corruptions, truncations and whole-contact
-// cancellations (0, the default, keeps the perfect channel and is
-// byte-identical to it), and seed picks the deterministic fault pattern —
-// outcomes are pure functions of (seed, direction, satellite, day,
-// location), so runs are byte-identical at any worker count. Corrupted
-// and truncated frames are CRC-rejected on board (the stale reference
-// stays coherent) and lost reference updates are NACKed and retransmitted
-// inside the same uplink budget. Per-run control is
-// SystemSpec.Params["link_loss"] and ["link_seed"].
-func SetLinkFaults(loss float64, seed uint64) { experimentsLinkFaults(loss, seed) }
-
-// SetConstellation sets the default contended ground-station model for the
-// experiment sweeps: stations ground stations, each serving at most one
-// satellite per contact window, with a deterministic cross-satellite
-// scheduler (re-seeds → deltas → demoted, lifted across the fleet) booking
-// the windows and contactBudgetBytes capping each contact's uplink bytes
-// (0 derives it from the flat per-day budget, negative = unlimited).
-// stations 0 (the default) keeps the flat per-day uplink budget and is
-// byte-identical to it. Per-run control is SystemSpec.Params["stations"]
-// and ["contact_budget"], or SystemSpec.StrParams["constellation"] = "on"
-// for the default station count.
-func SetConstellation(stations int, contactBudgetBytes int64) {
-	experimentsConstellation(stations, contactBudgetBytes)
-}
