@@ -99,16 +99,10 @@ func (k *Kodan) OnCapture(cap *scene.Capture) (sim.Outcome, error) {
 		return sim.Outcome{}, err
 	}
 	out.EncodeSec = time.Since(tEnc).Seconds()
-	lens, err := frame.PerBandLens()
+	out.PerBandBytes, out.DownBytes, out.DownTilesPerBand, err = sat.DownlinkCharge(frame, roi)
 	if err != nil {
 		return sim.Outcome{}, err
 	}
-	out.PerBandBytes = make([]int64, len(lens))
-	for b, n := range lens {
-		out.PerBandBytes[b] = int64(n)
-		out.DownBytes += int64(n)
-	}
-	out.DownTilesPerBand = float64(clearTiles.Count())
 
 	if err := k.ground.ApplyDownload(cap.Loc, cap.Day, frame, roi, nil); err != nil {
 		return sim.Outcome{}, err

@@ -204,20 +204,10 @@ func (s *SatRoI) OnCapture(cap *scene.Capture) (sim.Outcome, error) {
 		return sim.Outcome{}, err
 	}
 	out.EncodeSec = time.Since(tEnc).Seconds()
-	lens, err := frame.PerBandLens()
+	out.PerBandBytes, out.DownBytes, out.DownTilesPerBand, err = sat.DownlinkCharge(frame, roi)
 	if err != nil {
 		return sim.Outcome{}, err
 	}
-	var tileSum int
-	out.PerBandBytes = make([]int64, len(lens))
-	for b, n := range lens {
-		out.PerBandBytes[b] = int64(n)
-		out.DownBytes += int64(n)
-		if roi[b] != nil {
-			tileSum += roi[b].Count()
-		}
-	}
-	out.DownTilesPerBand = float64(tileSum) / float64(len(roi))
 
 	if err := s.ground.ApplyDownload(cap.Loc, cap.Day, frame, roi, nil); err != nil {
 		return sim.Outcome{}, err

@@ -61,8 +61,8 @@ func BenchmarkDecodePlane64(b *testing.B)  { benchDecodePlane(b, 64) }
 func BenchmarkDecodePlane256(b *testing.B) { benchDecodePlane(b, 256) }
 func BenchmarkDecodePlane512(b *testing.B) { benchDecodePlane(b, 512) }
 
-// BenchmarkEncodeImageParallel measures the multi-band worker pool at
-// several widths; /1 is the serial reference.
+// BenchmarkEncodeImageParallel measures the frame encoder's multi-band
+// worker pool at several widths; /1 is the serial reference.
 func BenchmarkEncodeImageParallel(b *testing.B) {
 	const size = 256
 	im := raster.New(size, size, raster.PlanetBands())
@@ -71,15 +71,15 @@ func BenchmarkEncodeImageParallel(b *testing.B) {
 	}
 	im.Clamp()
 	opt := DefaultOptions()
-	opt.BudgetBytes = BudgetForBPP(0.5, size, size) * im.NumBands()
+	opt.BudgetBytes = BandBudget(0.5, size*size)
 	for _, par := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("%d", par), func(b *testing.B) {
-			o := opt
-			o.Parallelism = par
 			b.SetBytes(int64(size) * int64(size) * 4 * int64(im.NumBands()))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := EncodeImage(im, o); err != nil {
+				if _, err := EncodeFrame(im.NumBands(), par, func(bd int) ([]byte, error) {
+					return EncodePlane(im.Plane(bd), size, size, opt)
+				}); err != nil {
 					b.Fatal(err)
 				}
 			}

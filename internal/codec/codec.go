@@ -10,8 +10,9 @@
 //     the stream at the best available point,
 //   - quality layers — one per bit plane — so the ground can decode fewer
 //     layers when the downlink degrades ("layered codec", §5),
-//   - region-of-interest encoding by zeroing non-ROI tiles, matching the
-//     paper's "select changed tiles as region-of-interest" strategy.
+//   - region-of-interest encoding that packs the changed tiles into a
+//     compact mosaic and codes only that (roi.go), matching the paper's
+//     "select changed tiles as region-of-interest" strategy.
 //
 // The implementation is built for the on-board compute envelope: all
 // per-call scratch state is pooled (steady-state encodes allocate only the
@@ -19,11 +20,14 @@
 // bulk, sign bits travel as batched bypass bits, and multi-band images are
 // coded by a bounded worker pool (see Options.Parallelism and the package
 // Parallelism default).
+//
+// frame.go is the one place a multi-band image becomes a container frame
+// and back: the rate rule (BandBudget), the frame encoder (EncodeFrame)
+// and the frame decoders (DecodeFrame, DecodeFrameRegion, DecodeROIFrame).
 package codec
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -49,9 +53,9 @@ type Options struct {
 	// and layer table, never exceeds the budget (provided the budget
 	// covers at least the fixed header).
 	BudgetBytes int
-	// Parallelism bounds the number of bands EncodeImage and the ROI
-	// helpers code concurrently — and, under the tiled profile, the number
-	// of tiles coded concurrently within one plane. Zero falls back to the
+	// Parallelism bounds the number of bands the frame encoders code
+	// concurrently — and, under the tiled profile, the number of tiles
+	// coded concurrently within one plane. Zero falls back to the
 	// package-level Parallelism default, which itself defaults to
 	// GOMAXPROCS.
 	Parallelism int
@@ -79,10 +83,10 @@ func BudgetForBPP(bpp float64, w, h int) int {
 
 // MinBudgetBytes is the smallest per-band byte budget any call site may
 // request: enough for the fixed codestream header plus at least one coded
-// layer at every geometry the encoder accepts. Rate-control floors across
-// the stack (ROI downlink encodes, reference uplink encodes, the public
-// API's per-band validation) all clamp to this one constant instead of
-// re-inventing the codec's minimum-budget notion locally.
+// layer at every geometry the encoder accepts. BandBudget, the rate rule
+// of the ROI downlink, the reference uplink and the reference store,
+// floors at it, and the public API's per-band validation rejects budgets
+// below it.
 const MinBudgetBytes = 64
 
 const (
@@ -478,11 +482,11 @@ func DecodePlane(data []byte, maxLayers int) ([]float32, int, int, error) {
 	return decodePlane(data, maxLayers, nil)
 }
 
-// decodePlane reconstructs into buf when it has the capacity (the image and
-// ROI paths pass a destination to avoid a copy), allocating otherwise. The
-// destination is fully overwritten. Tiled streams are recognised by magic
-// and routed to the tiled decoder (which has no quality layers, so
-// maxLayers is ignored there).
+// decodePlane reconstructs into buf when it has the capacity (the frame
+// and ROI decoders pass a destination to avoid a copy), allocating
+// otherwise. The destination is fully overwritten. Tiled streams are
+// recognised by magic and routed to the tiled decoder (which has no
+// quality layers, so maxLayers is ignored there).
 func decodePlane(data []byte, maxLayers int, buf []float32) ([]float32, int, int, error) {
 	if IsTiled(data) {
 		return tiledDecodePlane(data, buf)
@@ -534,12 +538,7 @@ func decodePlane(data []byte, maxLayers int, buf []float32) ([]float32, int, int
 	}
 	s.pend = pc.pend
 
-	var out []float32
-	if cap(buf) >= n {
-		out = buf[:n]
-	} else {
-		out = make([]float32, n)
-	}
+	out := grow(buf, n)
 	for si := range g.sbs {
 		sb := &g.sbs[si]
 		step := p.BaseStep / norms[si]
@@ -566,77 +565,6 @@ func decodePlane(data []byte, maxLayers int, buf []float32) ([]float32, int, int
 	}
 	wavelet.Inverse97(out, w, h, p.Levels)
 	return out, w, h, nil
-}
-
-// EncodeImage encodes every band of im, splitting opt.BudgetBytes equally
-// across bands (the paper spends the γ budget per band, treating bands
-// separately). Bands are coded concurrently by a worker pool of
-// Workers(opt.Parallelism, bands) goroutines.
-func EncodeImage(im *raster.Image, opt Options) ([][]byte, error) {
-	perBand := opt
-	if opt.BudgetBytes > 0 {
-		perBand.BudgetBytes = opt.BudgetBytes / im.NumBands()
-		if perBand.BudgetBytes < 32 {
-			perBand.BudgetBytes = 32
-		}
-	}
-	nb := im.NumBands()
-	out := make([][]byte, nb)
-	errs := make([]error, nb)
-	ParallelBands(opt.Parallelism, nb, func(b int) {
-		data, err := EncodePlane(im.Plane(b), im.Width, im.Height, perBand)
-		if err != nil {
-			errs[b] = fmt.Errorf("codec: band %d: %w", b, err)
-			return
-		}
-		out[b] = data
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// DecodeImage reconstructs a multi-band image from EncodeImage output.
-// The band metadata is attached to the result and must match the stream
-// count. Bands are decoded concurrently under the package Parallelism
-// default, each directly into its destination plane.
-func DecodeImage(enc [][]byte, bands []raster.BandInfo, maxLayers int) (*raster.Image, error) {
-	if len(enc) != len(bands) {
-		return nil, eperr.New(eperr.BadCodestream, "codec", "%d streams for %d bands", len(enc), len(bands))
-	}
-	if len(enc) == 0 {
-		return nil, eperr.New(eperr.BadCodestream, "codec", "no bands to decode")
-	}
-	info, err := Parse(enc[0])
-	if err != nil {
-		return nil, fmt.Errorf("codec: band 0: %w", err)
-	}
-	im := raster.New(info.W, info.H, bands)
-	errs := make([]error, len(enc))
-	ParallelBands(0, len(enc), func(b int) {
-		plane, w, h, err := decodePlane(enc[b], maxLayers, im.Plane(b))
-		if err != nil {
-			errs[b] = fmt.Errorf("codec: band %d: %w", b, err)
-			return
-		}
-		if w != im.Width || h != im.Height {
-			errs[b] = eperr.New(eperr.BadCodestream, "codec", "band %d geometry %dx%d differs", b, w, h)
-			return
-		}
-		if &plane[0] != &im.Plane(b)[0] {
-			copy(im.Plane(b), plane)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	im.Clamp()
-	return im, nil
 }
 
 // ZeroOutsideROI clears every tile not marked in roi, in every band. The

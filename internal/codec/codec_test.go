@@ -1,11 +1,16 @@
 package codec
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"earthplus/internal/container"
+	"earthplus/internal/eperr"
 	"earthplus/internal/noise"
 	"earthplus/internal/raster"
 )
@@ -238,54 +243,108 @@ func TestROIEncoding(t *testing.T) {
 	}
 }
 
+// TestEncodeImageDecodeImageRoundTrip: a multi-band image survives the
+// frame encoder and the frame decoder on every profile, the frame bytes
+// and the decoded bits do not depend on the worker count, and a frame
+// with an absent band is not an image frame.
 func TestEncodeImageDecodeImageRoundTrip(t *testing.T) {
-	im := raster.New(48, 32, raster.PlanetBands())
+	const w, h = 48, 32
+	im := raster.New(w, h, raster.PlanetBands())
 	for b := 0; b < im.NumBands(); b++ {
-		copy(im.Plane(b), testPlane(uint64(10+b), 48, 32))
+		copy(im.Plane(b), testPlane(uint64(10+b), w, h))
 	}
 	im.Clamp()
-	enc, err := EncodeImage(im, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, e := range enc {
-		total += len(e)
-	}
-	if total <= 0 {
-		t.Fatal("empty encoding")
-	}
-	dec, err := DecodeImage(enc, im.Bands, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b := 0; b < im.NumBands(); b++ {
-		if psnr := raster.PSNRBand(im, dec, b); psnr < 48 {
-			t.Fatalf("band %d PSNR = %.2f", b, psnr)
+	tiled := DefaultOptions()
+	tiled.Tiled = true
+	for _, prof := range []struct {
+		name string
+		enc  func(p []float32) ([]byte, error)
+	}{
+		{"monolithic", func(p []float32) ([]byte, error) { return EncodePlane(p, w, h, DefaultOptions()) }},
+		{"tiled", func(p []float32) ([]byte, error) { return EncodePlane(p, w, h, tiled) }},
+		{"lossless", func(p []float32) ([]byte, error) { return EncodePlaneLossless(p, w, h, 5) }},
+	} {
+		var serialFrame container.Codestream
+		var serialDec *raster.Image
+		for _, par := range []int{1, 4} {
+			frame, err := EncodeFrame(im.NumBands(), par, func(b int) ([]byte, error) { return prof.enc(im.Plane(b)) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := DecodeFrame(context.Background(), frame, im.Bands, 0, par)
+			if err != nil {
+				t.Fatalf("%s: %v", prof.name, err)
+			}
+			for b := 0; b < im.NumBands(); b++ {
+				if psnr := raster.PSNRBand(im, dec, b); psnr < 48 {
+					t.Fatalf("%s band %d PSNR = %.2f", prof.name, b, psnr)
+				}
+			}
+			if par == 1 {
+				serialFrame, serialDec = frame, dec
+				continue
+			}
+			if !bytes.Equal(frame, serialFrame) || !sameImageBits(dec, serialDec) {
+				t.Fatalf("%s: frame or decode differs at %d workers", prof.name, par)
+			}
 		}
-	}
-	if _, err := DecodeImage(enc[:2], im.Bands, 0); err == nil {
-		t.Fatal("expected band-count mismatch error")
+		streams, err := serialFrame.Split()
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams[2] = nil
+		if _, err := DecodeFrame(context.Background(), container.Pack(streams), nil, 0, 0); !errors.Is(err, eperr.ErrBadCodestream) {
+			t.Fatalf("%s: frame with an absent band: err = %v", prof.name, err)
+		}
 	}
 }
 
+// sameImageBits reports whether two images hold bit-identical samples.
+func sameImageBits(a, b *raster.Image) bool {
+	if !a.SameShape(b) {
+		return false
+	}
+	for band, p := range a.Pix {
+		for i, v := range p {
+			if math.Float32bits(v) != math.Float32bits(b.Pix[band][i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestEncodeImageSplitsBudget: BandBudget gives each band γ bits per pixel
+// of its own, floored at MinBudgetBytes, and a frame encoded under it
+// keeps every band within that budget.
 func TestEncodeImageSplitsBudget(t *testing.T) {
-	im := raster.New(64, 64, raster.PlanetBands())
+	const w, h = 64, 64
+	if got := BandBudget(1.0, w*h); got != 512 {
+		t.Fatalf("BandBudget(1 bpp, 64x64) = %d, want 512", got)
+	}
+	if got := BandBudget(0.05, w*h); got != MinBudgetBytes {
+		t.Fatalf("BandBudget(0.05 bpp, 64x64) = %d, want the %d-byte floor", got, MinBudgetBytes)
+	}
+	im := raster.New(w, h, raster.PlanetBands())
 	for b := 0; b < im.NumBands(); b++ {
-		copy(im.Plane(b), testPlane(uint64(20+b), 64, 64))
+		copy(im.Plane(b), testPlane(uint64(20+b), w, h))
 	}
 	opt := DefaultOptions()
-	opt.BudgetBytes = 4096
-	enc, err := EncodeImage(im, opt)
+	opt.BudgetBytes = BandBudget(1.0, w*h)
+	frame, err := EncodeFrame(im.NumBands(), 0, func(b int) ([]byte, error) {
+		return EncodePlane(im.Plane(b), w, h, opt)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := 0
-	for _, e := range enc {
-		got += len(e)
+	lens, err := frame.PerBandLens()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got > 4096 {
-		t.Fatalf("image budget 4096 produced %d bytes", got)
+	for b, n := range lens {
+		if n == 0 || n > opt.BudgetBytes {
+			t.Fatalf("band %d: %d bytes for a %d-byte budget", b, n, opt.BudgetBytes)
+		}
 	}
 }
 

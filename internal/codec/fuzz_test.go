@@ -1,8 +1,12 @@
 package codec
 
 import (
+	"context"
 	"encoding/binary"
 	"testing"
+
+	"earthplus/internal/container"
+	"earthplus/internal/raster"
 )
 
 // The ground station parses whatever the downlink delivers, so the parser
@@ -118,11 +122,6 @@ func FuzzParseTiled(f *testing.F) {
 				t.Fatalf("region decode returned %d samples for %dx%d", len(reg), cw, ch)
 			}
 		}
-		if touched, total, err := RegionTiles(data, 0, 0, info.W, info.H); err == nil {
-			if touched != total || total != info.NTiles {
-				t.Fatalf("full-plane RegionTiles %d/%d disagrees with NTiles %d", touched, total, info.NTiles)
-			}
-		}
 	})
 }
 
@@ -183,6 +182,82 @@ func FuzzDecodePlaneLossless(f *testing.F) {
 		}
 		if len(plane) != w*h {
 			t.Fatalf("lossless decode length %d != %dx%d", len(plane), w, h)
+		}
+	})
+}
+
+// fuzzSeedFrame packs a three-band frame of one profile to seed
+// FuzzDecodeFrame from.
+func fuzzSeedFrame(tb testing.TB, w, h int, enc func(p []float32) ([]byte, error)) []byte {
+	tb.Helper()
+	frame, err := EncodeFrame(3, 1, func(b int) ([]byte, error) { return enc(testPlane(uint64(40+b), w, h)) })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return frame
+}
+
+// FuzzDecodeFrame drives the one frame decoder, which /v1/decode reaches
+// with client bytes. The fuzzer edits band payloads and the band table of
+// valid frames; the bands are then re-packed, so the CRC holds and every
+// mutation reaches the band decoders instead of stopping at the CRC
+// check. A full decode, a one-layer decode and a region decode must not
+// panic, and each success must return the frame's band count with one
+// geometry for every band.
+func FuzzDecodeFrame(f *testing.F) {
+	tiled := DefaultOptions()
+	tiled.Tiled = true
+	tiled.TileSize = 16
+	f.Add(fuzzSeedFrame(f, 32, 24, func(p []float32) ([]byte, error) {
+		opt := DefaultOptions()
+		opt.BudgetBytes = 256
+		return EncodePlane(p, 32, 24, opt)
+	}))
+	f.Add(fuzzSeedFrame(f, 48, 40, func(p []float32) ([]byte, error) { return EncodePlane(p, 48, 40, tiled) }))
+	f.Add(fuzzSeedFrame(f, 24, 24, func(p []float32) ([]byte, error) { return EncodePlaneLossless(p, 24, 24, 3) }))
+	// Bound the decode work, at FuzzDecodePlane's cap: a few header bytes
+	// can claim a huge plane.
+	old := MaxDecodePixels
+	MaxDecodePixels = 1 << 16
+	f.Cleanup(func() { MaxDecodePixels = old })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		bands, err := container.Codestream(data).SplitNoCRC()
+		if err != nil || len(bands) == 0 {
+			return
+		}
+		frame := container.Pack(bands)
+		// decoded reports whether a decode succeeded, failing the test if
+		// it returned the wrong band count or unequal planes.
+		decoded := func(name string, im *raster.Image, err error) bool {
+			if err != nil {
+				return false
+			}
+			if im.NumBands() != len(bands) {
+				t.Fatalf("%s decode returned %d bands for a %d-band frame", name, im.NumBands(), len(bands))
+			}
+			for b, p := range im.Pix {
+				if len(p) != im.Width*im.Height {
+					t.Fatalf("%s decode: band %d holds %d samples for %dx%d", name, b, len(p), im.Width, im.Height)
+				}
+			}
+			return true
+		}
+		// Every profile's header carries the plane's width and height at
+		// offsets 4 and 6; a full decode must return band 0's.
+		var w, h int
+		if len(bands[0]) >= 8 {
+			w, h = int(binary.LittleEndian.Uint16(bands[0][4:])), int(binary.LittleEndian.Uint16(bands[0][6:]))
+		}
+		ctx := context.Background()
+		for _, layers := range []int{0, 1} {
+			im, err := DecodeFrame(ctx, frame, nil, layers, 0)
+			if decoded("full", im, err) && (im.Width != w || im.Height != h) {
+				t.Fatalf("decode at %d layers returned %dx%d; band 0 claims %dx%d", layers, im.Width, im.Height, w, h)
+			}
+		}
+		im, err := DecodeFrameRegion(ctx, frame, nil, 3, 5, 40, 24, 0)
+		if decoded("region", im, err) && (im.Width <= 0 || im.Height <= 0 || im.Width > 40 || im.Height > 24) {
+			t.Fatalf("region decode returned %dx%d for a 40x24 rectangle", im.Width, im.Height)
 		}
 	})
 }

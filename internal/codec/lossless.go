@@ -111,6 +111,12 @@ func EncodePlaneLossless(plane []float32, w, h int, levels int) ([]byte, error) 
 // DecodePlaneLossless reverses EncodePlaneLossless exactly (at 16-bit
 // sample precision).
 func DecodePlaneLossless(data []byte) ([]float32, int, int, error) {
+	return decodePlaneLossless(data, nil)
+}
+
+// decodePlaneLossless reconstructs into dst when it has the capacity,
+// allocating otherwise.
+func decodePlaneLossless(data []byte, dst []float32) ([]float32, int, int, error) {
 	if len(data) < 11 || string(data[:4]) != losslessMagic {
 		return nil, 0, 0, eperr.New(eperr.BadCodestream, "codec", "bad lossless magic or truncated header")
 	}
@@ -172,7 +178,7 @@ func DecodePlaneLossless(data []byte) ([]float32, int, int, error) {
 		coeffs[i] = c
 	}
 	wavelet.Inverse53(coeffs, w, h, levels)
-	plane := make([]float32, n)
+	plane := grow(dst, n)
 	for i, c := range coeffs {
 		plane[i] = float32(c) / losslessScale
 	}

@@ -55,14 +55,21 @@ func EncodeROIPlane(plane []float32, roi *raster.TileMask, opt Options) ([]byte,
 	return EncodePlane(mosaic, mw, mh, opt)
 }
 
-// DecodeROIPlaneInto decodes a stream produced by EncodeROIPlane and
-// scatters the tiles marked in roi back into dst (full-plane row-major,
-// geometry roi.Grid). Unmarked tiles of dst are left untouched. A nil
-// stream (empty ROI) is a no-op.
-func DecodeROIPlaneInto(dst []float32, roi *raster.TileMask, data []byte, maxLayers int) error {
-	if data == nil {
-		return nil
+// EncodeROIBand codes the tiles of one band marked in roi at bpp bits
+// per ROI pixel: EncodeROIPlane under the BandBudget of the ROI's pixels.
+// A nil or empty ROI yields a nil stream, an absent band.
+func EncodeROIBand(plane []float32, roi *raster.TileMask, bpp float64, opt Options) ([]byte, error) {
+	if roi == nil || roi.Count() == 0 {
+		return nil, nil
 	}
+	opt.BudgetBytes = BandBudget(bpp, roi.Count()*roi.Grid.Tile*roi.Grid.Tile)
+	return EncodeROIPlane(plane, roi, opt)
+}
+
+// decodeROIPlane decodes a stream produced by EncodeROIPlane and scatters
+// the tiles marked in roi but not in reject (nil = none) back into dst
+// (full-plane row-major, geometry roi.Grid).
+func decodeROIPlane(dst []float32, roi, reject *raster.TileMask, data []byte) error {
 	g := roi.Grid
 	if len(dst) != g.ImageW*g.ImageH {
 		return eperr.New(eperr.BadImage, "codec", "dst length %d does not match grid %dx%d",
@@ -72,16 +79,20 @@ func DecodeROIPlaneInto(dst []float32, roi *raster.TileMask, data []byte, maxLay
 	cols, rows := mosaicDims(n)
 	mosaicBuf := getPlaneBuf(cols * g.Tile * rows * g.Tile)
 	defer putPlaneBuf(mosaicBuf)
-	mosaic, mw, mh, err := decodePlane(data, maxLayers, *mosaicBuf)
+	mosaic, mw, mh, err := decodePlane(data, 0, *mosaicBuf)
 	if err != nil {
 		return err
 	}
 	if mw != cols*g.Tile || mh != rows*g.Tile {
 		return eperr.New(eperr.BadCodestream, "codec", "mosaic %dx%d does not match ROI of %d tiles", mw, mh, n)
 	}
-	slot := 0
+	slot := -1
 	for t, keep := range roi.Set {
 		if !keep {
+			continue
+		}
+		slot++
+		if reject != nil && reject.Set[t] {
 			continue
 		}
 		x0, y0, _, _ := g.Bounds(t)
@@ -99,7 +110,6 @@ func DecodeROIPlaneInto(dst []float32, roi *raster.TileMask, data []byte, maxLay
 				dst[dstRow+x0+dx] = v
 			}
 		}
-		slot++
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package codec
 import (
 	"testing"
 
+	"earthplus/internal/container"
 	"earthplus/internal/noise"
 	"earthplus/internal/raster"
 )
@@ -39,7 +40,7 @@ func TestROIPlaneRoundTripHighQuality(t *testing.T) {
 	for i := range dst {
 		dst[i] = -7 // sentinel: untouched tiles must keep it
 	}
-	if err := DecodeROIPlaneInto(dst, roi, data, 0); err != nil {
+	if err := decodeROIPlane(dst, roi, nil, data); err != nil {
 		t.Fatal(err)
 	}
 	var sumSq float64
@@ -76,9 +77,14 @@ func TestROIPlaneEmptyROI(t *testing.T) {
 	if data != nil {
 		t.Fatalf("empty ROI produced %d bytes", len(data))
 	}
-	dst := make([]float32, 64*64)
-	if err := DecodeROIPlaneInto(dst, roi, nil, 0); err != nil {
+	// An absent band (an empty ROI's nil stream) leaves its plane as is.
+	dst := raster.New(64, 64, raster.PlanetBands()[:1])
+	dst.Plane(0)[0] = 0.5
+	if err := DecodeROIFrame(container.Pack([][]byte{nil}), []*raster.TileMask{roi}, nil, dst); err != nil {
 		t.Fatal(err)
+	}
+	if dst.Plane(0)[0] != 0.5 {
+		t.Fatal("absent band changed its plane")
 	}
 }
 
@@ -94,7 +100,7 @@ func TestROIPlaneMaskMismatchDetected(t *testing.T) {
 	// Decoding with a different tile count must fail loudly.
 	other := raster.NewTileMask(g)
 	other.Set[0] = true
-	if err := DecodeROIPlaneInto(make([]float32, 64*64), other, data, 0); err == nil {
+	if err := decodeROIPlane(make([]float32, 64*64), other, nil, data); err == nil {
 		t.Fatal("expected mosaic-geometry mismatch error")
 	}
 }
@@ -113,7 +119,7 @@ func TestROIPlaneSingleTileAndFull(t *testing.T) {
 			t.Fatal(err)
 		}
 		dst := make([]float32, w*h)
-		if err := DecodeROIPlaneInto(dst, roi, data, 0); err != nil {
+		if err := decodeROIPlane(dst, roi, nil, data); err != nil {
 			t.Fatal(err)
 		}
 		x0, y0, _, _ := g.Bounds(0)

@@ -339,11 +339,6 @@ func TiledEncodePlane(plane []float32, w, h int, opt Options) ([]byte, error) {
 	return assembleTiled(w, h, tile, opt.Levels, opt.BaseStep, tiles), nil
 }
 
-// TiledDecodePlane reconstructs a plane from a tiled codestream.
-func TiledDecodePlane(data []byte) ([]float32, int, int, error) {
-	return tiledDecodePlane(data, nil)
-}
-
 func tiledDecodePlane(data []byte, buf []float32) ([]float32, int, int, error) {
 	p, err := parseTiled(data)
 	if err != nil {
@@ -354,12 +349,7 @@ func tiledDecodePlane(data []byte, buf []float32) ([]float32, int, int, error) {
 		return nil, 0, 0, eperr.New(eperr.BadCodestream, "codec",
 			"%dx%d plane exceeds MaxDecodePixels %d", p.w, p.h, MaxDecodePixels)
 	}
-	var out []float32
-	if cap(buf) >= n {
-		out = buf[:n]
-	} else {
-		out = make([]float32, n)
-	}
+	out := grow(buf, n)
 	ParallelBands(0, p.nTiles(), func(t int) {
 		x0, y0, x1, y1 := raster.ClampedTileBounds(p.w, p.h, p.tile, t)
 		decodeTileInto(out, p.w, x0, y0, x1, y1, p.payloads[t],
@@ -375,20 +365,17 @@ func tiledDecodePlane(data []byte, buf []float32) ([]float32, int, int, error) {
 // of the full plane size; monolithic and lossless streams fall back to a
 // full decode plus crop.
 func DecodeRegion(data []byte, x, y, rw, rh int) ([]float32, int, int, error) {
+	return decodeRegion(data, x, y, rw, rh, nil)
+}
+
+// decodeRegion writes the cropped plane into dst when it has the
+// capacity, allocating otherwise.
+func decodeRegion(data []byte, x, y, rw, rh int, dst []float32) ([]float32, int, int, error) {
 	if rw <= 0 || rh <= 0 {
 		return nil, 0, 0, eperr.New(eperr.BadImage, "codec", "empty region %dx%d", rw, rh)
 	}
 	if !IsTiled(data) {
-		var (
-			full []float32
-			w, h int
-			err  error
-		)
-		if len(data) >= 4 && string(data[:4]) == losslessMagic {
-			full, w, h, err = DecodePlaneLossless(data)
-		} else {
-			full, w, h, err = decodePlane(data, 0, nil)
-		}
+		full, w, h, err := decodeStream(data, 0, nil)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -399,7 +386,7 @@ func DecodeRegion(data []byte, x, y, rw, rh int) ([]float32, int, int, error) {
 				"region (%d,%d)+%dx%d outside %dx%d plane", x, y, rw, rh, w, h)
 		}
 		cw, ch := cx1-cx0, cy1-cy0
-		out := make([]float32, cw*ch)
+		out := grow(dst, cw*ch)
 		for dy := 0; dy < ch; dy++ {
 			copy(out[dy*cw:(dy+1)*cw], full[(cy0+dy)*w+cx0:(cy0+dy)*w+cx1])
 		}
@@ -420,7 +407,7 @@ func DecodeRegion(data []byte, x, y, rw, rh int) ([]float32, int, int, error) {
 		return nil, 0, 0, eperr.New(eperr.BadCodestream, "codec",
 			"%dx%d region exceeds MaxDecodePixels %d", cw, ch, MaxDecodePixels)
 	}
-	out := make([]float32, cw*ch)
+	out := grow(dst, cw*ch)
 	c0, r0, c1, r1 := raster.TileRange(p.w, p.h, p.tile, cx0, cy0, cx1, cy1)
 	nt := (c1 - c0) * (r1 - r0)
 	ParallelBands(0, nt, func(i int) {
@@ -434,45 +421,34 @@ func DecodeRegion(data []byte, x, y, rw, rh int) ([]float32, int, int, error) {
 	return out, cw, ch, nil
 }
 
-// RegionTiles reports how many tiles of the stream a region decode of the
-// given rectangle touches, and the stream's total tile count. Monolithic
-// streams count as a single tile covering the plane.
-func RegionTiles(data []byte, x, y, rw, rh int) (touched, total int, err error) {
-	if !IsTiled(data) {
-		return 1, 1, nil
-	}
-	p, err := parseTiled(data)
-	if err != nil {
-		return 0, 0, err
-	}
-	c0, r0, c1, r1 := raster.TileRange(p.w, p.h, p.tile, x, y, x+rw, y+rh)
-	return (c1 - c0) * (r1 - r0), p.nTiles(), nil
-}
-
-// TiledSplicePlane re-encodes only the tiles of old that intersect a tile
-// marked in touched, taking their samples from plane (the full updated
-// plane, matching old's geometry); every other tile's payload bytes are
-// reused verbatim. touched may use any tile size over the same plane
-// (change masks run at the detection grid, the codestream at the codec
-// grid). opt must carry the rate-control parameters of the original
-// encode so respliced tiles get the same per-tile budget.
-func TiledSplicePlane(old []byte, plane []float32, touched *raster.TileMask, opt Options) ([]byte, error) {
+// TiledSplicePlane applies an update to one band of the tiled stream old.
+// The codec tiles that intersect a tile marked in changed are re-encoded;
+// every other tile's payload bytes are reused verbatim. A re-encoded
+// tile's content is old's decode of that tile, clamped to [0,1] as every
+// reference decode is, overlaid with update's samples in the changed
+// tiles. update is the full updated plane at old's geometry, and changed
+// may use any tile size over the same plane (change masks run at the
+// detection grid, the codestream at the codec grid). opt must carry the
+// rate-control parameters of the original encode so re-encoded tiles get
+// the same per-tile budget. It returns the new stream, the number of
+// re-encoded tiles and the stream's tile count.
+func TiledSplicePlane(old []byte, update []float32, changed *raster.TileMask, opt Options) (data []byte, reencoded, total int, err error) {
 	p, err := parseTiled(old)
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
-	if len(plane) != p.w*p.h {
-		return nil, eperr.New(eperr.BadImage, "codec", "plane length %d != %dx%d", len(plane), p.w, p.h)
+	if len(update) != p.w*p.h {
+		return nil, 0, 0, eperr.New(eperr.BadImage, "codec", "plane length %d != %dx%d", len(update), p.w, p.h)
 	}
-	g := touched.Grid
+	g := changed.Grid
 	if g.ImageW != p.w || g.ImageH != p.h {
-		return nil, eperr.New(eperr.BadImage, "codec",
-			"touched mask grid %dx%d does not match stream %dx%d", g.ImageW, g.ImageH, p.w, p.h)
+		return nil, 0, 0, eperr.New(eperr.BadImage, "codec",
+			"changed mask grid %dx%d does not match stream %dx%d", g.ImageW, g.ImageH, p.w, p.h)
 	}
-	// Project the touched mask onto the codec tile grid.
+	// Project the changed mask onto the codec tile grid.
 	n := p.nTiles()
 	redo := make([]bool, n)
-	for t, set := range touched.Set {
+	for t, set := range changed.Set {
 		if !set {
 			continue
 		}
@@ -480,14 +456,45 @@ func TiledSplicePlane(old []byte, plane []float32, touched *raster.TileMask, opt
 		c0, r0, c1, r1 := raster.TileRange(p.w, p.h, p.tile, mx0, my0, mx1, my1)
 		for r := r0; r < r1; r++ {
 			for c := c0; c < c1; c++ {
-				redo[r*p.cols+c] = true
+				if !redo[r*p.cols+c] {
+					redo[r*p.cols+c] = true
+					reencoded++
+				}
 			}
 		}
 	}
-	var budgets []int
-	if opt.BudgetBytes > 0 {
-		if budgets, err = tileBudgets(p.w, p.h, p.tile, opt.BudgetBytes); err != nil {
-			return nil, err
+	budgets, err := tileBudgets(p.w, p.h, p.tile, opt.BudgetBytes)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	// The splice base: the re-encoded tiles decoded and clamped, then the
+	// changed tiles overlaid. Samples of other tiles are never read.
+	base := make([]float32, p.w*p.h)
+	ParallelBands(opt.Parallelism, n, func(t int) {
+		if !redo[t] {
+			return
+		}
+		x0, y0, x1, y1 := raster.ClampedTileBounds(p.w, p.h, p.tile, t)
+		decodeTileInto(base, p.w, x0, y0, x1, y1, p.payloads[t], p.levels, p.baseStep, 0, 0, p.w, p.h, 0, 0)
+		for y := y0; y < y1; y++ {
+			row := base[y*p.w+x0 : y*p.w+x1]
+			for i, v := range row {
+				// Explicit comparisons keep -0, which min/max would not.
+				if v < 0 {
+					row[i] = 0
+				} else if v > 1 {
+					row[i] = 1
+				}
+			}
+		}
+	})
+	for t, set := range changed.Set {
+		if !set {
+			continue
+		}
+		mx0, my0, mx1, my1 := g.Bounds(t)
+		for y := my0; y < my1; y++ {
+			copy(base[y*p.w+mx0:y*p.w+mx1], update[y*p.w+mx0:y*p.w+mx1])
 		}
 	}
 	tiles := make([][]byte, n)
@@ -501,7 +508,7 @@ func TiledSplicePlane(old []byte, plane []float32, touched *raster.TileMask, opt
 		if budgets != nil {
 			b = budgets[t]
 		}
-		tiles[t] = encodeTile(plane, p.w, x0, y0, x1, y1, p.levels, p.baseStep, b)
+		tiles[t] = encodeTile(base, p.w, x0, y0, x1, y1, p.levels, p.baseStep, b)
 	})
-	return assembleTiled(p.w, p.h, p.tile, p.levels, p.baseStep, tiles), nil
+	return assembleTiled(p.w, p.h, p.tile, p.levels, p.baseStep, tiles), reencoded, n, nil
 }

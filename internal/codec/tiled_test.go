@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -179,6 +180,9 @@ func TestDecodeRegionMatchesCrop(t *testing.T) {
 	}
 }
 
+// TestRegionTiles: a region decode reads only the tiles its rectangle
+// touches. Corrupting a tile outside the rectangle leaves the output
+// bit-identical; corrupting one inside changes it.
 func TestRegionTiles(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Tiled = true
@@ -187,62 +191,139 @@ func TestRegionTiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	touched, total, err := RegionTiles(enc, 32, 32, 64, 64)
-	if err != nil {
-		t.Fatal(err)
+	// [32,96) x [32,96) touches codec tiles 0, 1, 4 and 5 of the 4x4 grid.
+	region := func(data []byte) []float32 {
+		t.Helper()
+		out, _, _, err := DecodeRegion(data, 32, 32, 64, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	if touched != 4 || total != 16 {
-		t.Fatalf("RegionTiles = %d/%d, want 4/16", touched, total)
+	corrupt := func(tile int) []byte {
+		b := append([]byte(nil), enc...)
+		off := binary.LittleEndian.Uint32(b[tiledHdrLen+tiledIndexEntry*tile:])
+		ln := binary.LittleEndian.Uint32(b[tiledHdrLen+tiledIndexEntry*tile+4:])
+		if ln == 0 {
+			t.Fatalf("tile %d has an empty payload", tile)
+		}
+		for i := off; i < off+ln; i++ {
+			b[i] ^= 0x5A
+		}
+		return b
+	}
+	want := region(enc)
+	same := func(a, b []float32) bool {
+		for i := range a {
+			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if !same(region(corrupt(15)), want) {
+		t.Fatal("corrupting a tile outside the region changed the region decode")
+	}
+	if same(region(corrupt(5)), want) {
+		t.Fatal("corrupting a tile inside the region left the region decode unchanged")
 	}
 }
 
-// TestTiledSpliceMatchesReencode: splicing updated tiles into an old
-// stream must be byte-identical to a fresh encode of the updated plane —
-// the coherence invariant the sat store and ground mirror rely on.
+// TestTiledSpliceMatchesReencode: a splice re-encodes exactly the codec
+// tiles a changed mask tile touches, from clamp(decode(old)) overlaid with
+// the update's changed tiles, so each such tile equals the same tile of a
+// fresh encode of that plane; every other tile keeps its old payload
+// bytes. This is the coherence invariant the sat store and the ground
+// mirror rely on.
 func TestTiledSpliceMatchesReencode(t *testing.T) {
 	const w, h = 256, 192
 	opt := DefaultOptions()
 	opt.Tiled = true
 	opt.BudgetBytes = BudgetForBPP(1.0, w, h)
 	oldPlane := tiledTestPlane(7, w, h)
+	// Out-of-range blocks in codec tile 0, outside any changed mask tile,
+	// that still decode out of range: the splice base must clamp them.
+	for y := 32; y < 64; y++ {
+		for x := 16; x < 64; x++ {
+			oldPlane[y*w+x] = 1.5
+			if x < 32 {
+				oldPlane[y*w+x] = -0.5
+			}
+		}
+	}
 	oldEnc, err := EncodePlane(oldPlane, w, h, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Update two 16px detection-grid tiles; the mask grid is finer than
-	// the codec grid, as in the simulator.
-	newPlane := append([]float32(nil), oldPlane...)
+	// the codec grid, as in the simulator. They touch codec tiles 0 and 5.
+	update := append([]float32(nil), oldPlane...)
 	mask := raster.NewTileMask(raster.MustTileGrid(w, h, 16))
 	for _, mt := range []int{0, 5*16 + 7} {
 		mask.Set[mt] = true
 		x0, y0, x1, y1 := mask.Grid.Bounds(mt)
 		for y := y0; y < y1; y++ {
 			for x := x0; x < x1; x++ {
-				newPlane[y*w+x] = float32(x%3) * 0.3
+				update[y*w+x] = float32(x%3) * 0.3
 			}
 		}
 	}
 
-	spliced, err := TiledSplicePlane(oldEnc, newPlane, mask, opt)
+	spliced, reencoded, total, err := TiledSplicePlane(oldEnc, update, mask, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := EncodePlane(newPlane, w, h, opt)
+	if reencoded != 2 || total != 12 {
+		t.Fatalf("re-encoded %d of %d tiles, want 2 of 12", reencoded, total)
+	}
+	base, _, _, err := DecodePlane(oldEnc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(spliced, fresh) {
-		t.Fatalf("spliced stream (%d bytes) differs from fresh encode (%d bytes)", len(spliced), len(fresh))
+	for i, v := range base {
+		if v < 0 {
+			base[i] = 0
+		} else if v > 1 {
+			base[i] = 1
+		}
+	}
+	for mt, set := range mask.Set {
+		if set {
+			x0, y0, x1, y1 := mask.Grid.Bounds(mt)
+			for y := y0; y < y1; y++ {
+				copy(base[y*w+x0:y*w+x1], update[y*w+x0:y*w+x1])
+			}
+		}
+	}
+	fresh, err := EncodePlane(base, w, h, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := parseTiled(spliced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshTiles, _ := parseTiled(fresh)
+	oldTiles, _ := parseTiled(oldEnc)
+	for tile := range got.payloads {
+		want := oldTiles.payloads[tile]
+		if tile == 0 || tile == 5 {
+			want = freshTiles.payloads[tile]
+		}
+		if !bytes.Equal(got.payloads[tile], want) {
+			t.Fatalf("tile %d: spliced payload (%d bytes) differs from the expected %d bytes",
+				tile, len(got.payloads[tile]), len(want))
+		}
 	}
 
 	// An empty mask must reproduce the old stream bytes.
 	empty := raster.NewTileMask(mask.Grid)
-	same, err := TiledSplicePlane(oldEnc, oldPlane, empty, opt)
+	same, reencoded, _, err := TiledSplicePlane(oldEnc, update, empty, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(same, oldEnc) {
+	if !bytes.Equal(same, oldEnc) || reencoded != 0 {
 		t.Fatal("empty splice changed the stream")
 	}
 }
@@ -269,7 +350,7 @@ func TestTiledDecodeRejectsHostileHeaders(t *testing.T) {
 		"zero width":       mutate(func(b []byte) { b[4], b[5] = 0, 0 }),
 	}
 	for name, b := range cases {
-		if _, _, _, err := TiledDecodePlane(b); err == nil {
+		if _, _, _, err := DecodePlane(b, 0); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

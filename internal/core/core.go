@@ -385,20 +385,10 @@ func (s *System) OnCapture(cap *scene.Capture) (sim.Outcome, error) {
 		return sim.Outcome{}, err
 	}
 	out.EncodeSec = time.Since(tEnc).Seconds()
-	lens, err := frame.PerBandLens()
+	out.PerBandBytes, out.DownBytes, out.DownTilesPerBand, err = sat.DownlinkCharge(frame, roi)
 	if err != nil {
 		return sim.Outcome{}, err
 	}
-	var tileSum int
-	out.PerBandBytes = make([]int64, len(lens))
-	for b, n := range lens {
-		out.PerBandBytes[b] = int64(n)
-		out.DownBytes += int64(n)
-		if roi[b] != nil {
-			tileSum += roi[b].Count()
-		}
-	}
-	out.DownTilesPerBand = float64(tileSum) / float64(len(roi))
 
 	// Downlink fault injection: the frame was transmitted (DownBytes is
 	// spent either way), but only what survives the channel reaches the
@@ -417,7 +407,7 @@ func (s *System) OnCapture(cap *scene.Capture) (sim.Outcome, error) {
 			out.Recon = s.ground.Recon(cap.Loc)
 			return out, nil
 		}
-		if err := sat.ValidateFrame(rx); err != nil {
+		if err := container.Codestream(rx).Validate(); err != nil {
 			s.linkStats.downCorrupted.Add(1)
 			out.DownCorrupted = true
 			out.Recon = s.ground.Recon(cap.Loc)
@@ -554,7 +544,7 @@ func (s *System) deliverUpdates(satID, day int, updates []station.RefUpdate) int
 		// equal the sent bytes, so installing the ground-computed
 		// Decoded/StoreFrame content is exactly what decoding rx would
 		// produce.
-		if err := sat.ValidateFrame(rx); err != nil {
+		if err := container.Codestream(rx).Validate(); err != nil {
 			s.linkStats.upCorrupted.Add(1)
 			s.ground.NackDelivery(satID, u.Loc)
 			continue
@@ -563,7 +553,7 @@ func (s *System) deliverUpdates(satID, day int, updates []station.RefUpdate) int
 			// Defense in depth for the compressed install path: the
 			// storage frame goes into the store verbatim, so it passes
 			// the same gate before PutFrame may keep it.
-			if err := sat.ValidateFrame(u.StoreFrame); err != nil {
+			if err := u.StoreFrame.Validate(); err != nil {
 				s.linkStats.upCorrupted.Add(1)
 				s.ground.NackDelivery(satID, u.Loc)
 				continue

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"earthplus/internal/codec"
+	"earthplus/internal/container"
 	"earthplus/internal/noise"
 	"earthplus/internal/raster"
 )
@@ -13,7 +14,7 @@ import (
 // bytes of a RefUpdate.StoreFrame (the storage-codec container frame a
 // compressed on-board store installs verbatim) with an arbitrary
 // byte-splice, and assert rejection-not-corruption — either the CRC/parse
-// gate (ValidateFrame, what core's delivery loop runs before PutFrame)
+// gate (Codestream.Validate, what core's delivery loop runs before PutFrame)
 // rejects the frame, or the surviving bytes are the original frame and
 // decode to the original content. A mutated frame that both passed the
 // gate and decoded to different content would mean the satellite silently
@@ -52,7 +53,7 @@ func FuzzStoreFrameMutation(f *testing.F) {
 				rx[p] ^= x
 			}
 		}
-		if err := ValidateFrame(rx); err != nil {
+		if err := container.Codestream(rx).Validate(); err != nil {
 			return // rejected whole: the store keeps its stale reference
 		}
 		// The gate passed: the mutation must not have changed any byte

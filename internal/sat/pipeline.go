@@ -149,39 +149,42 @@ func clearPixelsLow(m *cloud.Mask, factor, lw, lh int) []bool {
 // The per-band codec streams are framed into one container.Codestream —
 // the wire unit every downlink consumer (ground station, HTTP serving
 // layer) speaks — with the per-band bytes inside exactly what
-// codec.EncodeROIPlane produced.
+// codec.EncodeROIBand produced.
 //
 // Bands are encoded concurrently by a worker pool of
 // codec.Workers(opts.Parallelism, bands) goroutines, so whole-constellation
 // simulations scale with the host's cores.
 func EncodeROI(capImg *raster.Image, perBandROI []*raster.TileMask,
 	gammaBPP float64, opts codec.Options) (container.Codestream, error) {
-	streams := make([][]byte, len(perBandROI))
-	errs := make([]error, len(perBandROI))
-	codec.ParallelBands(opts.Parallelism, len(perBandROI), func(b int) {
-		roi := perBandROI[b]
-		if roi == nil || roi.Count() == 0 {
-			return
-		}
-		bandOpts := opts
-		roiPixels := roi.Count() * roi.Grid.Tile * roi.Grid.Tile
-		bandOpts.BudgetBytes = int(gammaBPP * float64(roiPixels) / 8)
-		if bandOpts.BudgetBytes < codec.MinBudgetBytes {
-			bandOpts.BudgetBytes = codec.MinBudgetBytes
-		}
-		data, err := codec.EncodeROIPlane(capImg.Plane(b), roi, bandOpts)
-		if err != nil {
-			errs[b] = fmt.Errorf("sat: encoding band %d: %w", b, err)
-			return
-		}
-		streams[b] = data
+	frame, err := codec.EncodeFrame(len(perBandROI), opts.Parallelism, func(b int) ([]byte, error) {
+		return codec.EncodeROIBand(capImg.Plane(b), perBandROI[b], gammaBPP, opts)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	if err != nil {
+		return nil, fmt.Errorf("sat: encoding ROI: %w", err)
+	}
+	return frame, nil
+}
+
+// DownlinkCharge is the downlink accounting of an EncodeROI frame: each
+// band's codec payload bytes (framing excluded), their total, and the ROI
+// tiles downloaded per band, averaged over the bands.
+func DownlinkCharge(frame container.Codestream, perBandROI []*raster.TileMask) (perBand []int64, total int64, tilesPerBand float64, err error) {
+	lens, err := frame.PerBandLens()
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	perBand = make([]int64, len(lens))
+	for b, n := range lens {
+		perBand[b] = int64(n)
+		total += int64(n)
+	}
+	tiles := 0
+	for _, roi := range perBandROI {
+		if roi != nil {
+			tiles += roi.Count()
 		}
 	}
-	return container.Pack(streams), nil
+	return perBand, total, float64(tiles) / float64(len(perBandROI)), nil
 }
 
 // MaskOverheadBytes is the downlink metadata cost of the per-band ROI

@@ -6,6 +6,7 @@
 package sat
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -150,27 +151,14 @@ func (c CacheConfig) validate() error {
 // produce byte-identical frames from the same input — the coherence delta
 // uplinks depend on.
 func EncodeStoredRef(im *raster.Image, bpp float64, opts codec.Options) (container.Codestream, error) {
-	streams := make([][]byte, im.NumBands())
-	errs := make([]error, im.NumBands())
-	codec.ParallelBands(opts.Parallelism, im.NumBands(), func(b int) {
-		bandOpts := opts
-		bandOpts.BudgetBytes = int(bpp * float64(im.Width*im.Height) / 8)
-		if bandOpts.BudgetBytes < codec.MinBudgetBytes {
-			bandOpts.BudgetBytes = codec.MinBudgetBytes
-		}
-		data, err := codec.EncodePlane(im.Plane(b), im.Width, im.Height, bandOpts)
-		if err != nil {
-			errs[b] = fmt.Errorf("sat: encoding stored reference band %d: %w", b, err)
-			return
-		}
-		streams[b] = data
+	opts.BudgetBytes = codec.BandBudget(bpp, im.Width*im.Height)
+	frame, err := codec.EncodeFrame(im.NumBands(), opts.Parallelism, func(b int) ([]byte, error) {
+		return codec.EncodePlane(im.Plane(b), im.Width, im.Height, opts)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, fmt.Errorf("sat: encoding stored reference: %w", err)
 	}
-	return container.Pack(streams), nil
+	return frame, nil
 }
 
 // SpliceStats reports what a per-tile reference splice touched: how many
@@ -183,15 +171,15 @@ type SpliceStats struct {
 }
 
 // SpliceStoredRef applies a tile update to a stored TILED reference frame
-// by re-encoding only the codec tiles that intersect a changed mask tile:
-// the base content of those tiles is region-decoded from the old frame
-// (only the touched tiles are decoded), the update's masked tiles are
-// overlaid, and every untouched tile's payload bytes are reused verbatim.
-// Like EncodeStoredRef it is ONE function shared by sat.RefCache and the
-// ground's mirror simulation, so both sides derive byte-identical new
-// frames from (old frame, update, masks) — the coherence invariant of the
-// delta uplink, now at tile granularity. bpp and opts must be the store's
-// rate parameters (CacheConfig.StoreBPP / CacheConfig.Codec).
+// band by band through codec.TiledSplicePlane: only the codec tiles that
+// intersect a changed mask tile are decoded, overlaid with the update's
+// changed tiles and re-encoded, and every untouched tile's payload bytes
+// are reused verbatim. Like EncodeStoredRef it is ONE function shared by
+// sat.RefCache and the ground's mirror simulation, so both sides derive
+// byte-identical new frames from (old frame, update, masks) — the
+// coherence invariant of the delta uplink, now at tile granularity. bpp
+// and opts must be the store's rate parameters (CacheConfig.StoreBPP /
+// CacheConfig.Codec).
 func SpliceStoredRef(frame container.Codestream, w, h int, bands []raster.BandInfo,
 	update *raster.Image, perBand []*raster.TileMask, bpp float64, opts codec.Options) (container.Codestream, SpliceStats, error) {
 	var stats SpliceStats
@@ -202,149 +190,41 @@ func SpliceStoredRef(frame container.Codestream, w, h int, bands []raster.BandIn
 	if len(streams) != len(bands) {
 		return nil, stats, fmt.Errorf("sat: stored reference frame carries %d bands, want %d", len(streams), len(bands))
 	}
-	budget := int(bpp * float64(w*h) / 8)
-	if budget < codec.MinBudgetBytes {
-		budget = codec.MinBudgetBytes
-	}
-	bandOpts := opts
-	bandOpts.BudgetBytes = budget
-	out := make([][]byte, len(streams))
-	errs := make([]error, len(streams))
-	var mu sync.Mutex
-	codec.ParallelBands(opts.Parallelism, len(streams), func(b int) {
-		s := streams[b]
+	opts.BudgetBytes = codec.BandBudget(bpp, w*h)
+	reencoded := make([]int, len(streams))
+	total := make([]int, len(streams))
+	out, err := codec.EncodeFrame(len(streams), opts.Parallelism, func(b int) ([]byte, error) {
 		mask := perBand[b]
-		if s == nil || mask == nil || mask.Count() == 0 {
-			out[b] = s
-			return
+		if streams[b] == nil || mask == nil || mask.Count() == 0 {
+			return streams[b], nil
 		}
-		if !codec.IsTiled(s) {
-			errs[b] = fmt.Errorf("sat: band %d of spliced frame is not tiled", b)
-			return
-		}
-		info, err := codec.Parse(s)
-		if err != nil {
-			errs[b] = fmt.Errorf("sat: band %d: %w", b, err)
-			return
-		}
-		if info.W != w || info.H != h {
-			errs[b] = fmt.Errorf("sat: band %d is %dx%d, want %dx%d", b, info.W, info.H, w, h)
-			return
-		}
-		// Project the changed mask onto the codec grid and region-decode
-		// ONLY the touched codec tiles into the base plane; untouched
-		// pixels are never read downstream.
-		cols := raster.TileSpan(w, info.TileSize)
-		rows := raster.TileSpan(h, info.TileSize)
-		touched := make([]bool, cols*rows)
-		g := mask.Grid
-		for t, set := range mask.Set {
-			if !set {
-				continue
-			}
-			mx0, my0, mx1, my1 := g.Bounds(t)
-			c0, r0, c1, r1 := raster.TileRange(w, h, info.TileSize, mx0, my0, mx1, my1)
-			for r := r0; r < r1; r++ {
-				for c := c0; c < c1; c++ {
-					touched[r*cols+c] = true
-				}
-			}
-		}
-		base := make([]float32, w*h)
-		var decoded int64
-		for t, hit := range touched {
-			if !hit {
-				continue
-			}
-			x0, y0, x1, y1 := raster.ClampedTileBounds(w, h, info.TileSize, t)
-			reg, cw, _, err := codec.DecodeRegion(s, x0, y0, x1-x0, y1-y0)
-			if err != nil {
-				errs[b] = fmt.Errorf("sat: band %d tile %d: %w", b, t, err)
-				return
-			}
-			for dy := 0; dy < y1-y0; dy++ {
-				row := reg[dy*cw : dy*cw+cw]
-				dst := base[(y0+dy)*w+x0 : (y0+dy)*w+x1]
-				for i, v := range row {
-					// The splice base is the decoded reference, which is
-					// clamped to [0,1] exactly as DecodeStoredRef clamps.
-					if v < 0 {
-						v = 0
-					} else if v > 1 {
-						v = 1
-					}
-					dst[i] = v
-				}
-			}
-			decoded++
-		}
-		// Overlay the update's changed tiles (original pixel values, as
-		// the raw splice path copies them).
-		for t, set := range mask.Set {
-			if !set {
-				continue
-			}
-			mx0, my0, mx1, my1 := g.Bounds(t)
-			up := update.Plane(b)
-			for y := my0; y < my1; y++ {
-				copy(base[y*w+mx0:y*w+mx1], up[y*w+mx0:y*w+mx1])
-			}
-		}
-		ns, err := codec.TiledSplicePlane(s, base, mask, bandOpts)
-		if err != nil {
-			errs[b] = fmt.Errorf("sat: band %d: %w", b, err)
-			return
-		}
-		out[b] = ns
-		mu.Lock()
-		stats.TilesReencoded += decoded
-		stats.TilesTotal += int64(info.NTiles)
-		mu.Unlock()
+		data, n, nt, err := codec.TiledSplicePlane(streams[b], update.Plane(b), mask, opts)
+		reencoded[b], total[b] = n, nt
+		return data, err
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, stats, err
-		}
+	if err != nil {
+		return nil, stats, fmt.Errorf("sat: splicing stored reference: %w", err)
 	}
-	return container.Pack(out), stats, nil
+	for b := range streams {
+		stats.TilesReencoded += int64(reencoded[b])
+		stats.TilesTotal += int64(total[b])
+	}
+	return out, stats, nil
 }
 
 // DecodeStoredRef reverses EncodeStoredRef into a fresh image of the
-// given geometry.
+// given geometry. Bands decode one after another: decode-on-visit runs
+// inside the sharded engine's capture workers.
 func DecodeStoredRef(cs container.Codestream, w, h int, bands []raster.BandInfo) (*raster.Image, error) {
-	streams, err := cs.Split()
+	im, err := codec.DecodeFrame(context.TODO(), cs, bands, 0, 1)
 	if err != nil {
 		return nil, fmt.Errorf("sat: stored reference frame: %w", err)
 	}
-	if len(streams) != len(bands) {
-		return nil, fmt.Errorf("sat: stored reference frame carries %d bands, want %d", len(streams), len(bands))
+	if im.NumBands() != len(bands) || im.Width != w || im.Height != h {
+		return nil, fmt.Errorf("sat: stored reference frame decodes to %d bands of %dx%d, want %d of %dx%d",
+			im.NumBands(), im.Width, im.Height, len(bands), w, h)
 	}
-	im := raster.New(w, h, bands)
-	for b, data := range streams {
-		plane, pw, ph, err := codec.DecodePlane(data, 0)
-		if err != nil {
-			return nil, fmt.Errorf("sat: decoding stored reference band %d: %w", b, err)
-		}
-		if pw != w || ph != h {
-			return nil, fmt.Errorf("sat: stored reference band %d decodes to %dx%d, want %dx%d", b, pw, ph, w, h)
-		}
-		copy(im.Plane(b), plane)
-	}
-	im.Clamp()
 	return im, nil
-}
-
-// ValidateFrame is the satellite's integrity gate for a received
-// container frame: the structural parse plus the CRC-32C trailer check,
-// without decoding any payload. A lossy uplink's RefUpdate (and, under
-// RefCompression, its StoreFrame) must pass it before ANY splice into
-// on-board state — a corrupted or truncated frame is rejected whole and
-// the cache keeps its stale-but-coherent reference.
-func ValidateFrame(cs container.Codestream) error {
-	if _, err := cs.Split(); err != nil {
-		return fmt.Errorf("sat: frame rejected: %w", err)
-	}
-	return nil
 }
 
 // entry is one stored reference: the image itself (img) in a raw store,
@@ -576,7 +456,7 @@ func (c *RefCache) PutFrame(loc int, frame container.Codestream, decoded *raster
 // compressed entry's content is decode(frame), one storage-codec
 // generation past the splice input, exactly as the ground's mirror
 // simulation models it. A TILED frame takes the per-tile path:
-// SpliceStoredRef region-decodes and re-encodes only the codec tiles a
+// SpliceStoredRef decodes and re-encodes only the codec tiles a
 // changed mask tile touches and carries every other tile's payload bytes
 // over verbatim — no whole-frame decode, no whole-frame re-encode, and no
 // generation loss on untouched tiles. The ground's mirror simulation

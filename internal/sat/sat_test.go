@@ -403,16 +403,12 @@ func TestEncodeROIDecodableByStationPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streams, err := frame.Split()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]float32, g.ImageW*g.ImageH)
-	if err := codec.DecodeROIPlaneInto(dst, mask, streams[0], 0); err != nil {
+	dst := raster.New(g.ImageW, g.ImageH, s.Bands())
+	if err := codec.DecodeROIFrame(frame, roi, nil, dst); err != nil {
 		t.Fatal(err)
 	}
 	x0, y0, _, _ := g.Bounds(7)
-	got := dst[(y0+8)*g.ImageW+x0+8]
+	got := dst.At(0, x0+8, y0+8)
 	want := cap.Image.At(0, x0+8, y0+8)
 	if d := got - want; d > 0.08 || d < -0.08 {
 		t.Fatalf("decoded tile pixel off by %v", d)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"earthplus/internal/codec"
+	"earthplus/internal/container"
 	"earthplus/internal/link"
 	"earthplus/internal/noise"
 	"earthplus/internal/raster"
@@ -96,7 +97,7 @@ func TestSingleFaultedUpdateKeepsCoherence(t *testing.T) {
 					if len(u.Frame) == 0 {
 						t.Fatalf("day %d loc %d: update carries no wire frame", day, u.Loc)
 					}
-					if err := sat.ValidateFrame(u.Frame); err != nil {
+					if err := u.Frame.Validate(); err != nil {
 						t.Fatalf("day %d loc %d: pristine frame rejected: %v", day, u.Loc, err)
 					}
 					if i == faultIdx {
@@ -104,9 +105,9 @@ func TestSingleFaultedUpdateKeepsCoherence(t *testing.T) {
 						if corrupt {
 							// One flipped byte anywhere must be caught by the
 							// container CRC — rejection, never a bad splice.
-							rx := append([]byte(nil), u.Frame...)
+							rx := append(container.Codestream(nil), u.Frame...)
 							rx[(day*7)%len(rx)] ^= 0x41
-							if err := sat.ValidateFrame(rx); err == nil {
+							if err := rx.Validate(); err == nil {
 								t.Fatalf("day %d loc %d: corrupted frame passed the CRC gate", day, u.Loc)
 							}
 							corruptions++

@@ -15,7 +15,6 @@ import (
 	"earthplus/internal/cloud"
 	"earthplus/internal/codec"
 	"earthplus/internal/container"
-	"earthplus/internal/eperr"
 	"earthplus/internal/link"
 	"earthplus/internal/raster"
 	"earthplus/internal/sat"
@@ -197,48 +196,16 @@ func (g *Ground) BestRefDay(loc int) int {
 // reference) haze-free. This is the operational payoff of re-detecting
 // clouds on the ground (§4.3).
 func (g *Ground) ApplyDownload(loc, day int, cs container.Codestream, perBandROI []*raster.TileMask, reject *raster.TileMask) error {
-	streams, err := cs.Split()
-	if err != nil {
-		return fmt.Errorf("station: loc %d download frame: %w", loc, err)
-	}
-	if len(streams) != len(perBandROI) {
-		return eperr.New(eperr.BadCodestream, "station",
-			"download frame carries %d bands for %d ROI masks", len(streams), len(perBandROI))
-	}
 	g.locMu[loc].Lock()
 	defer g.locMu[loc].Unlock()
-	if g.archive[loc] == nil {
-		g.archive[loc] = raster.New(g.grid.ImageW, g.grid.ImageH, g.bands)
+	archive := g.archive[loc]
+	if archive == nil {
+		archive = raster.New(g.grid.ImageW, g.grid.ImageH, g.bands)
 	}
-	var scratch []float32 // allocated only when tiles must be rejected
-	for b, data := range streams {
-		if data == nil || perBandROI[b] == nil {
-			continue
-		}
-		dst := g.archive[loc].Plane(b)
-		if reject == nil || reject.Count() == 0 {
-			if err := codec.DecodeROIPlaneInto(dst, perBandROI[b], data, 0); err != nil {
-				return fmt.Errorf("station: decoding loc %d band %d: %w", loc, b, err)
-			}
-			continue
-		}
-		if scratch == nil {
-			scratch = make([]float32, g.grid.ImageW*g.grid.ImageH)
-		}
-		copy(scratch, dst)
-		if err := codec.DecodeROIPlaneInto(scratch, perBandROI[b], data, 0); err != nil {
-			return fmt.Errorf("station: decoding loc %d band %d: %w", loc, b, err)
-		}
-		for t, set := range perBandROI[b].Set {
-			if !set || reject.Set[t] {
-				continue
-			}
-			x0, y0, x1, y1 := g.grid.Bounds(t)
-			for y := y0; y < y1; y++ {
-				copy(dst[y*g.grid.ImageW+x0:y*g.grid.ImageW+x1], scratch[y*g.grid.ImageW+x0:y*g.grid.ImageW+x1])
-			}
-		}
+	if err := codec.DecodeROIFrame(cs, perBandROI, reject, archive); err != nil {
+		return fmt.Errorf("station: loc %d download frame: %w", loc, err)
 	}
+	g.archive[loc] = archive
 	return nil
 }
 
@@ -784,13 +751,7 @@ func (g *Ground) codeWithin(c *codedUpdate, ref *raster.Image, limit int64) (boo
 		if mask.Count() == 0 {
 			continue
 		}
-		opts := g.codecOpts
-		roiPixels := mask.Count() * mask.Grid.Tile * mask.Grid.Tile
-		opts.BudgetBytes = int(g.refBPP * float64(roiPixels) / 8)
-		if opts.BudgetBytes < codec.MinBudgetBytes {
-			opts.BudgetBytes = codec.MinBudgetBytes
-		}
-		data, err := codec.EncodeROIPlane(ref.Plane(c.next), mask, opts)
+		data, err := codec.EncodeROIBand(ref.Plane(c.next), mask, g.refBPP, g.codecOpts)
 		if err != nil {
 			return false, fmt.Errorf("station: encoding reference band %d: %w", c.next, err)
 		}
@@ -804,23 +765,14 @@ func (g *Ground) codeWithin(c *codedUpdate, ref *raster.Image, limit int64) (boo
 // decodeRefUpdate reconstructs the reference image a satellite ends up with
 // after applying the update on top of its current mirror.
 func (g *Ground) decodeRefUpdate(cs container.Codestream, masks []*raster.TileMask, current *refState, best *refState) (*raster.Image, error) {
-	streams, err := cs.Split()
-	if err != nil {
-		return nil, fmt.Errorf("station: reference frame: %w", err)
-	}
 	var base *raster.Image
 	if current != nil {
 		base = current.img.Clone()
 	} else {
 		base = raster.New(best.img.Width, best.img.Height, g.bands)
 	}
-	for b, data := range streams {
-		if data == nil {
-			continue
-		}
-		if err := codec.DecodeROIPlaneInto(base.Plane(b), masks[b], data, 0); err != nil {
-			return nil, fmt.Errorf("station: decoding reference band %d: %w", b, err)
-		}
+	if err := codec.DecodeROIFrame(cs, masks, nil, base); err != nil {
+		return nil, fmt.Errorf("station: reference frame: %w", err)
 	}
 	base.Clamp()
 	return base, nil

@@ -1,7 +1,6 @@
 package earthplus
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -127,33 +126,15 @@ func EncodeFrame(ctx context.Context, img *Image, opts EncodeOptions) (Codestrea
 	if err != nil {
 		return nil, err
 	}
-	nb := img.NumBands()
-	bands := make([][]byte, nb)
-	errs := make([]error, nb)
-	codec.ParallelBands(opts.Parallelism, nb, func(b int) {
-		if ctx.Err() != nil {
-			errs[b] = eperr.Wrap(eperr.Canceled, "earthplus", ctx.Err())
-			return
+	return codec.EncodeFrame(img.NumBands(), opts.Parallelism, func(b int) ([]byte, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, eperr.Wrap(eperr.Canceled, "earthplus", err)
 		}
-		var data []byte
-		var err error
 		if opts.Lossless {
-			data, err = codec.EncodePlaneLossless(img.Plane(b), img.Width, img.Height, opt.Levels)
-		} else {
-			data, err = codec.EncodePlane(img.Plane(b), img.Width, img.Height, opt)
+			return codec.EncodePlaneLossless(img.Plane(b), img.Width, img.Height, opt.Levels)
 		}
-		if err != nil {
-			errs[b] = fmt.Errorf("earthplus: band %d: %w", b, err)
-			return
-		}
-		bands[b] = data
+		return codec.EncodePlane(img.Plane(b), img.Width, img.Height, opt)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return container.Pack(bands), nil
 }
 
 // Decoder reads container frames from an io.Reader and decodes them back
@@ -188,64 +169,7 @@ func (d *Decoder) Decode(ctx context.Context) (*Image, error) {
 // holes is malformed (ROI'd simulation downloads are applied by the
 // ground segment, not decoded standalone).
 func DecodeFrame(ctx context.Context, frame Codestream, bandInfo []BandInfo, maxLayers int) (*Image, error) {
-	streams, err := frame.Split()
-	if err != nil {
-		return nil, err
-	}
-	if len(streams) == 0 {
-		return nil, eperr.New(eperr.BadCodestream, "earthplus", "frame carries no bands")
-	}
-	for b, s := range streams {
-		if s == nil {
-			return nil, eperr.New(eperr.BadCodestream, "earthplus", "image frame is missing band %d", b)
-		}
-		if len(s) < 4 {
-			return nil, eperr.New(eperr.BadCodestream, "earthplus", "band %d payload is %d bytes", b, len(s))
-		}
-		if b > 0 && !bytes.Equal(s[:4], streams[0][:4]) {
-			return nil, eperr.New(eperr.BadCodestream, "earthplus", "band %d mixes codec modes within one frame", b)
-		}
-	}
-	if len(bandInfo) != len(streams) {
-		bandInfo = make([]BandInfo, len(streams))
-		for b := range bandInfo {
-			bandInfo[b].Name = fmt.Sprintf("band%d", b)
-		}
-	}
-	// Probe band 0 for the geometry, then decode the rest concurrently.
-	plane0, w, h, err := decodeBand(streams[0], maxLayers)
-	if err != nil {
-		return nil, fmt.Errorf("earthplus: band 0: %w", err)
-	}
-	img := NewImage(w, h, bandInfo)
-	copy(img.Plane(0), plane0)
-	nb := len(streams)
-	errs := make([]error, nb)
-	codec.ParallelBands(0, nb-1, func(i int) {
-		b := i + 1
-		if ctx.Err() != nil {
-			errs[b] = eperr.Wrap(eperr.Canceled, "earthplus", ctx.Err())
-			return
-		}
-		plane, bw, bh, err := decodeBand(streams[b], maxLayers)
-		if err != nil {
-			errs[b] = fmt.Errorf("earthplus: band %d: %w", b, err)
-			return
-		}
-		if bw != w || bh != h {
-			errs[b] = eperr.New(eperr.BadCodestream, "earthplus",
-				"band %d geometry %dx%d differs from band 0's %dx%d", b, bw, bh, w, h)
-			return
-		}
-		copy(img.Plane(b), plane)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	img.Clamp()
-	return img, nil
+	return codec.DecodeFrame(ctx, frame, bandInfo, maxLayers, 0)
 }
 
 // DecodeFrameRegion decodes the sub-rectangle [x,x+w) x [y,y+h) of an
@@ -257,65 +181,7 @@ func DecodeFrame(ctx context.Context, frame Codestream, bandInfo []BandInfo, max
 // every profile. Quality-layer truncation does not apply to region
 // decodes.
 func DecodeFrameRegion(ctx context.Context, frame Codestream, bandInfo []BandInfo, x, y, w, h int) (*Image, error) {
-	streams, err := frame.Split()
-	if err != nil {
-		return nil, err
-	}
-	if len(streams) == 0 {
-		return nil, eperr.New(eperr.BadCodestream, "earthplus", "frame carries no bands")
-	}
-	for b, s := range streams {
-		if s == nil {
-			return nil, eperr.New(eperr.BadCodestream, "earthplus", "image frame is missing band %d", b)
-		}
-		if len(s) < 4 {
-			return nil, eperr.New(eperr.BadCodestream, "earthplus", "band %d payload is %d bytes", b, len(s))
-		}
-		if b > 0 && !bytes.Equal(s[:4], streams[0][:4]) {
-			return nil, eperr.New(eperr.BadCodestream, "earthplus", "band %d mixes codec modes within one frame", b)
-		}
-	}
-	if len(bandInfo) != len(streams) {
-		bandInfo = make([]BandInfo, len(streams))
-		for b := range bandInfo {
-			bandInfo[b].Name = fmt.Sprintf("band%d", b)
-		}
-	}
-	// Probe band 0 for the clipped geometry, then decode the rest
-	// concurrently.
-	plane0, cw, ch, err := codec.DecodeRegion(streams[0], x, y, w, h)
-	if err != nil {
-		return nil, fmt.Errorf("earthplus: band 0: %w", err)
-	}
-	img := NewImage(cw, ch, bandInfo)
-	copy(img.Plane(0), plane0)
-	nb := len(streams)
-	errs := make([]error, nb)
-	codec.ParallelBands(0, nb-1, func(i int) {
-		b := i + 1
-		if ctx.Err() != nil {
-			errs[b] = eperr.Wrap(eperr.Canceled, "earthplus", ctx.Err())
-			return
-		}
-		plane, bw, bh, err := codec.DecodeRegion(streams[b], x, y, w, h)
-		if err != nil {
-			errs[b] = fmt.Errorf("earthplus: band %d: %w", b, err)
-			return
-		}
-		if bw != cw || bh != ch {
-			errs[b] = eperr.New(eperr.BadCodestream, "earthplus",
-				"band %d region geometry %dx%d differs from band 0's %dx%d", b, bw, bh, cw, ch)
-			return
-		}
-		copy(img.Plane(b), plane)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	img.Clamp()
-	return img, nil
+	return codec.DecodeFrameRegion(ctx, frame, bandInfo, x, y, w, h, 0)
 }
 
 // FrameTiled reports whether a frame carries the tiled (EPT1) codestream
@@ -338,8 +204,8 @@ func FrameDims(frame Codestream) (width, height, bands int, err error) {
 		if s == nil {
 			continue
 		}
-		// Both payload layouts (lossy "EPC1", lossless "EPL1") carry
-		// uint16 width at offset 4 and height at offset 6.
+		// Every payload layout (lossy "EPC1", tiled "EPT1", lossless
+		// "EPL1") carries uint16 width at offset 4 and height at offset 6.
 		if len(s) < 8 {
 			return 0, 0, 0, eperr.New(eperr.BadCodestream, "earthplus", "band %d payload of %d bytes has no header", b, len(s))
 		}
@@ -355,13 +221,4 @@ func FrameDims(frame Codestream) (width, height, bands int, err error) {
 		return 0, 0, 0, eperr.New(eperr.BadCodestream, "earthplus", "frame carries no band payloads")
 	}
 	return width, height, len(streams), nil
-}
-
-// decodeBand dispatches on the per-band payload magic: lossless streams
-// open with "EPL1", lossy with "EPC1".
-func decodeBand(data []byte, maxLayers int) ([]float32, int, int, error) {
-	if len(data) >= 4 && string(data[:4]) == "EPL1" {
-		return codec.DecodePlaneLossless(data)
-	}
-	return codec.DecodePlane(data, maxLayers)
 }
