@@ -76,13 +76,14 @@
 // With ref_compression=on (flag -refcompress, default off) the store
 // holds each reference as its encoded codestream at the uplink's
 // reference rate instead of raw 16-bit planes: footprints are the actual
-// encoded bytes (~2-5x more locations per budget), every Visit decodes
+// encoded bytes (~2.7x more locations per budget), every Visit decodes
 // the frame (the decode-on-visit cost model, whose decode count and
-// measured wall-clock are recorded in BENCH_sim.json as ref_decode),
-// uplink updates route their storage frame straight into the store
-// (sat.RefCache.PutFrame), and the ground simulates the same storage
-// codec on its mirrors (station.Config.CompressRefs) so delta uplinks
-// stay byte-coherent. The storage sweep (earthplus-bench -only
+// measured wall-clock are recorded in BENCH_sim.json as ref_decode), and
+// the store installs the frame the ground built (sat.RefCache.Install).
+// One sat.Storage value, built once in core and handed to the store and
+// the ground (station.Config.Storage), decides what every store keeps, so
+// the ground's mirrors hold what the stores decode and delta uplinks stay
+// byte-coherent. The storage sweep (earthplus-bench -only
 // storagesweep; also embedded in the BENCH_sim.json snapshot) measures
 // compression ratio, uplink use and reference residency against the
 // budget for the raw and compressed Earth+ stores at equal budgets,

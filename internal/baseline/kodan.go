@@ -45,8 +45,7 @@ func NewKodan(env *sim.Env, gammaBPP float64, opts codec.Options) (*Kodan, error
 		Bands:       bands,
 		Grid:        env.Scene.Grid(),
 		Downsample:  4,
-		CodecOpts:   opts,
-		RefBPP:      1, // unused: Kodan never uplinks references
+		Storage:     sat.Storage{BPP: 1}, // unused: Kodan never uplinks references
 		MaxRefCloud: -1,
 	}, env.Scene.NumLocations())
 	if err != nil {
@@ -68,7 +67,8 @@ func (k *Kodan) Name() string { return "Kodan" }
 
 // Bootstrap implements sim.System.
 func (k *Kodan) Bootstrap(cap *scene.Capture) error {
-	return k.ground.SeedBootstrap(cap.Loc, cap.Day, cap.Truth, nil)
+	_, err := k.ground.SeedBootstrap(cap.Loc, cap.Day, cap.Truth, nil)
+	return err
 }
 
 // OnCapture implements sim.System: accurate cloud filtering, then download

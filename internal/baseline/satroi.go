@@ -86,18 +86,16 @@ func NewSatRoIWithConfig(env *sim.Env, gammaBPP float64, opts codec.Options, sc 
 		Bands:       bands,
 		Grid:        env.Scene.Grid(),
 		Downsample:  4,
-		CodecOpts:   opts,
-		RefBPP:      1, // unused: SatRoI never uplinks references
+		Storage:     sat.Storage{BPP: 1}, // unused: SatRoI never uplinks references
 		MaxRefCloud: -1,
 	}, n)
 	if err != nil {
 		return nil, err
 	}
 	refs, err := sat.NewBoundedRefCache(sat.CacheConfig{
-		BudgetBytes:   sat.ResolveBudget(sc.StorageBytes),
-		BitsPerSample: sat.RawBitsPerSample,
-		Policy:        sat.Policy(sc.EvictPolicy),
-		NextVisit:     env.Orbit.NextVisitAny,
+		BudgetBytes: sat.ResolveBudget(sc.StorageBytes),
+		Policy:      sat.Policy(sc.EvictPolicy),
+		NextVisit:   env.Orbit.NextVisitAny,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
@@ -137,7 +135,7 @@ func (s *SatRoI) Name() string { return "SatRoI" }
 // on-board reference. With a bound store the install may evict other
 // references — there is no uplink to re-seed them, so they stay gone.
 func (s *SatRoI) Bootstrap(cap *scene.Capture) error {
-	if err := s.ground.SeedBootstrap(cap.Loc, cap.Day, cap.Truth, nil); err != nil {
+	if _, err := s.ground.SeedBootstrap(cap.Loc, cap.Day, cap.Truth, nil); err != nil {
 		return err
 	}
 	s.refs.Put(cap.Loc, cap.Truth.Clone(), cap.Day)

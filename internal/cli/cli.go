@@ -86,7 +86,7 @@ func (f *SystemFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.EvictPolicy, "evictpolicy", "",
 		"reference-store eviction policy: lru | schedule (empty = lru)")
 	fs.BoolVar(&f.RefCompress, "refcompress", false,
-		"store on-board references compressed (~2-5x more locations per storage budget, paid in decode-on-visit work; default off)")
+		"store on-board references compressed (~2.7x more locations per storage budget, paid in decode-on-visit work; default off)")
 	fs.BoolVar(&f.TiledStore, "tiledstore", false,
 		"use the tiled (EPT1) codestream profile for updates, downloads and the store: per-tile splices and region decode (default off = monolithic v1 profile)")
 	fs.Float64Var(&f.LinkLoss, "linkloss", 0,

@@ -66,12 +66,12 @@ type Config struct {
 	// RefCompression stores each on-board reference as its encoded
 	// codestream at the uplink's reference rate (refBPP, lossy) instead
 	// of raw planes: the store charges real encoded bytes against
-	// StorageBytes (typically 2-5x below the raw sat.RawBitsPerSample
-	// rate, so the same budget holds more locations), captures decode the
-	// reference on visit, and the ground simulates the same storage codec
-	// on its mirrors so delta uplinks stay bit-coherent with what the
-	// satellite's store decodes. Off (the default) keeps the raw store
-	// and is byte-identical to the pre-compression behavior.
+	// StorageBytes (about 2.7x below the raw sat.RawBitsPerSample rate,
+	// so the same budget holds ~2.7x more locations), captures decode the
+	// reference on visit, and the ground builds every stored reference
+	// through the same sat.Storage so delta uplinks stay bit-coherent
+	// with what the satellite's store decodes. Off (the default) keeps
+	// the raw store and is byte-identical to the pre-compression behavior.
 	RefCompression bool
 	// Constellation enables the contended ground-station model: N
 	// stations, each serving at most one satellite per contact window,
@@ -104,25 +104,6 @@ const (
 	// lookaheadDays is how far ahead reference uploads are planned.
 	lookaheadDays = 3
 )
-
-// CacheConfig resolves the on-board reference-store configuration this
-// Config produces, minus the per-satellite NextVisit schedule core.New
-// fills in. It is the ONE derivation shared by New and by everything
-// estimating reference working sets outside core (the storage sweep),
-// so budget math cannot drift from what the caches actually charge.
-func (c Config) CacheConfig() sat.CacheConfig {
-	return sat.CacheConfig{
-		BudgetBytes:   sat.ResolveBudget(c.StorageBytes),
-		BitsPerSample: sat.RawBitsPerSample,
-		Policy:        sat.Policy(c.EvictPolicy),
-		Compress:      c.RefCompression,
-		// One representation for uplink and storage: references live on
-		// board at the rate they arrived at, with the ground's update
-		// codec options, so mirror simulation and store agree bit-exact.
-		StoreBPP: refBPP,
-		Codec:    c.CodecOpts,
-	}
-}
 
 // DefaultConfig returns the configuration used across the experiments.
 func DefaultConfig() Config {
@@ -198,18 +179,17 @@ func New(env *sim.Env, cfg Config) (*System, error) {
 		// Negative rates never fire but must still be rejected loudly.
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	// One representation for uplink and storage: references live on board
+	// at the rate and with the codec options they arrive at, and the ground
+	// builds every stored reference through the same Storage.
+	storage := sat.Storage{Compress: cfg.RefCompression, BPP: refBPP, Codec: cfg.CodecOpts}
 	ground, err := station.NewGround(station.Config{
 		Bands:       bands,
 		Grid:        grid,
 		Downsample:  cfg.RefDownsample,
 		Accurate:    cloud.DefaultTemporal(bands),
-		CodecOpts:   cfg.CodecOpts,
-		RefBPP:      refBPP,
+		Storage:     storage,
 		MaxRefCloud: maxRefCloud,
-		// A compressed on-board store holds storage-codec content; the
-		// ground must model exactly that, or delta uplinks would be
-		// encoded against references the satellite never quite held.
-		CompressRefs: cfg.RefCompression,
 	}, env.Scene.NumLocations())
 	if err != nil {
 		return nil, err
@@ -223,12 +203,14 @@ func New(env *sim.Env, cfg Config) (*System, error) {
 	// uplink planner's per-phase visit sets are built from.
 	caches := make([]*sat.RefCache, env.Orbit.Satellites)
 	for id := range caches {
-		satID := id
-		cc := cfg.CacheConfig()
-		cc.NextVisit = func(loc, afterDay int) int {
-			return env.Orbit.NextVisit(satID, loc, afterDay)
-		}
-		cache, err := sat.NewBoundedRefCache(cc)
+		cache, err := sat.NewBoundedRefCache(sat.CacheConfig{
+			BudgetBytes: sat.ResolveBudget(cfg.StorageBytes),
+			Policy:      sat.Policy(cfg.EvictPolicy),
+			NextVisit: func(loc, afterDay int) int {
+				return env.Orbit.NextVisit(id, loc, afterDay)
+			},
+			Storage: storage,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
@@ -276,31 +258,15 @@ func (s *System) Bootstrap(cap *scene.Capture) error {
 	for i := range sats {
 		sats[i] = i
 	}
-	if err := s.ground.SeedBootstrap(cap.Loc, cap.Day, cap.Truth, sats); err != nil {
-		return err
-	}
-	low, err := cap.Truth.Downsample(s.cfg.RefDownsample)
+	// Every satellite stores the same seed, and stored references are
+	// immutable, so the stores share the one Ref the ground built for its
+	// mirrors.
+	ref, err := s.ground.SeedBootstrap(cap.Loc, cap.Day, cap.Truth, sats)
 	if err != nil {
 		return err
 	}
-	// Every satellite stores the same seed, and stored references are
-	// immutable, so the stores share it: the image itself in raw stores,
-	// and with RefCompression one frame, encoded once instead of paying
-	// the deterministic storage encode per satellite.
-	var frame container.Codestream
-	if s.cfg.RefCompression {
-		if frame, err = sat.EncodeStoredRef(low, refBPP, s.cfg.CodecOpts); err != nil {
-			return fmt.Errorf("core: bootstrap: %w", err)
-		}
-	}
 	for _, id := range sats {
-		var evicted []int
-		if frame != nil {
-			evicted = s.caches[id].PutFrame(cap.Loc, frame, low, cap.Day)
-		} else {
-			evicted = s.caches[id].Put(cap.Loc, low, cap.Day)
-		}
-		for _, loc := range evicted {
+		for _, loc := range s.caches[id].Install(cap.Loc, ref, cap.Day) {
 			// A bootstrap store already over budget sheds references; the
 			// ground must not believe the satellite still holds them.
 			s.ground.InvalidateMirror(id, loc)
@@ -541,19 +507,18 @@ func (s *System) deliverUpdates(satID, day int, updates []station.RefUpdate) int
 		// CRC-32C detectable, truncation breaks the parse) is rejected
 		// whole and NACKed; the on-board cache keeps its stale but
 		// coherent reference. Once the received bytes validate they
-		// equal the sent bytes, so installing the ground-computed
-		// Decoded/StoreFrame content is exactly what decoding rx would
-		// produce.
+		// equal the sent bytes, so installing the ground-computed Ref is
+		// exactly what decoding rx would produce.
 		if err := container.Codestream(rx).Validate(); err != nil {
 			s.linkStats.upCorrupted.Add(1)
 			s.ground.NackDelivery(satID, u.Loc)
 			continue
 		}
-		if u.StoreFrame != nil {
-			// Defense in depth for the compressed install path: the
-			// storage frame goes into the store verbatim, so it passes
-			// the same gate before PutFrame may keep it.
-			if err := u.StoreFrame.Validate(); err != nil {
+		if u.Ref.Frame != nil {
+			// Defense in depth for a compressed store: the storage frame
+			// goes into the store verbatim, so it passes the same gate
+			// before Install may keep it.
+			if err := u.Ref.Frame.Validate(); err != nil {
 				s.linkStats.upCorrupted.Add(1)
 				s.ground.NackDelivery(satID, u.Loc)
 				continue
@@ -584,21 +549,14 @@ func (s *System) ConstellationStats() constellation.Stats {
 	return s.sched.Stats()
 }
 
-// install applies one delivered update to a satellite's store. Installing
-// can push the store over budget; every eviction invalidates the ground's
+// install applies one delivered update to a satellite's store: the Ref the
+// ground built goes in as is, with no re-encode on board. Installing can
+// push the store over budget; every eviction invalidates the ground's
 // mirror so the next cycle re-sends the full reference instead of a stale
 // delta. This runs on the engine's sequential day-end barrier, so
-// eviction order is identical at any worker count. With RefCompression
-// the ground already produced the storage frame — it routes into the
-// store as-is, no raw expansion, no re-encode.
+// eviction order is identical at any worker count.
 func (s *System) install(cache *sat.RefCache, satID int, u station.RefUpdate) {
-	var evicted []int
-	if u.StoreFrame != nil {
-		evicted = cache.PutFrame(u.Loc, u.StoreFrame, u.Decoded, u.Day)
-	} else {
-		evicted = cache.Put(u.Loc, u.Decoded, u.Day)
-	}
-	for _, loc := range evicted {
+	for _, loc := range cache.Install(u.Loc, u.Ref, u.Day) {
 		s.ground.InvalidateMirror(satID, loc)
 	}
 }
@@ -653,7 +611,7 @@ func (s *System) Ground() *station.Ground { return s.ground }
 // RefCacheBytes reports the on-board reference cache footprint of one
 // satellite at the store's sat.RawBitsPerSample accounting.
 func (s *System) RefCacheBytes(satID int) int64 {
-	return s.caches[satID].StorageBytes(sat.RawBitsPerSample)
+	return s.caches[satID].StorageBytes()
 }
 
 // StorageStats sums capacity evictions and reference-lookup misses across

@@ -68,8 +68,8 @@ type StorageSystemSeries struct {
 	FootprintBytes []int64 `json:"footprint_bytes,omitempty"`
 	// EffBitsPerSample is the measured per-sample storage rate of the
 	// unlimited run (FootprintBytes*8 / resident samples): the real rate
-	// compressed references achieve, versus the a-priori
-	// CacheConfig.BitsPerSample the budget fractions were derived from.
+	// compressed references achieve, versus the sat.RawBitsPerSample the
+	// budget fractions were derived from.
 	EffBitsPerSample float64 `json:"eff_bits_per_sample,omitempty"`
 }
 
@@ -116,27 +116,22 @@ type storageResidenter interface {
 	ResidentRefs() (locations int, bytes int64)
 }
 
-// refWorkingSet is the unlimited footprint of a store holding one
+// refWorkingSet is the unlimited footprint of a raw store holding one
 // reference per location for a scene, at the given per-axis downsample,
-// accounted exactly as sat.RefCache does for the store configuration:
-// per-entry exact integer arithmetic at the store's EFFECTIVE bits per
-// sample — ONE derivation for the sweep, the determinism check and any
-// budget estimate, resolved from the CacheConfig instead of a hard-coded
-// rate so a system configured at a non-16-bit rate sweeps correct
-// budgets.
-func refWorkingSet(cfg scene.Config, downsample int, store sat.CacheConfig) int64 {
+// accounted exactly as sat.RefCache does: per-entry exact integer
+// arithmetic at sat.RawBitsPerSample — ONE derivation for the sweep, the
+// determinism check and any budget estimate.
+func refWorkingSet(cfg scene.Config, downsample int) int64 {
 	ds := int64(downsample)
 	samples := (int64(cfg.Width) / ds) * (int64(cfg.Height) / ds) * int64(len(cfg.Bands))
-	perLoc := (samples*int64(store.EffectiveBitsPerSample()) + 7) / 8
+	perLoc := (samples*sat.RawBitsPerSample + 7) / 8
 	return int64(len(cfg.Locations)) * perLoc
 }
 
-// earthRefWorkingSet is the unlimited footprint of Earth+'s reference
-// cache for a scene: detection-resolution references at the rate of the
-// resolved default cache configuration.
+// earthRefWorkingSet is the unlimited footprint of Earth+'s raw reference
+// cache for a scene: references at the default detection resolution.
 func earthRefWorkingSet(cfg scene.Config) int64 {
-	def := core.DefaultConfig()
-	return refWorkingSet(cfg, def.RefDownsample, def.CacheConfig())
+	return refWorkingSet(cfg, core.DefaultConfig().RefDownsample)
 }
 
 // earthRefSamples is the per-location sample count behind that footprint.
@@ -148,7 +143,7 @@ func earthRefSamples(cfg scene.Config) int64 {
 // satroiRefWorkingSet is SatRoI's unlimited footprint: full-resolution
 // references at the raw rate its store accounts.
 func satroiRefWorkingSet(cfg scene.Config) int64 {
-	return refWorkingSet(cfg, 1, sat.CacheConfig{BitsPerSample: sat.RawBitsPerSample})
+	return refWorkingSet(cfg, 1)
 }
 
 // sweepRun is one measured simulation of the sweep.
@@ -336,7 +331,7 @@ func refDecodeCost(sc Scale, tiled bool) (*RefDecodeCost, error) {
 	// A quarter of the raw working set keeps the compressed store
 	// pressured — capacity for some but not all locations — so evictions
 	// AND decodes both happen.
-	budget := refWorkingSet(cfg, down, def.CacheConfig()) / 4
+	budget := refWorkingSet(cfg, down) / 4
 	env := envFor(cfg, richOrbit(), defaultUplinkDivisor)
 	env.Parallelism = 1
 	spec := registry.Spec{

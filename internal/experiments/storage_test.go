@@ -10,33 +10,25 @@ import (
 	"earthplus/internal/scene"
 )
 
-// TestRefWorkingSetUsesResolvedRate pins the satellite-task regression:
-// the working-set math must read the bits-per-sample off the RESOLVED
-// cache configuration, not a hard-coded 16. At a non-16 rate the per-
-// location footprint follows the configured rate exactly (ceil division
-// included), and the zero value resolves to the shared raw constant.
+// TestRefWorkingSetUsesResolvedRate pins the working-set math to the rate
+// the stores account at: one reference per location at the shared raw
+// constant sat.RawBitsPerSample (the rate core's and the SatRoI store
+// charge), and Earth+'s working set at core's default detection
+// downsample.
 func TestRefWorkingSetUsesResolvedRate(t *testing.T) {
 	cfg := scene.Config{Width: 20, Height: 10, Bands: scene.RichContent(scene.Quick).Bands}
 	cfg.Locations = scene.RichContent(scene.Quick).Locations[:3]
 	samples := int64(20) * 10 * int64(len(cfg.Bands))
 
-	got := refWorkingSet(cfg, 1, sat.CacheConfig{BitsPerSample: 12})
-	want := 3 * ((samples*12 + 7) / 8)
+	got := refWorkingSet(cfg, 1)
+	want := 3 * ((samples*sat.RawBitsPerSample + 7) / 8)
 	if got != want {
-		t.Fatalf("12-bit working set %d, want %d", got, want)
+		t.Fatalf("raw-rate working set %d, want %d", got, want)
 	}
-	// The zero config resolves to the shared raw rate — the same constant
-	// core and the SatRoI store account at.
-	got = refWorkingSet(cfg, 1, sat.CacheConfig{})
-	want = 3 * ((samples*sat.RawBitsPerSample + 7) / 8)
-	if got != want {
-		t.Fatalf("default-rate working set %d, want %d", got, want)
-	}
-	// And the Earth+ derivation matches what core's resolved config says,
-	// not an independent constant.
-	def := core.DefaultConfig()
-	if earthRefWorkingSet(cfg) != refWorkingSet(cfg, def.RefDownsample, def.CacheConfig()) {
-		t.Fatal("earthRefWorkingSet diverged from the resolved core CacheConfig derivation")
+	ds := int64(core.DefaultConfig().RefDownsample)
+	want = 3 * (((20/ds)*(10/ds)*int64(len(cfg.Bands))*sat.RawBitsPerSample + 7) / 8)
+	if got := earthRefWorkingSet(cfg); got != want {
+		t.Fatalf("Earth+ working set %d, want %d at downsample %d", got, want, ds)
 	}
 }
 

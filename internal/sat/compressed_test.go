@@ -15,27 +15,40 @@ import (
 
 const testStoreBPP = 6.0
 
+// testStorage is the compressed Storage of these tests.
+func testStorage(opts codec.Options) Storage {
+	return Storage{Compress: true, BPP: testStoreBPP, Codec: opts}
+}
+
 func compressedConfig() CacheConfig {
-	return CacheConfig{
-		Compress: true,
-		StoreBPP: testStoreBPP,
-		Codec:    codec.DefaultOptions(),
+	return CacheConfig{Storage: testStorage(codec.DefaultOptions())}
+}
+
+// heldRef is the Ref s holds for im.
+func heldRef(t testing.TB, s Storage, im *raster.Image) Ref {
+	t.Helper()
+	ref, err := s.Hold(im)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return ref
+}
+
+// loadRef is ref's content.
+func loadRef(t testing.TB, ref Ref) *raster.Image {
+	t.Helper()
+	im, err := ref.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return im
 }
 
 // storedImage independently applies the storage codec — the content a
 // compressed cache must reproduce for an installed image.
 func storedImage(t *testing.T, im *raster.Image) *raster.Image {
 	t.Helper()
-	frame, err := EncodeStoredRef(im, testStoreBPP, codec.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeStoredRef(frame, im.Width, im.Height, im.Bands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return loadRef(t, heldRef(t, testStorage(codec.DefaultOptions()), im))
 }
 
 func TestCompressedCacheDecodesStorageCodecContent(t *testing.T) {
@@ -62,7 +75,7 @@ func TestCompressedCacheDecodesStorageCodecContent(t *testing.T) {
 	}
 
 	// Footprint is the encoded frame, several times below the raw rate.
-	raw := cache.StorageBytes(RawBitsPerSample)
+	raw := cache.StorageBytes()
 	fp := cache.FootprintBytes()
 	if fp <= 0 || fp*2 >= raw {
 		t.Fatalf("compressed footprint %d not well below raw-rate %d", fp, raw)
@@ -84,19 +97,15 @@ func TestCompressedPutFrameMatchesPut(t *testing.T) {
 	}
 	viaPut.Put(5, im.Clone(), 2)
 
-	frame, err := EncodeStoredRef(im, testStoreBPP, codec.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
 	viaFrame, err := NewBoundedRefCache(compressedConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaFrame.PutFrame(5, frame, im, 2)
+	viaFrame.Install(5, heldRef(t, testStorage(codec.DefaultOptions()), im), 2)
 
 	a, b := viaPut.Visit(5, 3), viaFrame.Visit(5, 3)
 	if !a.Image.Equal(b.Image) || a.Day != b.Day {
-		t.Fatal("PutFrame-installed entry diverged from Put-installed entry")
+		t.Fatal("Install-installed entry diverged from Put-installed entry")
 	}
 	if viaPut.FootprintBytes() != viaFrame.FootprintBytes() {
 		t.Fatalf("footprints differ: %d vs %d", viaPut.FootprintBytes(), viaFrame.FootprintBytes())
@@ -117,11 +126,8 @@ func TestCompressedBoundedCacheInvariantsUnderChurn(t *testing.T) {
 	// A raw 16x16x4 reference is 2048 bytes; the storage codec at 6 bpp
 	// keeps one band in ~min-budget bytes, so whole entries land near
 	// 4*64+overhead. Budget three compressed entries' worth.
-	probe, err := EncodeStoredRef(propImage(src, 1, w, h, bands), testStoreBPP, codec.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget := 3 * int64(len(probe))
+	probe := heldRef(t, testStorage(codec.DefaultOptions()), propImage(src, 1, w, h, bands))
+	budget := 3 * int64(len(probe.Frame))
 
 	cfg := compressedConfig()
 	cfg.BudgetBytes = budget
@@ -203,17 +209,30 @@ func TestCompressedBoundedCacheInvariantsUnderChurn(t *testing.T) {
 }
 
 func TestCompressedConfigValidation(t *testing.T) {
-	if _, err := NewBoundedRefCache(CacheConfig{Compress: true}); err == nil {
-		t.Fatal("Compress without StoreBPP must be rejected")
+	if _, err := NewBoundedRefCache(CacheConfig{Storage: Storage{Compress: true}}); err == nil {
+		t.Fatal("Compress without a Storage.BPP must be rejected")
 	}
-	c, err := NewBoundedRefCache(CacheConfig{})
+	im := raster.New(16, 16, raster.PlanetBands())
+	raw := NewRefCache()
+	compressed, err := NewBoundedRefCache(compressedConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PutFrame on a raw cache must panic")
-		}
-	}()
-	c.PutFrame(0, nil, raster.New(4, 4, raster.PlanetBands()), 0)
+	for _, tc := range []struct {
+		name  string
+		cache *RefCache
+		ref   Ref
+	}{
+		{"frame into a raw cache", raw, heldRef(t, testStorage(codec.DefaultOptions()), im)},
+		{"image into a compressed cache", compressed, heldRef(t, Storage{}, im)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Install of a %s must panic", tc.name)
+				}
+			}()
+			tc.cache.Install(0, tc.ref, 0)
+		}()
+	}
 }

@@ -84,23 +84,14 @@ func imageBits(im *raster.Image) []byte {
 // refactor of how frames are coded must leave every digest unchanged.
 func TestFrameDigests(t *testing.T) {
 	const w, h = 150, 100 // edge codec tiles on both axes
-	bands := raster.PlanetBands()
 	outputs := map[string][]byte{}
 	for _, prof := range []struct {
 		name string
 		opts codec.Options
 	}{{"monolithic", codec.DefaultOptions()}, {"tiled", tiledStoreOpts()}} {
-		ref := digestImage(7100, w, h)
-		frame, err := EncodeStoredRef(ref, testStoreBPP, prof.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		outputs["stored-frame/"+prof.name] = frame
-		dec, err := DecodeStoredRef(frame, w, h, bands)
-		if err != nil {
-			t.Fatal(err)
-		}
-		outputs["stored-decode/"+prof.name] = imageBits(dec)
+		ref := heldRef(t, testStorage(prof.opts), digestImage(7100, w, h))
+		outputs["stored-frame/"+prof.name] = ref.Frame
+		outputs["stored-decode/"+prof.name] = imageBits(loadRef(t, ref))
 
 		capImg := digestImage(7200, 128, 96)
 		roi, err := EncodeROI(capImg, digestMasks(raster.MustTileGrid(128, 96, 16)), 2.0, prof.opts)
@@ -110,17 +101,17 @@ func TestFrameDigests(t *testing.T) {
 		outputs["roi-frame/"+prof.name] = roi
 	}
 
-	old, err := EncodeStoredRef(digestImage(7300, w, h), testStoreBPP, tiledStoreOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The splice reads only the update's changed tiles, so any image
+	// serves as the update.
+	tiled := testStorage(tiledStoreOpts())
+	old := heldRef(t, tiled, digestImage(7300, w, h))
 	masks := digestMasks(raster.MustTileGrid(w, h, 10))
 	masks[3] = nil
-	spliced, st, err := SpliceStoredRef(old, w, h, bands, digestImage(7400, w, h), masks, testStoreBPP, tiledStoreOpts())
+	spliced, st, err := tiled.Update(old, digestImage(7400, w, h), masks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outputs["splice-frame/tiled"] = fmt.Appendf(spliced, "\n%d/%d", st.TilesReencoded, st.TilesTotal)
+	outputs["splice-frame/tiled"] = fmt.Appendf(spliced.Frame, "\n%d/%d", st.TilesReencoded, st.TilesTotal)
 
 	golden := readFrameDigests(t)
 	compare := runtime.GOARCH == "amd64"

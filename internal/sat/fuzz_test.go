@@ -11,12 +11,12 @@ import (
 )
 
 // FuzzStoreFrameMutation is the lossy-link acceptance fuzz: mutate the
-// bytes of a RefUpdate.StoreFrame (the storage-codec container frame a
+// bytes of a RefUpdate.Ref's Frame (the storage-codec container frame a
 // compressed on-board store installs verbatim) with an arbitrary
 // byte-splice, and assert rejection-not-corruption — either the CRC/parse
-// gate (Codestream.Validate, what core's delivery loop runs before PutFrame)
-// rejects the frame, or the surviving bytes are the original frame and
-// decode to the original content. A mutated frame that both passed the
+// gate (Codestream.Validate, what core's delivery loop runs before
+// Install) rejects the frame, or the surviving bytes are the original
+// frame and decode to the original content. A mutated frame that both passed the
 // gate and decoded to different content would mean the satellite silently
 // spliced garbage into its reference store.
 func FuzzStoreFrameMutation(f *testing.F) {
@@ -24,14 +24,8 @@ func FuzzStoreFrameMutation(f *testing.F) {
 	for b := 0; b < im.NumBands(); b++ {
 		noise.New(uint64(9000+b)).FillFBM(im.Plane(b), 16, 16, 4, 3)
 	}
-	frame, err := EncodeStoredRef(im, testStoreBPP, codec.DefaultOptions())
-	if err != nil {
-		f.Fatal(err)
-	}
-	want, err := DecodeStoredRef(frame, im.Width, im.Height, im.Bands)
-	if err != nil {
-		f.Fatal(err)
-	}
+	ref := heldRef(f, testStorage(codec.DefaultOptions()), im)
+	frame, want := ref.Frame, loadRef(f, ref)
 
 	f.Add(0, []byte{0x80}, len(frame))            // single-bit flip in the header
 	f.Add(len(frame)/2, []byte{0xFF}, len(frame)) // payload corruption
@@ -61,7 +55,9 @@ func FuzzStoreFrameMutation(f *testing.F) {
 		if !bytes.Equal(rx, frame) {
 			t.Fatalf("altered frame (%d vs %d bytes) passed the CRC gate", len(rx), len(frame))
 		}
-		got, err := DecodeStoredRef(rx, im.Width, im.Height, im.Bands)
+		rxRef := ref
+		rxRef.Frame = rx
+		got, err := rxRef.Load()
 		if err != nil {
 			t.Fatalf("validated frame failed to decode: %v", err)
 		}

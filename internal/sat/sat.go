@@ -54,51 +54,21 @@ func Policies() []string { return []string{string(PolicyLRU), string(PolicySched
 const RawBitsPerSample = 16
 
 // CacheConfig bounds a reference cache to a satellite's finite on-board
-// store. The zero value means unbounded (the pre-storage-model behavior).
+// store. The zero value means unbounded raw storage (the pre-storage-model
+// behavior).
 type CacheConfig struct {
 	// BudgetBytes caps the cache footprint; <= 0 means unlimited.
 	BudgetBytes int64
-	// BitsPerSample is the a-priori storage cost of one band sample at
-	// detection resolution (0 = RawBitsPerSample). With Compress off it is
-	// the exact accounting rate; with Compress on, entries are charged
-	// their real encoded byte count instead and BitsPerSample only feeds
-	// estimates made before any entry exists (working-set math, sweep
-	// budget fractions) — see EffectiveBitsPerSample.
-	BitsPerSample int
 	// Policy selects the eviction order ("" = lru).
 	Policy Policy
 	// NextVisit predicts the first day strictly after afterDay on which
 	// the satellite revisits loc. Required by PolicySchedule.
 	NextVisit func(loc, afterDay int) int
-	// Compress stores each reference as its encoded container frame at
-	// StoreBPP bits per pixel — the uplink's reference rate, the
-	// representation the updates arrive in — instead of raw planes: the
-	// footprint charged against BudgetBytes is the actual encoded byte
-	// count (RawBitsPerSample/StoreBPP smaller, so the same budget holds
-	// ~2-5x more locations), and every Visit decodes the frame.
-	// Put/ApplyTileUpdate take the PRE-storage-codec image and apply the
-	// codec themselves (EncodeStoredRef); the ground's mirror must model
-	// the same transform (station.Config.CompressRefs) or delta uplinks
-	// would be encoded against content the satellite never held.
-	Compress bool
-	// StoreBPP is the storage codec rate of a compressed cache, in bits
-	// per pixel per band. Required (> 0) when Compress is set; Earth+
-	// wires its uplink RefBPP here so on-board storage and uplink share
-	// one representation.
-	StoreBPP float64
-	// Codec configures the storage codec of a compressed cache. It must
-	// match the ground's reference-update codec options so both sides
-	// produce byte-identical frames.
-	Codec codec.Options
+	// Storage is what the cache keeps for each reference. The ground's
+	// mirrors must use the same Storage (station.Config.Storage), or delta
+	// uplinks would be encoded against content the satellite never held.
+	Storage Storage
 }
-
-// EffectiveBitsPerSample resolves the per-sample rate a-priori estimates
-// (reference working sets, sweep budget fractions) should assume for this
-// configuration. It is the resolved BitsPerSample: with Compress on the
-// real footprint is measured per entry at install time and is usually
-// several times smaller, so callers needing the true compressed rate must
-// measure it (FootprintBytes / stored samples) rather than predict it.
-func (c CacheConfig) EffectiveBitsPerSample() int { return c.withDefaults().BitsPerSample }
 
 // ResolveBudget maps the stack's three-valued storage knob onto a cache
 // budget, in ONE place for every constructor and registry shim: zero
@@ -118,9 +88,6 @@ func ResolveBudget(storageBytes int64) int64 {
 
 // withDefaults resolves the zero values.
 func (c CacheConfig) withDefaults() CacheConfig {
-	if c.BitsPerSample <= 0 {
-		c.BitsPerSample = RawBitsPerSample
-	}
 	if c.Policy == "" {
 		c.Policy = PolicyLRU
 	}
@@ -138,27 +105,57 @@ func (c CacheConfig) validate() error {
 	default:
 		return fmt.Errorf("sat: unknown eviction policy %q (known: %v)", c.Policy, Policies())
 	}
-	if c.Compress && c.StoreBPP <= 0 {
-		return fmt.Errorf("sat: compressed reference store needs a positive StoreBPP rate")
+	if c.Storage.Compress && c.Storage.BPP <= 0 {
+		return fmt.Errorf("sat: compressed reference store needs a positive Storage.BPP rate")
 	}
 	return nil
 }
 
-// EncodeStoredRef encodes every band of a reference image at bpp bits per
-// pixel into one container frame: the representation a compressed
-// on-board store holds. It is ONE function shared by sat.RefCache and the
-// ground's mirror simulation (station.Config.CompressRefs), so both sides
-// produce byte-identical frames from the same input — the coherence delta
-// uplinks depend on.
-func EncodeStoredRef(im *raster.Image, bpp float64, opts codec.Options) (container.Codestream, error) {
-	opts.BudgetBytes = codec.BandBudget(bpp, im.Width*im.Height)
+// Storage is what a reference store keeps for each reference: the raw
+// planes, or with Compress one container frame coded at BPP bits per pixel
+// per band with Codec. The ground builds every Ref an on-board store
+// installs through the same Storage, so its mirror holds exactly what the
+// store decodes. Earth+ codes its uplink reference updates at the same BPP
+// and Codec: references live on board at the rate they arrive at.
+type Storage struct {
+	// Compress keeps frames instead of raw planes: the footprint charged
+	// against a budget is the frame's real byte count (at Earth+'s 6 bpp
+	// about 2.7x below RawBitsPerSample, so the same budget holds ~2.7x
+	// more locations), and every visit decodes the frame.
+	Compress bool
+	// BPP is the rate of a compressed reference, in bits per pixel per
+	// band; required (> 0) with Compress.
+	BPP float64
+	// Codec configures the codec of a compressed reference.
+	Codec codec.Options
+}
+
+// Ref is one reference as a store keeps it: Image in a raw store, or Frame
+// plus the geometry to decode it (W, H, Bands) in a compressed one. A Ref
+// and everything it points to are immutable, so one Ref may back several
+// satellites' stores and the ground's mirrors at once.
+type Ref struct {
+	Image *raster.Image
+	Frame container.Codestream
+	W, H  int
+	Bands []raster.BandInfo
+}
+
+// Hold returns the Ref a store keeps for content im: im itself, or its
+// frame, whose content (Load) is one codec generation past im.
+func (s Storage) Hold(im *raster.Image) (Ref, error) {
+	if !s.Compress {
+		return Ref{Image: im}, nil
+	}
+	opts := s.Codec
+	opts.BudgetBytes = codec.BandBudget(s.BPP, im.Width*im.Height)
 	frame, err := codec.EncodeFrame(im.NumBands(), opts.Parallelism, func(b int) ([]byte, error) {
 		return codec.EncodePlane(im.Plane(b), im.Width, im.Height, opts)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("sat: encoding stored reference: %w", err)
+		return Ref{}, fmt.Errorf("sat: encoding stored reference: %w", err)
 	}
-	return frame, nil
+	return Ref{Frame: frame, W: im.Width, H: im.Height, Bands: im.Bands}, nil
 }
 
 // SpliceStats reports what a per-tile reference splice touched: how many
@@ -170,78 +167,96 @@ type SpliceStats struct {
 	TilesTotal     int64
 }
 
-// SpliceStoredRef applies a tile update to a stored TILED reference frame
-// band by band through codec.TiledSplicePlane: only the codec tiles that
-// intersect a changed mask tile are decoded, overlaid with the update's
-// changed tiles and re-encoded, and every untouched tile's payload bytes
-// are reused verbatim. Like EncodeStoredRef it is ONE function shared by
-// sat.RefCache and the ground's mirror simulation, so both sides derive
-// byte-identical new frames from (old frame, update, masks) — the
-// coherence invariant of the delta uplink, now at tile granularity. bpp
-// and opts must be the store's rate parameters (CacheConfig.StoreBPP /
-// CacheConfig.Codec).
-func SpliceStoredRef(frame container.Codestream, w, h int, bands []raster.BandInfo,
-	update *raster.Image, perBand []*raster.TileMask, bpp float64, opts codec.Options) (container.Codestream, SpliceStats, error) {
+// Update returns the Ref for next, the content a reference held as prev
+// takes once the tiles marked in changed (one mask per band; nil leaves a
+// band alone) are replaced. A tiled prev frame is spliced band by band
+// through codec.TiledSplicePlane, which reads only next's changed tiles:
+// the codec tiles they touch are decoded, overlaid and re-encoded, and
+// every other tile keeps its payload bytes, skipping a codec generation.
+// Any other prev — a raw image, a monolithic frame, or the zero Ref of a
+// reference not held yet — gives Hold(next).
+func (s Storage) Update(prev Ref, next *raster.Image, changed []*raster.TileMask) (Ref, SpliceStats, error) {
 	var stats SpliceStats
-	streams, err := frame.SplitNoCRC()
+	if !prev.Frame.Tiled() {
+		ref, err := s.Hold(next)
+		return ref, stats, err
+	}
+	streams, err := prev.Frame.SplitNoCRC()
 	if err != nil {
-		return nil, stats, fmt.Errorf("sat: splicing stored reference: %w", err)
+		return Ref{}, stats, fmt.Errorf("sat: splicing stored reference: %w", err)
 	}
-	if len(streams) != len(bands) {
-		return nil, stats, fmt.Errorf("sat: stored reference frame carries %d bands, want %d", len(streams), len(bands))
+	if len(streams) != len(prev.Bands) {
+		return Ref{}, stats, fmt.Errorf("sat: stored reference frame carries %d bands, want %d", len(streams), len(prev.Bands))
 	}
-	opts.BudgetBytes = codec.BandBudget(bpp, w*h)
+	opts := s.Codec
+	opts.BudgetBytes = codec.BandBudget(s.BPP, prev.W*prev.H)
 	reencoded := make([]int, len(streams))
 	total := make([]int, len(streams))
-	out, err := codec.EncodeFrame(len(streams), opts.Parallelism, func(b int) ([]byte, error) {
-		mask := perBand[b]
+	frame, err := codec.EncodeFrame(len(streams), opts.Parallelism, func(b int) ([]byte, error) {
+		mask := changed[b]
 		if streams[b] == nil || mask == nil || mask.Count() == 0 {
 			return streams[b], nil
 		}
-		data, n, nt, err := codec.TiledSplicePlane(streams[b], update.Plane(b), mask, opts)
+		data, n, nt, err := codec.TiledSplicePlane(streams[b], next.Plane(b), mask, opts)
 		reencoded[b], total[b] = n, nt
 		return data, err
 	})
 	if err != nil {
-		return nil, stats, fmt.Errorf("sat: splicing stored reference: %w", err)
+		return Ref{}, stats, fmt.Errorf("sat: splicing stored reference: %w", err)
 	}
 	for b := range streams {
 		stats.TilesReencoded += int64(reencoded[b])
 		stats.TilesTotal += int64(total[b])
 	}
-	return out, stats, nil
+	return Ref{Frame: frame, W: prev.W, H: prev.H, Bands: prev.Bands}, stats, nil
 }
 
-// DecodeStoredRef reverses EncodeStoredRef into a fresh image of the
-// given geometry. Bands decode one after another: decode-on-visit runs
-// inside the sharded engine's capture workers.
-func DecodeStoredRef(cs container.Codestream, w, h int, bands []raster.BandInfo) (*raster.Image, error) {
-	im, err := codec.DecodeFrame(context.TODO(), cs, bands, 0, 1)
+// Load returns r's content: a raw Ref's own image, or a compressed one's
+// frame decoded into a fresh image. Bands decode one after another: a
+// store's loads run inside the sharded engine's capture workers.
+func (r Ref) Load() (*raster.Image, error) {
+	if r.Frame == nil {
+		return r.Image, nil
+	}
+	im, err := codec.DecodeFrame(context.Background(), r.Frame, r.Bands, 0, 1)
 	if err != nil {
 		return nil, fmt.Errorf("sat: stored reference frame: %w", err)
 	}
-	if im.NumBands() != len(bands) || im.Width != w || im.Height != h {
+	if im.NumBands() != len(r.Bands) || im.Width != r.W || im.Height != r.H {
 		return nil, fmt.Errorf("sat: stored reference frame decodes to %d bands of %dx%d, want %d of %dx%d",
-			im.NumBands(), im.Width, im.Height, len(bands), w, h)
+			im.NumBands(), im.Width, im.Height, len(r.Bands), r.W, r.H)
 	}
 	return im, nil
 }
 
-// entry is one stored reference: the image itself (img) in a raw store,
-// or its storage-codec frame (frame) in a compressed one, plus the
-// geometry to decode it. Every field but lastVisit is fixed at install —
-// an update installs a new entry — so a Visit may read an entry after
-// releasing the cache lock.
+// rawBytes is r's size at RawBitsPerSample, in exact integer arithmetic
+// rounded up to whole bytes.
+func (r Ref) rawBytes() int64 {
+	w, h, bands := r.W, r.H, len(r.Bands)
+	if r.Frame == nil {
+		w, h, bands = r.Image.Width, r.Image.Height, r.Image.NumBands()
+	}
+	samples := int64(w) * int64(h) * int64(bands)
+	return (samples*RawBitsPerSample + 7) / 8
+}
+
+// bytes is the footprint a store charges for r: a frame's real byte count,
+// or the raw planes at RawBitsPerSample.
+func (r Ref) bytes() int64 {
+	if r.Frame != nil {
+		return int64(len(r.Frame))
+	}
+	return r.rawBytes()
+}
+
+// entry is one stored reference. Every field but lastVisit is fixed at
+// install — an update installs a new entry — so a Visit may read an entry
+// after releasing the cache lock.
 type entry struct {
-	img   *raster.Image
-	frame container.Codestream
-	w, h  int
-	bands []raster.BandInfo
+	ref Ref
 	// day is the content's capture day; lastVisit the day of the most
 	// recent visit or install, the recency LRU eviction reads.
 	day, lastVisit int
-	// bytes is the entry's accounted footprint.
-	bytes int64
 }
 
 // RefCache holds a satellite's on-board reference images, keyed by
@@ -252,29 +267,27 @@ type entry struct {
 // pipeline then falls back to reference-free encoding until the ground
 // re-seeds the reference over the uplink.
 //
-// With CacheConfig.Compress the store holds each reference as its encoded
-// container frame at the uplink's reference rate (StoreBPP) — the
-// footprint charged against the budget is the actual encoded byte count,
-// so the same budget holds roughly RawBitsPerSample/StoreBPP more
-// locations — and every Visit decodes the frame. An entry's content is
-// ALWAYS decode(frame): installs run the storage codec (or accept a
-// pre-encoded frame via PutFrame), and the ground simulates the same
-// transform on its mirror, so what the satellite detects changes against
-// is byte-equal to what the ground believes it holds.
+// The store keeps each reference as its CacheConfig.Storage dictates: raw
+// planes, or a container frame at the uplink's reference rate, whose
+// footprint is its real encoded byte count (so the same budget holds ~2.7x
+// more locations at Earth+'s 6 bpp) and which every Visit decodes. The
+// ground builds the Ref a store installs through the same Storage and
+// mirrors its Load, so what the satellite detects changes against is
+// byte-equal to what the ground believes it holds.
 //
-// Ownership: a stored image is never mutated. A raw store keeps the image
-// Put hands it and gives the same image to every Visit, and
-// ApplyTileUpdate splices into a new image. One image may therefore back
-// several satellites' stores and the ground's mirrors at once, and no
-// caller may write to an image it passed in or got back.
+// Ownership: a Ref and its image or frame are never mutated. A raw store
+// gives the image it installed to every Visit, and ApplyTileUpdate splices
+// into a new image. One Ref may therefore back several satellites' stores
+// and the ground's mirrors at once, and no caller may write to an image it
+// passed in or got back.
 //
 // Determinism contract: eviction decisions depend only on the visit
 // schedule (day numbers), never on wall-clock or goroutine order. Visit
 // records recency per location as the capture day — concurrent visits to
 // distinct locations write distinct entries, so the sharded engine reaches
 // the same cache state at any worker count — and every mutation that can
-// evict (Put, ApplyTileUpdate) happens on the engine's serial phases
-// (bootstrap, day-end barrier).
+// evict (Install, Put, ApplyTileUpdate) happens on the engine's serial
+// phases (bootstrap, day-end barrier).
 //
 // The cache is safe for concurrent use on DISTINCT locations: the sharded
 // simulation engine looks up references for many locations at once while a
@@ -287,14 +300,15 @@ type RefCache struct {
 	entries map[int]*entry
 	// used is the accounted footprint of every entry, in bytes.
 	used int64
-	// lastDay is the latest day observed via Visit/Put/ApplyTileUpdate;
+	// lastDay is the latest day observed by a Visit or an install;
 	// PolicySchedule predicts next visits relative to it.
 	lastDay int
 	// evictions and misses count capacity evictions and Visit misses.
 	evictions, misses int64
-	// decodes counts frame decodes and decodeNanos the wall-clock spent
-	// in them, so the decode-on-visit cost of a compressed store is
-	// measurable, not just countable. Decodes run outside mu.
+	// decodes counts the store's frame decodes and decodeNanos the
+	// wall-clock spent in them, so the decode-on-visit cost of a
+	// compressed store is measurable, not just countable. Visit and Get
+	// decode outside mu.
 	decodes, decodeNanos atomic.Int64
 }
 
@@ -314,45 +328,21 @@ func NewBoundedRefCache(cfg CacheConfig) (*RefCache, error) {
 	return &RefCache{cfg: cfg, entries: make(map[int]*entry)}, nil
 }
 
-// encodeFrame runs the storage codec over a reference image. The cache
-// produced the image itself, so an encode failure is a programming error,
-// not a runtime condition.
-func (c *RefCache) encodeFrame(im *raster.Image) container.Codestream {
-	frame, err := EncodeStoredRef(im, c.cfg.StoreBPP, c.cfg.Codec)
-	if err != nil {
-		panic(fmt.Sprintf("sat: %v", err))
+// load returns e's reference: a raw entry's own image, or a compressed
+// entry's frame decoded afresh. Only these decodes count in Decodes and
+// DecodeWall; a Ref's Load elsewhere (the ground's mirrors) does not.
+func (c *RefCache) load(loc int, e *entry) *LowResRef {
+	if e.ref.Frame == nil {
+		return &LowResRef{Image: e.ref.Image, Day: e.day}
 	}
-	return frame
-}
-
-// decode decodes a compressed entry's frame into a fresh image.
-func (c *RefCache) decode(loc int, e *entry) *raster.Image {
 	t0 := time.Now() //lint:deterministic wall time feeds DecodeWall, which only the repo benchmark and simbench read
-	im, err := DecodeStoredRef(e.frame, e.w, e.h, e.bands)
+	im, err := e.ref.Load()
 	if err != nil {
 		panic(fmt.Sprintf("sat: loc %d: %v", loc, err))
 	}
 	c.decodeNanos.Add(time.Since(t0).Nanoseconds()) //lint:deterministic wall time feeds DecodeWall, which only the repo benchmark and simbench read
 	c.decodes.Add(1)
-	return im
-}
-
-// load returns e's reference: a raw entry's own image, or a compressed
-// entry's frame decoded afresh.
-func (c *RefCache) load(loc int, e *entry) *LowResRef {
-	if e.frame == nil {
-		return &LowResRef{Image: e.img, Day: e.day}
-	}
-	return &LowResRef{Image: c.decode(loc, e), Day: e.day}
-}
-
-// footprint is the size of w×h×bands samples at bits per sample, in exact
-// integer arithmetic rounded up to whole bytes per entry (float
-// accumulation used to truncate fractional bytes-per-pixel footprints on
-// large caches).
-func footprint(w, h, bands, bits int) int64 {
-	samples := int64(w) * int64(h) * int64(bands)
-	return (samples*int64(bits) + 7) / 8
+	return &LowResRef{Image: im, Day: e.day}
 }
 
 // Get returns the cached reference for loc, or nil. It does not count as a
@@ -391,105 +381,66 @@ func (c *RefCache) Visit(loc, day int) *LowResRef {
 	return c.load(loc, e)
 }
 
-// Put replaces the reference for loc (the image is not copied) and returns
-// the locations evicted to fit it under the storage budget (nil when
-// nothing was evicted). The caller owns ground-mirror bookkeeping for the
-// returned locations; a new reference larger than the whole budget evicts
-// itself and the cache stays without the entry.
-//
-// A compressed cache expects the PRE-storage-codec image (e.g. the
-// bootstrap seed, or a decoded uplink update before mirror simulation)
-// and stores its encoded frame; the image itself is not retained, and the
-// next Visit decodes the frame — NOT the bytes passed here. Installing an
-// image that already went through the storage codec would apply the codec
-// twice and diverge from the ground's mirror.
+// Put installs the Storage's Ref for content im (Install(loc,
+// Storage.Hold(im), day)). A compressed cache expects the PRE-storage-codec
+// image and keeps only its frame: the next Visit decodes the frame, NOT
+// the pixels passed here.
 func (c *RefCache) Put(loc int, im *raster.Image, day int) []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.putLocked(loc, im, day)
+	ref, err := c.cfg.Storage.Hold(im)
+	if err != nil {
+		// The caller's reference image always encodes; a failure is a
+		// programming error, not a runtime condition.
+		panic(fmt.Sprintf("sat: loc %d: %v", loc, err))
+	}
+	return c.Install(loc, ref, day)
 }
 
-// putLocked installs im as loc's content: as is in a raw store, through
-// the storage codec in a compressed one.
-func (c *RefCache) putLocked(loc int, im *raster.Image, day int) []int {
-	e := &entry{w: im.Width, h: im.Height, bands: im.Bands, day: day}
-	if c.cfg.Compress {
-		e.frame = c.encodeFrame(im)
-		e.bytes = int64(len(e.frame))
-	} else {
-		e.img = im
-		e.bytes = footprint(im.Width, im.Height, im.NumBands(), c.cfg.BitsPerSample)
+// Install makes ref loc's reference, with content captured on day, and
+// returns the locations evicted to fit it under the storage budget (nil
+// when nothing was evicted). The caller owns ground-mirror bookkeeping
+// for the returned locations; a reference larger than the whole budget
+// evicts itself and the cache stays without the entry. ref must be of the
+// store's kind — a frame in a compressed store, an image in a raw one —
+// or Install panics.
+func (c *RefCache) Install(loc int, ref Ref, day int) []int {
+	if (ref.Frame != nil) != c.cfg.Storage.Compress {
+		panic(fmt.Sprintf("sat: loc %d: reference of the other storage kind", loc))
 	}
-	return c.installLocked(loc, e)
-}
-
-// PutFrame installs a pre-encoded storage frame for loc — the uplink's
-// reference codestream routed straight into the store, with no raw
-// expansion and no re-encode. decoded supplies the frame's geometry (its
-// pixels are not retained); day stamps the entry's content freshness.
-// Only valid on a compressed cache. Like Put, it returns the locations
-// evicted to fit the entry.
-func (c *RefCache) PutFrame(loc int, frame container.Codestream, decoded *raster.Image, day int) []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.cfg.Compress {
-		panic("sat: PutFrame on a raw reference cache")
-	}
-	return c.installLocked(loc, &entry{
-		frame: frame,
-		w:     decoded.Width, h: decoded.Height,
-		bands: decoded.Bands,
-		day:   day,
-		bytes: int64(len(frame)),
-	})
+	return c.installLocked(loc, &entry{ref: ref, day: day})
 }
 
 // ApplyTileUpdate copies the marked low-resolution tiles of update into
 // the cached reference for loc and advances its day. A missing cache entry
 // is created from the update itself (the ground ships whole-image updates
-// to re-seed evicted references). Like Put, it returns any locations
+// to re-seed evicted references). Like Install, it returns any locations
 // evicted to keep the footprint under budget: a raw splice never changes
-// the footprint, but a compressed entry is re-encoded after the splice and
-// its new frame may be larger.
+// the footprint, but a compressed entry is re-encoded and its new frame
+// may be larger.
 //
-// A raw entry is spliced into a copy of its image, never in place. A
-// compressed entry's content is decode(frame), one storage-codec
-// generation past the splice input, exactly as the ground's mirror
-// simulation models it. A TILED frame takes the per-tile path:
-// SpliceStoredRef decodes and re-encodes only the codec tiles a
-// changed mask tile touches and carries every other tile's payload bytes
-// over verbatim — no whole-frame decode, no whole-frame re-encode, and no
-// generation loss on untouched tiles. The ground's mirror simulation
-// splices its frame through the same function, so both sides stay
-// byte-coherent.
+// The new Ref comes from Storage.Update, as the ground's mirror's does. A
+// TILED frame splices update's marked tiles in per codec tile, with no
+// whole-frame decode or re-encode. Any other entry is spliced into a copy
+// of its content (decoded, for a monolithic frame), which the Storage then
+// holds afresh.
 func (c *RefCache) ApplyTileUpdate(loc int, update *raster.Image, perBand []*raster.TileMask, day int) []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	old := c.entries[loc]
-	if old == nil {
-		return c.putLocked(loc, update, day)
-	}
-	e := *old
-	e.day = day
-	switch {
-	case old.frame == nil:
-		e.img = old.img.Clone()
-		spliceTiles(e.img, update, perBand)
-	case old.frame.Tiled():
-		frame, _, err := SpliceStoredRef(old.frame, old.w, old.h, old.bands, update, perBand, c.cfg.StoreBPP, c.cfg.Codec)
-		if err != nil {
-			panic(fmt.Sprintf("sat: loc %d: %v", loc, err))
+	var prev Ref
+	next := update
+	if old := c.entries[loc]; old != nil {
+		prev = old.ref
+		if !prev.Frame.Tiled() {
+			next = c.load(loc, old).Image.Clone()
+			spliceTiles(next, update, perBand)
 		}
-		e.frame = frame
-	default:
-		base := c.decode(loc, old)
-		spliceTiles(base, update, perBand)
-		e.frame = c.encodeFrame(base)
 	}
-	if e.frame != nil {
-		e.bytes = int64(len(e.frame))
+	ref, _, err := c.cfg.Storage.Update(prev, next, perBand)
+	if err != nil {
+		panic(fmt.Sprintf("sat: loc %d: %v", loc, err))
 	}
-	return c.installLocked(loc, &e)
+	return c.installLocked(loc, &entry{ref: ref, day: day})
 }
 
 // spliceTiles copies the marked tiles of update into dst.
@@ -520,10 +471,10 @@ func (c *RefCache) installLocked(loc int, e *entry) []int {
 	c.lastDay = max(c.lastDay, e.day)
 	e.lastVisit = c.lastDay
 	if old := c.entries[loc]; old != nil {
-		c.used -= old.bytes
+		c.used -= old.ref.bytes()
 	}
 	c.entries[loc] = e
-	c.used += e.bytes
+	c.used += e.ref.bytes()
 	return c.evictLocked(loc)
 }
 
@@ -540,7 +491,7 @@ func (c *RefCache) evictLocked(installed int) []int {
 		return nil
 	}
 	var evicted []int
-	if c.entries[installed].bytes > c.cfg.BudgetBytes {
+	if c.entries[installed].ref.bytes() > c.cfg.BudgetBytes {
 		evicted = append(evicted, c.removeLocked(installed))
 	}
 	for c.used > c.cfg.BudgetBytes && len(c.entries) > 0 {
@@ -551,7 +502,7 @@ func (c *RefCache) evictLocked(installed int) []int {
 
 // removeLocked drops one entry and its accounting, counting the eviction.
 func (c *RefCache) removeLocked(victim int) int {
-	c.used -= c.entries[victim].bytes
+	c.used -= c.entries[victim].ref.bytes()
 	delete(c.entries, victim)
 	c.evictions++
 	return victim
@@ -586,17 +537,17 @@ func (c *RefCache) FootprintBytes() int64 {
 	return c.used
 }
 
-// StorageBytes returns the cache's hypothetical footprint at bitsPerSample
-// of storage per band sample, in exact integer arithmetic (each entry
-// rounds up to whole bytes). For a compressed cache this is the raw-rate
-// equivalent of the resident set — compare it against FootprintBytes (the
-// real encoded bytes) to read off the achieved storage compression.
-func (c *RefCache) StorageBytes(bitsPerSample int) int64 {
+// StorageBytes returns the cache's footprint at RawBitsPerSample, in
+// exact integer arithmetic (each entry rounds up to whole bytes). For a
+// compressed cache this is the raw-rate equivalent of the resident set —
+// compare it against FootprintBytes (the real encoded bytes) to read off
+// the achieved storage compression.
+func (c *RefCache) StorageBytes() int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var total int64
 	for _, e := range c.entries {
-		total += footprint(e.w, e.h, len(e.bands), bitsPerSample)
+		total += e.ref.rawBytes()
 	}
 	return total
 }
@@ -611,7 +562,7 @@ func (c *RefCache) Stats() (evictions, misses int64) {
 
 // Decodes reports how many stored frames the cache decoded: one per
 // compressed Visit or Get hit (plus one per monolithic ApplyTileUpdate),
-// zero in raw mode.
+// zero in raw mode. Loads of the same Refs outside the cache do not count.
 func (c *RefCache) Decodes() int64 { return c.decodes.Load() }
 
 // DecodeWall reports the cumulative wall-clock spent decoding stored

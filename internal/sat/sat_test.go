@@ -58,8 +58,8 @@ func TestRefCacheBasics(t *testing.T) {
 	if ref == nil || ref.Day != 17 {
 		t.Fatalf("Get = %+v", ref)
 	}
-	if c.StorageBytes(16) != 8*8*4*2 {
-		t.Fatalf("StorageBytes = %d", c.StorageBytes(16))
+	if c.StorageBytes() != 8*8*4*2 {
+		t.Fatalf("StorageBytes = %d", c.StorageBytes())
 	}
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d", c.Len())
@@ -67,26 +67,22 @@ func TestRefCacheBasics(t *testing.T) {
 }
 
 // TestStorageBytesIntegerAccounting is the regression test for the float64
-// footprint accounting: at a drift-provoking size — many references whose
-// per-entry byte cost is fractional — the old float accumulation followed
-// by int64 truncation dropped half a byte per entry (512 bytes over this
-// cache), while bit-granular integer accounting rounds each entry up
-// exactly.
+// footprint accounting (float accumulation followed by int64 truncation
+// used to drop bytes on large caches): over many odd-sized references the
+// raw store accounts every entry in exact integer arithmetic at
+// RawBitsPerSample, and its charged footprint is that same figure.
 func TestStorageBytesIntegerAccounting(t *testing.T) {
 	c := NewRefCache()
 	bands := raster.PlanetBands()[:3]
 	const n = 1024
 	for loc := 0; loc < n; loc++ {
-		// 9x9x3 = 243 samples; at 12 bits/sample that is 364.5 bytes.
-		c.Put(loc, raster.New(9, 9, bands), 0)
+		c.Put(loc, raster.New(9, 9, bands), 0) // 9x9x3 = 243 samples
 	}
-	const perEntry = (243*12 + 7) / 8 // 365: fractional bytes round UP per entry
-	if got := c.StorageBytes(12); got != int64(perEntry*n) {
-		t.Fatalf("StorageBytes(12) = %d, want %d (exact per-entry ceil)", got, perEntry*n)
+	if got := c.StorageBytes(); got != int64(243*2*n) {
+		t.Fatalf("StorageBytes = %d, want %d", got, 243*2*n)
 	}
-	// 16-bit accounting matches the historical 2-bytes-per-sample figures.
-	if got := c.StorageBytes(16); got != int64(243*2*n) {
-		t.Fatalf("StorageBytes(16) = %d, want %d", got, 243*2*n)
+	if got := c.FootprintBytes(); got != c.StorageBytes() {
+		t.Fatalf("raw FootprintBytes = %d, want StorageBytes %d", got, c.StorageBytes())
 	}
 }
 

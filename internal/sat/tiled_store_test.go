@@ -45,7 +45,7 @@ func TestConcurrentCompressedVisits(t *testing.T) {
 		opts codec.Options
 	}{{"monolithic", codec.DefaultOptions()}, {"tiled", tiledStoreOpts()}} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := NewBoundedRefCache(CacheConfig{Compress: true, StoreBPP: testStoreBPP, Codec: tc.opts})
+			c, err := NewBoundedRefCache(CacheConfig{Storage: testStorage(tc.opts)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,13 +53,7 @@ func TestConcurrentCompressedVisits(t *testing.T) {
 			for loc := range want {
 				im := tiledStoreImage(loc, w, h)
 				c.Put(loc, im, 0)
-				frame, err := EncodeStoredRef(im, testStoreBPP, tc.opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want[loc], err = DecodeStoredRef(frame, w, h, im.Bands); err != nil {
-					t.Fatal(err)
-				}
+				want[loc] = loadRef(t, heldRef(t, testStorage(tc.opts), im))
 			}
 			var wg sync.WaitGroup
 			for loc := range want {

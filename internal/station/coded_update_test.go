@@ -39,7 +39,7 @@ func TestPackUplinkStopsCodingPastMeter(t *testing.T) {
 	grid := raster.MustTileGrid(tiledTestW, tiledTestH, tiledTestTile)
 	base := tiledTestImage(4100)
 	g := testGroundTiled(t, 1)
-	if err := g.SeedBootstrap(0, 0, base, []int{0, 1}); err != nil {
+	if _, err := g.SeedBootstrap(0, 0, base, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	tiledApplyFull(t, g, 0, 1, mutateTiles(noise.New(4101), 1, base, grid, 6))
@@ -60,8 +60,8 @@ func TestPackUplinkStopsCodingPastMeter(t *testing.T) {
 		if mask.Count() == 0 {
 			t.Fatalf("band %d: no changed tile", b)
 		}
-		opts := g.codecOpts
-		opts.BudgetBytes = max(int(g.refBPP*float64(mask.Count()*mask.Grid.Tile*mask.Grid.Tile)/8), codec.MinBudgetBytes)
+		opts := g.storage.Codec
+		opts.BudgetBytes = max(int(g.storage.BPP*float64(mask.Count()*mask.Grid.Tile*mask.Grid.Tile)/8), codec.MinBudgetBytes)
 		if streams[b], err = codec.EncodeROIPlane(best.img.Plane(b), mask, opts); err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestPackUplinkStopsCodingPastMeter(t *testing.T) {
 
 	for _, remaining := range []int64{-1, 0, c1 - 1, c1, total - 1, total, total + 1} {
 		t.Run(fmt.Sprintf("remaining=%d", remaining), func(t *testing.T) {
-			g.mirrors[0][0] = &refState{img: seeded.img, day: seeded.day, frame: seeded.frame}
+			g.mirrors[0][0] = &refState{img: seeded.img, day: seeded.day, ref: seeded.ref}
 			defer g.EndUplinkDay()
 			ups, err := g.PackUplink(0, 1, []int{0}, meterWith(remaining))
 			if err != nil {
@@ -118,7 +118,7 @@ func TestPackUplinkStopsCodingPastMeter(t *testing.T) {
 
 	// Satellite 1 holds the same content as satellite 0, so it continues
 	// the update satellite 0's meter stopped.
-	g.mirrors[0][0] = &refState{img: seeded.img, day: seeded.day, frame: seeded.frame}
+	g.mirrors[0][0] = &refState{img: seeded.img, day: seeded.day, ref: seeded.ref}
 	if _, err := g.PackUplink(0, 1, []int{0}, meterWith(c1-1)); err != nil {
 		t.Fatal(err)
 	}

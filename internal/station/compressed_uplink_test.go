@@ -11,20 +11,19 @@ import (
 	"earthplus/internal/sat"
 )
 
-// testGroundCompressed is testGround with CompressRefs: the mirrors model
-// satellites whose reference stores hold storage-codec frames.
+// testGroundCompressed is testGround with a compressed Storage: the
+// mirrors model satellites whose reference stores hold storage-codec
+// frames.
 func testGroundCompressed(t *testing.T, numLocs int) *Ground {
 	t.Helper()
 	bands := raster.PlanetBands()
 	g, err := NewGround(Config{
-		Bands:        bands,
-		Grid:         raster.MustTileGrid(testW, testH, testTile),
-		Downsample:   testDown,
-		Accurate:     cloud.DefaultTemporal(bands),
-		CodecOpts:    codec.DefaultOptions(),
-		RefBPP:       6,
-		MaxRefCloud:  0.05,
-		CompressRefs: true,
+		Bands:       bands,
+		Grid:        raster.MustTileGrid(testW, testH, testTile),
+		Downsample:  testDown,
+		Accurate:    cloud.DefaultTemporal(bands),
+		Storage:     sat.Storage{Compress: true, BPP: 6, Codec: codec.DefaultOptions()},
+		MaxRefCloud: 0.05,
 	}, numLocs)
 	if err != nil {
 		t.Fatal(err)
@@ -38,9 +37,7 @@ func compressedTestCache(t *testing.T, budget int64) *sat.RefCache {
 	t.Helper()
 	cache, err := sat.NewBoundedRefCache(sat.CacheConfig{
 		BudgetBytes: budget,
-		Compress:    true,
-		StoreBPP:    6,
-		Codec:       codec.DefaultOptions(),
+		Storage:     sat.Storage{Compress: true, BPP: 6, Codec: codec.DefaultOptions()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +56,7 @@ func reseedScenario(t *testing.T) *Ground {
 	src := noise.New(5150)
 	for loc := 0; loc < 3; loc++ {
 		full := testImage(uint64(600 + loc))
-		if err := g.SeedBootstrap(loc, 0, full, []int{0}); err != nil {
+		if _, err := g.SeedBootstrap(loc, 0, full, []int{0}); err != nil {
 			t.Fatal(err)
 		}
 		applyFull(t, g, loc, 1, mutateTiles(src, loc+1, full, grid, 2))
@@ -134,7 +131,7 @@ func TestPackUplinkReseedsDrainFirst(t *testing.T) {
 // cycle of a COMPRESSED on-board store against the ground's mirror
 // bookkeeping: a 2-entry budget over 3 locations thrashes continuously,
 // updates install either by routing the shipped storage frame
-// (PutFrame) or by tile-splicing + re-encode (ApplyTileUpdate), and after
+// (Install) or by tile-splicing + re-encode (ApplyTileUpdate), and after
 // every cycle each mirrored location's store entry must DECODE
 // byte-identical to the ground's mirror — the acceptance property of
 // compressed re-seeding.
@@ -149,7 +146,7 @@ func TestCompressedReseedCycleCoherent(t *testing.T) {
 	var entryBytes int64
 	for loc := 0; loc < numLocs; loc++ {
 		full := testImage(uint64(800 + loc))
-		if err := g.SeedBootstrap(loc, 0, full, []int{satID}); err != nil {
+		if _, err := g.SeedBootstrap(loc, 0, full, []int{satID}); err != nil {
 			t.Fatal(err)
 		}
 		state[loc] = full
@@ -159,11 +156,11 @@ func TestCompressedReseedCycleCoherent(t *testing.T) {
 		}
 		lows[loc] = low
 		if entryBytes == 0 {
-			frame, err := sat.EncodeStoredRef(low, 6, codec.DefaultOptions())
+			ref, err := g.storage.Hold(low)
 			if err != nil {
 				t.Fatal(err)
 			}
-			entryBytes = int64(len(frame))
+			entryBytes = int64(len(ref.Frame))
 		}
 	}
 	cache := compressedTestCache(t, 2*entryBytes)
@@ -209,7 +206,7 @@ func TestCompressedReseedCycleCoherent(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, u := range updates {
-			if u.StoreFrame == nil {
+			if u.Ref.Frame == nil {
 				t.Fatalf("day %d loc %d: compressed ground shipped no storage frame", day, u.Loc)
 			}
 			if !heldAtPack[u.Loc] {
@@ -224,7 +221,7 @@ func TestCompressedReseedCycleCoherent(t *testing.T) {
 			// Exercise both install paths: frame routing and the splice +
 			// re-encode path must land in identical store states.
 			if i%2 == 0 {
-				invalidate(cache.PutFrame(u.Loc, u.StoreFrame, u.Decoded, u.Day))
+				invalidate(cache.Install(u.Loc, u.Ref, u.Day))
 			} else {
 				invalidate(cache.ApplyTileUpdate(u.Loc, u.Decoded, u.PerBand, u.Day))
 			}

@@ -13,7 +13,7 @@ import (
 
 // Property test for lossy-link recovery: ANY single dropped or corrupted
 // update — at every injection point within a contact, on both the raw
-// and the compressed (CompressRefs) install paths — leaves the
+// (ApplyTileUpdate) and the compressed (Install) paths — leaves the
 // directional coherence invariant intact (mirror non-nil ⇒ the on-board
 // reference is byte-equal to it), and the next successful contact
 // re-seeds the failed location in full with the Retransmit flag set.
@@ -45,7 +45,7 @@ func TestSingleFaultedUpdateKeepsCoherence(t *testing.T) {
 			state := make([]*raster.Image, numLocs)
 			for loc := 0; loc < numLocs; loc++ {
 				full := testImage(uint64(400 + loc))
-				if err := g.SeedBootstrap(loc, 0, full, []int{satID}); err != nil {
+				if _, err := g.SeedBootstrap(loc, 0, full, []int{satID}); err != nil {
 					t.Fatal(err)
 				}
 				state[loc] = full
@@ -123,7 +123,7 @@ func TestSingleFaultedUpdateKeepsCoherence(t *testing.T) {
 						continue
 					}
 					if tc.compress {
-						cache.PutFrame(u.Loc, u.StoreFrame, u.Decoded, u.Day)
+						cache.Install(u.Loc, u.Ref, u.Day)
 					} else {
 						cache.ApplyTileUpdate(u.Loc, u.Decoded, u.PerBand, u.Day)
 					}
@@ -176,8 +176,7 @@ func TestRetransmitDemotionAfterMaxRetries(t *testing.T) {
 		Bands:          bands,
 		Grid:           raster.MustTileGrid(testW, testH, testTile),
 		Downsample:     testDown,
-		CodecOpts:      codec.DefaultOptions(),
-		RefBPP:         6,
+		Storage:        sat.Storage{BPP: 6, Codec: codec.DefaultOptions()},
 		MaxRefCloud:    0.05,
 		MaxRetransmits: maxRetx,
 	}, numLocs)
@@ -189,7 +188,7 @@ func TestRetransmitDemotionAfterMaxRetries(t *testing.T) {
 	state := make([]*raster.Image, numLocs)
 	for loc := 0; loc < numLocs; loc++ {
 		state[loc] = testImage(uint64(700 + loc))
-		if err := g.SeedBootstrap(loc, 0, state[loc], []int{satID}); err != nil {
+		if _, err := g.SeedBootstrap(loc, 0, state[loc], []int{satID}); err != nil {
 			t.Fatal(err)
 		}
 	}

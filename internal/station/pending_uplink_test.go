@@ -6,6 +6,7 @@ import (
 	"earthplus/internal/cloud"
 	"earthplus/internal/codec"
 	"earthplus/internal/raster"
+	"earthplus/internal/sat"
 )
 
 // pendingGround builds a ground with a tight retransmit bound so the
@@ -18,8 +19,7 @@ func pendingGround(t *testing.T, numLocs int) *Ground {
 		Grid:           raster.MustTileGrid(testW, testH, testTile),
 		Downsample:     testDown,
 		Accurate:       cloud.DefaultTemporal(bands),
-		CodecOpts:      codec.DefaultOptions(),
-		RefBPP:         6,
+		Storage:        sat.Storage{BPP: 6, Codec: codec.DefaultOptions()},
 		MaxRefCloud:    0.05,
 		MaxRetransmits: 2,
 	}, numLocs)
@@ -46,21 +46,21 @@ func TestPendingUplinkClassifiesLikePackUplink(t *testing.T) {
 
 	// Loc 0 seeded with sat 0's mirror primed: sat 0 is current, sat 1 has
 	// no mirror and must re-seed.
-	if err := g.SeedBootstrap(0, 10, testImage(1), []int{0}); err != nil {
+	if _, err := g.SeedBootstrap(0, 10, testImage(1), []int{0}); err != nil {
 		t.Fatal(err)
 	}
 	check(0, 0, 0, 0, "primed mirror")
 	check(1, 1, 0, 0, "unprimed satellite")
 
 	// A fresher reference for loc 0 turns sat 0's current mirror stale.
-	if err := g.SeedBootstrap(0, 20, testImage(2), nil); err != nil {
+	if _, err := g.SeedBootstrap(0, 20, testImage(2), nil); err != nil {
 		t.Fatal(err)
 	}
 	check(0, 0, 1, 0, "stale mirror")
 	check(1, 1, 0, 0, "still unprimed")
 
 	// Loc 1 comes online for both: sat 0 adds a re-seed next to its delta.
-	if err := g.SeedBootstrap(1, 20, testImage(3), nil); err != nil {
+	if _, err := g.SeedBootstrap(1, 20, testImage(3), nil); err != nil {
 		t.Fatal(err)
 	}
 	check(0, 1, 1, 0, "reseed + delta")
@@ -85,10 +85,10 @@ func TestPendingUplinkClassifiesLikePackUplink(t *testing.T) {
 // state untouched — the scheduler calls it every day before any packing.
 func TestPendingUplinkDoesNotMutate(t *testing.T) {
 	g := pendingGround(t, 1)
-	if err := g.SeedBootstrap(0, 10, testImage(4), []int{0}); err != nil {
+	if _, err := g.SeedBootstrap(0, 10, testImage(4), []int{0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.SeedBootstrap(0, 15, testImage(5), nil); err != nil {
+	if _, err := g.SeedBootstrap(0, 15, testImage(5), nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {

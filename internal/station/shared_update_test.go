@@ -57,8 +57,8 @@ func updateDiff(a, b RefUpdate) string {
 		return fmt.Sprintf("loc/day %d/%d vs %d/%d", a.Loc, a.Day, b.Loc, b.Day)
 	case !bytes.Equal(a.Frame, b.Frame):
 		return "Frame"
-	case !bytes.Equal(a.StoreFrame, b.StoreFrame) || (a.StoreFrame == nil) != (b.StoreFrame == nil):
-		return "StoreFrame"
+	case !bytes.Equal(a.Ref.Frame, b.Ref.Frame) || (a.Ref.Frame == nil) != (b.Ref.Frame == nil):
+		return "Ref.Frame"
 	case !sameBits(a.Decoded, b.Decoded):
 		return "Decoded"
 	case a.Bytes != b.Bytes:
@@ -96,17 +96,19 @@ func mirrorsDifferingBelowMask(t *testing.T, g *Ground, last int) {
 				p[i] += 1e-4
 			}
 		}
-		g.mirrors[last][loc] = &refState{img: img, day: m.day, frame: m.frame}
+		g.mirrors[last][loc] = &refState{img: img, day: m.day, ref: m.ref}
 	}
+	coarse := g.storage
+	coarse.BPP /= 4
 	for loc, m := range g.mirrors[0] {
-		if m == nil || m.frame == nil || !m.frame.Tiled() {
+		if m == nil || !m.ref.Frame.Tiled() {
 			continue
 		}
-		frame, err := sat.EncodeStoredRef(m.img, g.refBPP/4, g.codecOpts)
+		ref, err := coarse.Hold(m.img)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.mirrors[0][loc] = &refState{img: m.img, day: m.day, frame: frame}
+		g.mirrors[0][loc] = &refState{img: m.img, day: m.day, ref: ref}
 	}
 }
 
@@ -146,7 +148,7 @@ func TestSharedUpdatesIndependentOfPackOrder(t *testing.T) {
 			for loc := range state {
 				state[loc] = tc.image(uint64(1200 + loc))
 				for _, g := range grounds {
-					if err := g.SeedBootstrap(loc, 0, state[loc], up); err != nil {
+					if _, err := g.SeedBootstrap(loc, 0, state[loc], up); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -261,7 +263,7 @@ func BenchmarkPackUplinkFleet(b *testing.B) {
 	grid := raster.MustTileGrid(w, w, tile)
 	g, err := NewGround(Config{
 		Bands: bands, Grid: grid, Downsample: down,
-		CodecOpts: codec.DefaultOptions(), RefBPP: 6, MaxRefCloud: 0.05,
+		Storage: sat.Storage{BPP: 6, Codec: codec.DefaultOptions()}, MaxRefCloud: 0.05,
 	}, numLocs)
 	if err != nil {
 		b.Fatal(err)
@@ -275,7 +277,7 @@ func BenchmarkPackUplinkFleet(b *testing.B) {
 	locs := make([]int, numLocs)
 	for loc := range locs {
 		locs[loc] = loc
-		if err := g.SeedBootstrap(loc, 0, contents[0], sats); err != nil {
+		if _, err := g.SeedBootstrap(loc, 0, contents[0], sats); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -317,7 +319,7 @@ func BenchmarkPackUplinkContended(b *testing.B) {
 	opts.Tiled = true
 	g, err := NewGround(Config{
 		Bands: bands, Grid: raster.MustTileGrid(w, w, tile), Downsample: down,
-		CodecOpts: opts, RefBPP: 6, MaxRefCloud: 0.05, CompressRefs: true,
+		Storage: sat.Storage{Compress: true, BPP: 6, Codec: opts}, MaxRefCloud: 0.05,
 	}, numLocs)
 	if err != nil {
 		b.Fatal(err)
@@ -326,7 +328,7 @@ func BenchmarkPackUplinkContended(b *testing.B) {
 	for s := range seeded {
 		own := fbmImage(w, bands, uint64(100*(s+1)))
 		for loc := 0; loc < numLocs; loc++ {
-			if err := g.SeedBootstrap(loc, 0, own, []int{s}); err != nil {
+			if _, err := g.SeedBootstrap(loc, 0, own, []int{s}); err != nil {
 				b.Fatal(err)
 			}
 			seeded[s] = append(seeded[s], *g.mirrors[s][loc])
@@ -363,7 +365,7 @@ func BenchmarkPackUplinkContended(b *testing.B) {
 // TestSharedMirrorsDoNotAliasOnboardStores pins the ownership rule of
 // shared reference images: satellites that took the same update share
 // one image, in the ground's mirrors and in their raw stores alike (each
-// store keeps RefUpdate.Decoded, the mirror's image). A store's later
+// store installs RefUpdate.Ref, whose image is the mirror's). A store's later
 // splice (ApplyTileUpdate) builds a new image, which must leave every
 // other satellite's mirror — and its store — untouched.
 func TestSharedMirrorsDoNotAliasOnboardStores(t *testing.T) {
@@ -376,7 +378,7 @@ func TestSharedMirrorsDoNotAliasOnboardStores(t *testing.T) {
 	state := make([]*raster.Image, numLocs)
 	for loc := range state {
 		state[loc] = testImage(uint64(1300 + loc))
-		if err := g.SeedBootstrap(loc, 0, state[loc], sats); err != nil {
+		if _, err := g.SeedBootstrap(loc, 0, state[loc], sats); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -395,7 +397,7 @@ func TestSharedMirrorsDoNotAliasOnboardStores(t *testing.T) {
 	}
 
 	// Day 1: every satellite takes the same shared updates and installs
-	// them the way the system does, keeping Decoded.
+	// them the way the system does.
 	promote(1)
 	for _, s := range sats {
 		ups, err := g.PackUplink(s, 1, locs, link.NewMeter(0))
@@ -406,7 +408,7 @@ func TestSharedMirrorsDoNotAliasOnboardStores(t *testing.T) {
 			t.Fatalf("sat %d: %d updates, want %d", s, len(ups), numLocs)
 		}
 		for _, u := range ups {
-			caches[s].Put(u.Loc, u.Decoded, u.Day)
+			caches[s].Install(u.Loc, u.Ref, u.Day)
 		}
 	}
 	g.EndUplinkDay()

@@ -20,23 +20,23 @@ import (
 	"earthplus/internal/sat"
 )
 
-// refState is a downsampled reference candidate or mirror. Mirrors of
-// compressed on-board stores also retain the storage-codec frame the
-// satellite holds (frame), so a tiled store's next delta update can be
-// spliced per-tile into it instead of re-encoding the whole reference.
+// refState is a downsampled reference candidate or mirror. A mirror also
+// keeps the sat.Ref the satellite's store holds (ref), whose content img
+// is, so a tiled store's next delta update can be spliced per tile into
+// its frame instead of re-encoding the whole reference.
 //
-// Ownership: img and frame are immutable values, shared freely — one
+// Ownership: img and ref are immutable values, shared freely — one
 // bootstrap seed or one coded update backs the mirrors and the on-board
 // stores of every satellite that holds that content, and a ground
-// reference may back mirrors too. Neither side ever mutates a reference
-// image (sat.RefCache splices into a new one), so code that needs
-// different content builds a new image. Only the struct itself (its day)
-// is per-satellite state, so a refState is never shared between two
+// reference may back mirrors and raw stores too. Neither side ever mutates
+// a reference image (sat.RefCache splices into a new one), so code that
+// needs different content builds a new image. Only the struct itself (its
+// day) is per-satellite state, so a refState is never shared between two
 // mirror slots.
 type refState struct {
-	img   *raster.Image
-	day   int
-	frame container.Codestream
+	img *raster.Image
+	day int
+	ref sat.Ref
 }
 
 // Ground is the ground-segment state shared by all ground stations (the
@@ -54,15 +54,10 @@ type Ground struct {
 	grid       raster.TileGrid
 	downsample int
 	accurate   cloud.Detector
-	codecOpts  codec.Options
-	// refBPP is the bits-per-pixel spent on uploaded reference tiles.
-	refBPP float64
+	// storage is what each satellite's store keeps (Config.Storage).
+	storage sat.Storage
 	// maxRefCloud is the coverage bound for reference candidacy (<1%).
 	maxRefCloud float64
-	// compressRefs makes every mirror model a compressed on-board store:
-	// reference content passes the storage codec before it is mirrored
-	// (see Config.CompressRefs).
-	compressRefs bool
 
 	locMu   []sync.Mutex    // per location: guards archive[loc] and bestRef[loc]
 	archive []*raster.Image // per location: latest known full-res content
@@ -100,22 +95,18 @@ type Config struct {
 	Grid       raster.TileGrid
 	Downsample int
 	Accurate   cloud.Detector
-	CodecOpts  codec.Options
-	RefBPP     float64
+	// Storage is what each satellite's store keeps for a reference
+	// (sat.CacheConfig.Storage). Every reference entering a mirror — the
+	// bootstrap seed, each delta-applied update — becomes the sat.Ref
+	// Storage builds for it, which PackUplink ships for the store to
+	// install, and the mirror holds that Ref's Load: byte-equal to what the
+	// store decodes, the invariant delta uplinks are encoded against.
+	// Reference updates are coded for the uplink at Storage.BPP with
+	// Storage.Codec, so BPP must be positive even for a raw store.
+	Storage sat.Storage
 	// MaxRefCloud is the maximum accurate-detected coverage for an image
 	// to become a reference (the paper uses <1%).
 	MaxRefCloud float64
-	// CompressRefs makes the ground model satellites that hold their
-	// references COMPRESSED (sat.CacheConfig.Compress): every reference
-	// entering a mirror — the bootstrap seed, each delta-applied update —
-	// first passes the storage codec (sat.EncodeStoredRef at RefBPP with
-	// these codec options, the exact transform the on-board store
-	// applies), and PackUplink ships the resulting frame alongside the
-	// update so the store installs it without a raw-expand or re-encode.
-	// The mirror then stays byte-equal to what the satellite's store
-	// decodes, which is the invariant delta uplinks are encoded against.
-	// Off (the default) preserves the raw-store behavior bit for bit.
-	CompressRefs bool
 	// MaxRetransmits bounds how many consecutive failed deliveries a
 	// location's re-send keeps head-of-line re-seed priority for; beyond
 	// it the location is demoted behind routine delta updates until a
@@ -133,8 +124,8 @@ func NewGround(cfg Config, numLocations int) (*Ground, error) {
 	if cfg.Downsample <= 0 || cfg.Grid.Tile%cfg.Downsample != 0 {
 		return nil, fmt.Errorf("station: downsample %d incompatible with tile %d", cfg.Downsample, cfg.Grid.Tile)
 	}
-	if cfg.RefBPP <= 0 {
-		return nil, fmt.Errorf("station: RefBPP must be positive")
+	if cfg.Storage.BPP <= 0 {
+		return nil, fmt.Errorf("station: Storage.BPP must be positive")
 	}
 	maxRetx := cfg.MaxRetransmits
 	if maxRetx == 0 {
@@ -145,10 +136,8 @@ func NewGround(cfg Config, numLocations int) (*Ground, error) {
 		grid:           cfg.Grid,
 		downsample:     cfg.Downsample,
 		accurate:       cfg.Accurate,
-		codecOpts:      cfg.CodecOpts,
-		refBPP:         cfg.RefBPP,
+		storage:        cfg.Storage,
 		maxRefCloud:    cfg.MaxRefCloud,
-		compressRefs:   cfg.CompressRefs,
 		maxRetransmits: maxRetx,
 		locMu:          make([]sync.Mutex, numLocations),
 		archive:        make([]*raster.Image, numLocations),
@@ -259,27 +248,22 @@ func (g *Ground) ReassessCoverage(capImg *raster.Image, loc int) float64 {
 // reference tiles for a location, per band.
 //
 // Satellites whose mirrors hold the same content receive the same coded
-// update, so Frame, StoreFrame and PerBand may be shared with other
+// update, so Decoded, Ref, Frame and PerBand may be shared with other
 // satellites' updates and must not be mutated.
 type RefUpdate struct {
 	Loc int
 	// Day is the reference content's capture day.
 	Day int
-	// Decoded is the post-codec reference image the satellite should
-	// install in its cache (the satellite sees exactly what survived the
-	// uplink encoding, not the pristine ground copy). Like every reference
-	// image it is immutable and shared: without CompressRefs a raw store
-	// keeps it (sat.RefCache.Put) while the ground's mirror and other
-	// satellites' updates hold the same image. With CompressRefs it is the
-	// PRE-storage-codec content: the store's entry is StoreFrame, whose
-	// decode the mirror tracks, and the store keeps no pixels of Decoded.
+	// Decoded is the full reference as the satellite decodes the uplink
+	// frame on top of what it held (what survived the uplink encoding, not
+	// the pristine ground copy), before the store's Storage applies. A
+	// store that splices updates itself (sat.RefCache.ApplyTileUpdate)
+	// takes its PerBand tiles.
 	Decoded *raster.Image
-	// StoreFrame is the storage-codec frame of the full updated
-	// reference, set only under CompressRefs: a compressed on-board
-	// store installs it directly (sat.RefCache.PutFrame) — no raw
-	// expansion, no on-board re-encode, and byte-exact agreement with
-	// the ground's mirror.
-	StoreFrame container.Codestream
+	// Ref is what the store installs (sat.RefCache.Install): the Storage's
+	// Ref for Decoded, whose Load the ground's mirror holds — Decoded
+	// itself in a raw store, its frame in a compressed one.
+	Ref sat.Ref
 	// PerBand marks which low-res tiles each band carries.
 	PerBand []*raster.TileMask
 	// Bytes is the uplink cost actually consumed.
@@ -408,17 +392,12 @@ func (g *Ground) PackUplink(sat, day int, locs []int, budget *link.Meter) ([]Ref
 		}
 		g.spliceReencoded += c.spliceReencoded
 		g.spliceTotal += c.spliceTotal
-		u := RefUpdate{
-			Loc: loc, Day: best.day, Decoded: c.decoded, StoreFrame: c.storeFrame,
+		updates = append(updates, RefUpdate{
+			Loc: loc, Day: best.day, Decoded: c.decoded, Ref: c.ref,
 			PerBand: c.masks, Bytes: c.bytes, Frame: c.frame,
 			Retransmit: retries[loc] > 0,
-		}
-		if g.compressRefs {
-			mirror[loc] = &refState{img: c.stored, day: best.day, frame: c.storeFrame}
-		} else {
-			mirror[loc] = &refState{img: c.decoded, day: best.day}
-		}
-		updates = append(updates, u)
+		})
+		mirror[loc] = &refState{img: c.stored, day: best.day, ref: c.ref}
 	}
 	return updates, nil
 }
@@ -454,12 +433,11 @@ type codedUpdate struct {
 	bytes   int64
 	// frame is the wire frame; nil until every band is coded.
 	frame container.Codestream
-	// decoded is the post-uplink reference; nil until admitted.
+	// decoded is the post-uplink reference, ref the store's Ref for it and
+	// stored that Ref's content, the mirror's; all nil until admitted.
 	decoded *raster.Image
-	// storeFrame and stored (its decode) are set under CompressRefs: the
-	// storage-codec frame the store installs, and the mirror's content.
-	storeFrame container.Codestream
-	stored     *raster.Image
+	ref     sat.Ref
+	stored  *raster.Image
 	// spliceReencoded/spliceTotal are the tiled mirror splice's counts.
 	spliceReencoded, spliceTotal int64
 }
@@ -477,7 +455,7 @@ type memoKey struct {
 // that content already matches the reference.
 type memoEntry struct {
 	base      *raster.Image        // the mirror's image; nil for a re-seed
-	baseFrame container.Codestream // the mirror's stored frame (CompressRefs)
+	baseFrame container.Codestream // the mirror's stored frame, if compressed
 	coded     *codedUpdate
 }
 
@@ -488,7 +466,7 @@ func (e *memoEntry) matches(prev *refState) bool {
 	if prev == nil || e.base == nil {
 		return prev == nil && e.base == nil
 	}
-	return sameBits(prev.img, e.base) && bytes.Equal(prev.frame, e.baseFrame)
+	return sameBits(prev.img, e.base) && bytes.Equal(prev.ref.Frame, e.baseFrame)
 }
 
 // sameBits reports whether two images hold bit-identical pixels. Unlike
@@ -519,7 +497,7 @@ func sameBits(a, b *raster.Image) bool {
 // reference, satellites whose mirrors hold the same content need the same
 // update: the first one packed diffs it, and the rest of the day's
 // satellites reuse the masks and the bands coded so far — and, once
-// admitted, its decode and storage frame. The update is coded band by
+// admitted, its decode and stored Ref. The update is coded band by
 // band, each band at most once per day: a satellite codes only the bands
 // its meter reaches (codeWithin), and a later one with a larger meter
 // continues from there. The key fixes best.img, so every satellite codes
@@ -552,7 +530,7 @@ func (g *Ground) sharedUpdate(loc int, best, prev *refState, gLow raster.TileGri
 	}
 	e := &memoEntry{coded: c}
 	if prev != nil {
-		e.base, e.baseFrame = prev.img, prev.frame
+		e.base, e.baseFrame = prev.img, prev.ref.Frame
 	}
 	if g.memo == nil {
 		g.memo = make(map[memoKey][]*memoEntry)
@@ -562,9 +540,9 @@ func (g *Ground) sharedUpdate(loc int, best, prev *refState, gLow raster.TileGri
 }
 
 // admit completes c for a satellite whose budget accepted it: the
-// post-uplink decode on top of the mirror state prev and, under
-// CompressRefs, the storage frame and its decode. A shared update is
-// completed by the first satellite to admit it; later ones reuse it.
+// post-uplink decode on top of the mirror state prev, the Ref the store
+// keeps for it and that Ref's content. A shared update is completed by
+// the first satellite to admit it; later ones reuse it.
 func (g *Ground) admit(c *codedUpdate, prev, best *refState) error {
 	if c.decoded != nil {
 		return nil
@@ -573,27 +551,21 @@ func (g *Ground) admit(c *codedUpdate, prev, best *refState) error {
 	if err != nil {
 		return err
 	}
-	if g.compressRefs {
-		// The satellite stores the updated reference COMPRESSED: run the
-		// storage codec over the full delta-applied content and mirror
-		// its decode — that, not `decoded`, is what the store will
-		// reproduce on the next visit. The frame rides along so the store
-		// installs it without re-encoding. A TILED mirror with a retained
-		// frame splices instead: only the codec tiles a changed mask tile
-		// touches are re-encoded (the same sat.SpliceStoredRef transform
-		// the on-board store applies), so untouched tiles keep their exact
-		// payload bytes and skip a storage-codec generation.
-		if prev != nil && prev.frame != nil && prev.frame.Tiled() {
-			var st sat.SpliceStats
-			if c.storeFrame, c.stored, st, err = g.spliceRef(prev.frame, decoded, c.masks); err != nil {
-				return err
-			}
-			c.spliceReencoded, c.spliceTotal = st.TilesReencoded, st.TilesTotal
-		} else if c.storeFrame, c.stored, err = g.storeRef(decoded); err != nil {
-			return err
-		}
+	// The store installs ref as is, so the mirror holds what it decodes.
+	var held sat.Ref
+	if prev != nil {
+		held = prev.ref
 	}
-	c.decoded = decoded
+	ref, st, err := g.storage.Update(held, decoded, c.masks)
+	if err != nil {
+		return fmt.Errorf("station: %w", err)
+	}
+	stored, err := ref.Load()
+	if err != nil {
+		return fmt.Errorf("station: %w", err)
+	}
+	c.decoded, c.ref, c.stored = decoded, ref, stored
+	c.spliceReencoded, c.spliceTotal = st.TilesReencoded, st.TilesTotal
 	return nil
 }
 
@@ -641,37 +613,6 @@ func (g *Ground) PendingUplink(sat int, locs []int) (reseeds, deltas, demoted in
 		}
 	}
 	return reseeds, deltas, demoted
-}
-
-// storeRef runs the on-board storage codec over a reference — the exact
-// transform a compressed sat.RefCache applies — returning the frame and
-// its decode (the content the satellite will actually hold).
-func (g *Ground) storeRef(im *raster.Image) (container.Codestream, *raster.Image, error) {
-	frame, err := sat.EncodeStoredRef(im, g.refBPP, g.codecOpts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("station: %w", err)
-	}
-	stored, err := sat.DecodeStoredRef(frame, im.Width, im.Height, im.Bands)
-	if err != nil {
-		return nil, nil, fmt.Errorf("station: %w", err)
-	}
-	return frame, stored, nil
-}
-
-// spliceRef applies a delta update to a tiled mirror frame per-tile — the
-// exact sat.SpliceStoredRef transform a tiled on-board store applies —
-// returning the spliced frame, its decode (the content the satellite will
-// actually hold) and the splice's tile counts.
-func (g *Ground) spliceRef(prev container.Codestream, decoded *raster.Image, masks []*raster.TileMask) (container.Codestream, *raster.Image, sat.SpliceStats, error) {
-	frame, st, err := sat.SpliceStoredRef(prev, decoded.Width, decoded.Height, g.bands, decoded, masks, g.refBPP, g.codecOpts)
-	if err != nil {
-		return nil, nil, st, fmt.Errorf("station: %w", err)
-	}
-	stored, err := sat.DecodeStoredRef(frame, decoded.Width, decoded.Height, decoded.Bands)
-	if err != nil {
-		return nil, nil, st, fmt.Errorf("station: %w", err)
-	}
-	return frame, stored, st, nil
 }
 
 // trimUpdateToBudget reduces per-band update masks to the most-changed
@@ -726,7 +667,7 @@ func (g *Ground) trimUpdateToBudget(best, mirror *refState, perBand []*raster.Ti
 // unit of a low-res grid: the γ-style budget the encoder will spend, plus
 // a small share of stream overhead.
 func (g *Ground) trimUnitBytes(gLow raster.TileGrid) int64 {
-	return int64(g.refBPP*float64(gLow.Tile*gLow.Tile)/8) + 12
+	return int64(g.storage.BPP*float64(gLow.Tile*gLow.Tile)/8) + 12
 }
 
 // codeWithin ROI-encodes the changed tiles of the low-res reference ref,
@@ -751,7 +692,7 @@ func (g *Ground) codeWithin(c *codedUpdate, ref *raster.Image, limit int64) (boo
 		if mask.Count() == 0 {
 			continue
 		}
-		data, err := codec.EncodeROIBand(ref.Plane(c.next), mask, g.refBPP, g.codecOpts)
+		data, err := codec.EncodeROIBand(ref.Plane(c.next), mask, g.storage.BPP, g.storage.Codec)
 		if err != nil {
 			return false, fmt.Errorf("station: encoding reference band %d: %w", c.next, err)
 		}
@@ -779,27 +720,25 @@ func (g *Ground) decodeRefUpdate(cs container.Codestream, masks []*raster.TileMa
 }
 
 // SeedBootstrap installs an initial archive and reference for loc (the
-// operational history every deployed system would already have) and primes
-// every listed satellite mirror with it, free of uplink charge. The ground
-// keeps its own copy of full; the listed mirrors share one seed image (and,
-// under CompressRefs, one seed frame). Reference images are immutable, so
-// callers seeding on-board caches may share one seed image among them too.
-func (g *Ground) SeedBootstrap(loc, day int, full *raster.Image, sats []int) error {
+// operational history every deployed system would already have), primes
+// every listed satellite mirror with it, free of uplink charge, and
+// returns the Ref each listed satellite's store installs. The ground
+// keeps its own copy of full. The listed mirrors and stores share one
+// Ref, and a raw one shares the ground's own downsampled reference.
+func (g *Ground) SeedBootstrap(loc, day int, full *raster.Image, sats []int) (sat.Ref, error) {
 	low, err := full.Downsample(g.downsample)
 	if err != nil {
-		return fmt.Errorf("station: bootstrap downsample: %w", err)
+		return sat.Ref{}, fmt.Errorf("station: bootstrap downsample: %w", err)
 	}
-	// The ground's own reference stays pristine; what each MIRROR holds
-	// is what the satellite's store will reproduce — for a compressed
-	// store, the seed after one pass through the storage codec (the
-	// on-board cache applies the identical transform when the system
-	// bootstraps it with the same pre-codec seed).
-	mirrorImg := low
-	var mirrorFrame container.Codestream
-	if g.compressRefs {
-		if mirrorFrame, mirrorImg, err = g.storeRef(low); err != nil {
-			return fmt.Errorf("station: bootstrap: %w", err)
-		}
+	// The ground's own reference stays pristine; what each mirror holds
+	// is what the satellite's store will reproduce.
+	ref, err := g.storage.Hold(low)
+	if err != nil {
+		return sat.Ref{}, fmt.Errorf("station: bootstrap: %w", err)
+	}
+	stored, err := ref.Load()
+	if err != nil {
+		return sat.Ref{}, fmt.Errorf("station: bootstrap: %w", err)
 	}
 	g.locMu[loc].Lock()
 	g.archive[loc] = full.Clone()
@@ -813,9 +752,9 @@ func (g *Ground) SeedBootstrap(loc, day int, full *raster.Image, sats []int) err
 			mirror = make([]*refState, len(g.archive))
 			g.mirrors[s] = mirror
 		}
-		mirror[loc] = &refState{img: mirrorImg, day: day, frame: mirrorFrame}
+		mirror[loc] = &refState{img: stored, day: day, ref: ref}
 	}
-	return nil
+	return ref, nil
 }
 
 // InvalidateMirror drops the ground's belief that satellite sat still

@@ -9,6 +9,7 @@ import (
 	"earthplus/internal/link"
 	"earthplus/internal/noise"
 	"earthplus/internal/raster"
+	"earthplus/internal/sat"
 )
 
 const (
@@ -24,8 +25,7 @@ func testGround(t *testing.T, numLocs int) *Ground {
 		Grid:        raster.MustTileGrid(testW, testH, testTile),
 		Downsample:  testDown,
 		Accurate:    cloud.DefaultTemporal(bands),
-		CodecOpts:   codec.DefaultOptions(),
-		RefBPP:      6,
+		Storage:     sat.Storage{BPP: 6, Codec: codec.DefaultOptions()},
 		MaxRefCloud: 0.05,
 	}, numLocs)
 	if err != nil {
@@ -48,18 +48,18 @@ func testImage(seed uint64) *raster.Image {
 func TestNewGroundValidation(t *testing.T) {
 	bands := raster.PlanetBands()
 	grid := raster.MustTileGrid(testW, testH, testTile)
-	if _, err := NewGround(Config{Bands: bands, Grid: grid, Downsample: 5, RefBPP: 1}, 1); err == nil {
+	if _, err := NewGround(Config{Bands: bands, Grid: grid, Downsample: 5, Storage: sat.Storage{BPP: 1}}, 1); err == nil {
 		t.Fatal("expected downsample error")
 	}
-	if _, err := NewGround(Config{Bands: bands, Grid: grid, Downsample: 4, RefBPP: 0}, 1); err == nil {
-		t.Fatal("expected RefBPP error")
+	if _, err := NewGround(Config{Bands: bands, Grid: grid, Downsample: 4}, 1); err == nil {
+		t.Fatal("expected Storage.BPP error")
 	}
 }
 
 func TestSeedBootstrapInstallsEverything(t *testing.T) {
 	g := testGround(t, 2)
 	full := testImage(1)
-	if err := g.SeedBootstrap(1, 10, full, []int{0, 1, 2}); err != nil {
+	if _, err := g.SeedBootstrap(1, 10, full, []int{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	if g.Archive(1) == nil || g.Archive(0) != nil {
@@ -87,7 +87,7 @@ func TestSeedBootstrapInstallsEverything(t *testing.T) {
 func TestApplyDownloadUpdatesArchiveTiles(t *testing.T) {
 	g := testGround(t, 1)
 	old := testImage(2)
-	if err := g.SeedBootstrap(0, 0, old, nil); err != nil {
+	if _, err := g.SeedBootstrap(0, 0, old, nil); err != nil {
 		t.Fatal(err)
 	}
 	// New content in tile 3 of band 0.
@@ -125,7 +125,7 @@ func TestApplyDownloadUpdatesArchiveTiles(t *testing.T) {
 func TestApplyDownloadRejectsTiles(t *testing.T) {
 	g := testGround(t, 1)
 	old := testImage(3)
-	if err := g.SeedBootstrap(0, 0, old, nil); err != nil {
+	if _, err := g.SeedBootstrap(0, 0, old, nil); err != nil {
 		t.Fatal(err)
 	}
 	grid := raster.MustTileGrid(testW, testH, testTile)
@@ -163,7 +163,7 @@ func TestApplyDownloadRejectsTiles(t *testing.T) {
 
 func TestMaybePromoteGate(t *testing.T) {
 	g := testGround(t, 1)
-	if err := g.SeedBootstrap(0, 0, testImage(4), nil); err != nil {
+	if _, err := g.SeedBootstrap(0, 0, testImage(4), nil); err != nil {
 		t.Fatal(err)
 	}
 	promoted, err := g.MaybePromote(0, 9, 0.5)
@@ -185,7 +185,7 @@ func TestMaybePromoteGate(t *testing.T) {
 func TestPackUplinkDeltaAndBudget(t *testing.T) {
 	g := testGround(t, 1)
 	full := testImage(5)
-	if err := g.SeedBootstrap(0, 0, full, []int{0}); err != nil {
+	if _, err := g.SeedBootstrap(0, 0, full, []int{0}); err != nil {
 		t.Fatal(err)
 	}
 	// No change: nothing to upload.
@@ -260,7 +260,7 @@ func TestPackUplinkDeltaAndBudget(t *testing.T) {
 func TestReassessCoverageUsesArchive(t *testing.T) {
 	g := testGround(t, 1)
 	base := testImage(6)
-	if err := g.SeedBootstrap(0, 0, base, nil); err != nil {
+	if _, err := g.SeedBootstrap(0, 0, base, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Clear capture identical to archive: coverage ~0.

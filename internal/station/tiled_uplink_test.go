@@ -33,14 +33,12 @@ func testGroundTiled(t *testing.T, numLocs int) *Ground {
 	t.Helper()
 	bands := raster.PlanetBands()
 	g, err := NewGround(Config{
-		Bands:        bands,
-		Grid:         raster.MustTileGrid(tiledTestW, tiledTestH, tiledTestTile),
-		Downsample:   tiledTestDown,
-		Accurate:     cloud.DefaultTemporal(bands),
-		CodecOpts:    tiledOpts(),
-		RefBPP:       6,
-		MaxRefCloud:  0.05,
-		CompressRefs: true,
+		Bands:       bands,
+		Grid:        raster.MustTileGrid(tiledTestW, tiledTestH, tiledTestTile),
+		Downsample:  tiledTestDown,
+		Accurate:    cloud.DefaultTemporal(bands),
+		Storage:     sat.Storage{Compress: true, BPP: 6, Codec: tiledOpts()},
+		MaxRefCloud: 0.05,
 	}, numLocs)
 	if err != nil {
 		t.Fatal(err)
@@ -52,9 +50,7 @@ func tiledTestCache(t *testing.T, budget int64) *sat.RefCache {
 	t.Helper()
 	cache, err := sat.NewBoundedRefCache(sat.CacheConfig{
 		BudgetBytes: budget,
-		Compress:    true,
-		StoreBPP:    6,
-		Codec:       tiledOpts(),
+		Storage:     sat.Storage{Compress: true, BPP: 6, Codec: tiledOpts()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,8 +96,8 @@ func tiledApplyFull(t *testing.T, g *Ground, loc, day int, im *raster.Image) {
 
 // TestTiledCompressedUplinkCoherent drives the compressed re-seed cycle
 // with the TILED storage profile: delta updates splice the mirror frame
-// per-tile (sat.SpliceStoredRef) on the ground and on board, and both
-// install routes — routing the shipped spliced frame (PutFrame) and
+// per-tile (sat.Storage.Update) on the ground and on board, and both
+// install routes — routing the shipped spliced frame (Install) and
 // splicing locally (ApplyTileUpdate) — must leave the store decoding
 // byte-identical to the ground's mirror after every cycle. It also pins
 // that the splice really is per-tile: the ground re-encodes strictly
@@ -115,7 +111,7 @@ func TestTiledCompressedUplinkCoherent(t *testing.T) {
 	state := make([]*raster.Image, numLocs)
 	for loc := 0; loc < numLocs; loc++ {
 		full := tiledTestImage(uint64(900 + loc))
-		if err := g.SeedBootstrap(loc, 0, full, []int{satID}); err != nil {
+		if _, err := g.SeedBootstrap(loc, 0, full, []int{satID}); err != nil {
 			t.Fatal(err)
 		}
 		state[loc] = full
@@ -141,11 +137,11 @@ func TestTiledCompressedUplinkCoherent(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, u := range packed {
-			if u.StoreFrame == nil || !u.StoreFrame.Tiled() {
+			if !u.Ref.Frame.Tiled() {
 				t.Fatalf("day %d loc %d: tiled ground shipped a non-tiled storage frame", day, u.Loc)
 			}
 			if i%2 == 0 {
-				cache.PutFrame(u.Loc, u.StoreFrame, u.Decoded, u.Day)
+				cache.Install(u.Loc, u.Ref, u.Day)
 			} else {
 				cache.ApplyTileUpdate(u.Loc, u.Decoded, u.PerBand, u.Day)
 			}
@@ -177,7 +173,7 @@ func TestTiledCompressedUplinkCoherent(t *testing.T) {
 // TestTiledSpliceMatchesWholeReencodePath pins the route equivalence
 // directly: after the same deltas, a store that spliced locally and a
 // store that installed the ground's shipped frame hold references that
-// decode identically — SpliceStoredRef is one shared function, so the
+// decode identically — sat.Storage.Update is one shared function, so the
 // mirrors cannot drift between the two install routes.
 func TestTiledSpliceMatchesWholeReencodePath(t *testing.T) {
 	const satID = 0
@@ -186,7 +182,7 @@ func TestTiledSpliceMatchesWholeReencodePath(t *testing.T) {
 	src := noise.New(2761)
 
 	full := tiledTestImage(77)
-	if err := g.SeedBootstrap(0, 0, full, []int{satID}); err != nil {
+	if _, err := g.SeedBootstrap(0, 0, full, []int{satID}); err != nil {
 		t.Fatal(err)
 	}
 	low, err := full.Downsample(tiledTestDown)
@@ -209,11 +205,11 @@ func TestTiledSpliceMatchesWholeReencodePath(t *testing.T) {
 			t.Fatalf("day %d: packed %d updates, want 1", day, len(packed))
 		}
 		u := packed[0]
-		viaFrame.PutFrame(u.Loc, u.StoreFrame, u.Decoded, u.Day)
+		viaFrame.Install(u.Loc, u.Ref, u.Day)
 		viaSplice.ApplyTileUpdate(u.Loc, u.Decoded, u.PerBand, u.Day)
 		a, b := viaFrame.Get(0), viaSplice.Get(0)
 		if a == nil || b == nil || !a.Image.Equal(b.Image) {
-			t.Fatalf("day %d: PutFrame and ApplyTileUpdate routes diverged", day)
+			t.Fatalf("day %d: Install and ApplyTileUpdate routes diverged", day)
 		}
 	}
 }

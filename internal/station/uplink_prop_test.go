@@ -79,7 +79,7 @@ func TestPackUplinkBudgetAndMirrorReproduction(t *testing.T) {
 	state := make([]*raster.Image, numLocs)
 	for loc := 0; loc < numLocs; loc++ {
 		full := testImage(uint64(50 + loc))
-		if err := g.SeedBootstrap(loc, 0, full, sats); err != nil {
+		if _, err := g.SeedBootstrap(loc, 0, full, sats); err != nil {
 			t.Fatal(err)
 		}
 		state[loc] = full
@@ -176,7 +176,7 @@ func TestEvictionKeepsGroundMirrorCoherent(t *testing.T) {
 	state := make([]*raster.Image, numLocs)
 	for loc := 0; loc < numLocs; loc++ {
 		full := testImage(uint64(300 + loc))
-		if err := g.SeedBootstrap(loc, 0, full, []int{satID}); err != nil {
+		if _, err := g.SeedBootstrap(loc, 0, full, []int{satID}); err != nil {
 			t.Fatal(err)
 		}
 		state[loc] = full
@@ -255,7 +255,7 @@ func TestEvictionKeepsGroundMirrorCoherent(t *testing.T) {
 func TestAccurateMaskAndReassess(t *testing.T) {
 	g := testGround(t, 1)
 	full := testImage(9)
-	if err := g.SeedBootstrap(0, 0, full, nil); err != nil {
+	if _, err := g.SeedBootstrap(0, 0, full, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Against its own archive content the accurate detector must find an
