@@ -7,9 +7,8 @@ import (
 	"earthplus/internal/experiments"
 )
 
-// Each benchmark regenerates one of the paper's tables or figures
-// (DESIGN.md maps every artefact to its bench). The benches run at the
-// tiny calibration scale so `go test -bench=.` stays tractable;
+// Each benchmark regenerates one of the paper's tables or figures and is
+// named after it. The benches run at the tiny calibration scale so `go test -bench=.` stays tractable;
 // cmd/earthplus-bench runs the same experiments at quick or full scale and
 // prints the regenerated rows/series.
 

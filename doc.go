@@ -43,17 +43,18 @@
 //
 // # Simulation engine
 //
-// internal/sim is a sharded parallel engine: each simulated day is split
-// by location onto a bounded worker pool (sim.Env.Parallelism, the
-// -simworkers flag; 0 = GOMAXPROCS), each location's visit sequence stays
-// ordered, records merge back into serial walk order, and day-end uplink
-// packing runs on a sequential barrier. A run's sim.WriteTrace bytes are
-// identical to the serial path's at any worker count; the determinism
-// matrix in internal/sim pins this under -race, and its golden digests
-// pin the serial traces themselves. Scene synthesis draws capture
-// buffers from pools (scene.ReleaseCapture recycles them), and
-// sim.RunStream plus sim.Accumulator aggregate records without retaining
-// them.
+// internal/sim is a sharded parallel engine with one walk at every worker
+// count: each simulated day is split by location onto the shared bounded
+// worker pool (internal/par; sim.Env.Parallelism, the -simworkers flag;
+// 0 = GOMAXPROCS, 1 = one worker, which runs the locations inline in
+// order), each location's visit sequence stays ordered, records are
+// emitted in location order, and day-end uplink packing runs on a
+// sequential barrier. A run's sim.WriteTrace bytes are identical at any
+// worker count; the determinism matrix in internal/sim pins this under
+// -race, and its golden digests pin the one-worker traces themselves.
+// Scene synthesis draws capture buffers from pools (scene.ReleaseCapture
+// recycles them), and sim.RunStream plus sim.Accumulator aggregate
+// records without retaining them.
 //
 // # Storage model
 //

@@ -1,5 +1,6 @@
-// Package bitio provides bit-granular writers and readers used by the
-// wavelet codec's entropy coder and codestream headers.
+// Package bitio provides bit-granular writers and readers. Nothing in the
+// module imports it: the codec's entropy coders (internal/arith and the
+// RLGR tile coder) write their own streams.
 package bitio
 
 import "errors"

@@ -29,11 +29,10 @@ package codec
 import (
 	"encoding/binary"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"earthplus/internal/eperr"
+	"earthplus/internal/par"
 	"earthplus/internal/raster"
 	"earthplus/internal/wavelet"
 )
@@ -111,53 +110,20 @@ var MaxDecodePixels = 1 << 26
 // every call site.
 var Parallelism int
 
-// Workers resolves a requested parallelism (0 = package default) against n
-// independent band tasks.
+// Workers resolves a requested parallelism against n independent band or
+// tile tasks: 0 takes the package Parallelism default, and par.Workers
+// resolves the rest (GOMAXPROCS, clamped to [1, n]).
 func Workers(requested, n int) int {
-	p := requested
-	if p <= 0 {
-		p = Parallelism
+	if requested <= 0 {
+		requested = Parallelism
 	}
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > n {
-		p = n
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
+	return par.Workers(requested, n)
 }
 
-// ParallelBands runs fn(b) for every band index in [0, n) on a bounded
-// worker pool of Workers(requested, n) goroutines. fn must be safe to call
-// concurrently for distinct b.
-func ParallelBands(requested, n int, fn func(b int)) {
-	w := Workers(requested, n)
-	if w <= 1 {
-		for b := 0; b < n; b++ {
-			fn(b)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for i := 0; i < w; i++ {
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= n {
-					return
-				}
-				fn(b)
-			}
-		}()
-	}
-	wg.Wait()
-}
+// ParallelBands runs fn(b) for every band index in [0, n) on
+// Workers(requested, n) goroutines of the shared pool. fn must be safe to
+// call concurrently for distinct b.
+func ParallelBands(requested, n int, fn func(b int)) { par.For(Workers(requested, n), n, fn) }
 
 // geometry is the per-(w,h,levels) immutable decomposition description: the
 // subband list, the row-offset table of the bit-plane coder's significance

@@ -406,58 +406,17 @@ func (s *System) OnCapture(cap *scene.Capture) (sim.Outcome, error) {
 }
 
 // OnDayEnd implements sim.System: the ground packs reference updates for
-// each satellite's upcoming passes into the day's uplink budget. With the
-// constellation model on, the flat per-day budget is replaced by booked
-// ground-station contact windows with per-contact budgets. The ground
-// codes each distinct reference update once per day-end and shares it
-// across satellites; those updates are dropped when the day-end returns.
+// the day's contacts (see book), each against its own meter, in booking
+// order. The ground codes each distinct reference update once per day end
+// and shares it across satellites; those updates are dropped when the day
+// end returns.
 func (s *System) OnDayEnd(day int) (int64, error) {
 	defer s.ground.EndUplinkDay()
-	if s.sched != nil {
-		return s.contendedDayEnd(day)
-	}
-	var total int64
-	for satID := 0; satID < s.env.Orbit.Satellites; satID++ {
-		locs := s.plannedLocs(satID, day)
-		if len(locs) == 0 {
-			continue
-		}
-		meter := link.NewMeter(s.env.UplinkBytesPerDay)
-		updates, err := s.ground.PackUplink(satID, day, locs, meter)
-		if err != nil {
-			return total, err
-		}
-		total += s.deliverUpdates(satID, day, updates)
-	}
-	return total, nil
-}
-
-// contendedDayEnd is the constellation day-end: each satellite's pending
-// uplink work (station.Ground.PendingUplink over its planned visit window)
-// becomes a cross-satellite demand, the scheduler books the day's station
-// contact windows, and each booked contact packs against ITS OWN meter.
-// A satellite booked into several windows keeps packing where the last
-// contact left off — PackUplink skips locations whose mirror is already
-// current. Satellites whose pending work won no window stall until
-// tomorrow: that starvation, not a shrunken budget, is what station
-// contention costs.
-func (s *System) contendedDayEnd(day int) (int64, error) {
-	demands := make([]constellation.Demand, 0, s.env.Orbit.Satellites)
-	for satID := 0; satID < s.env.Orbit.Satellites; satID++ {
-		locs := s.plannedLocs(satID, day)
-		if len(locs) == 0 {
-			continue
-		}
-		re, de, dm := s.ground.PendingUplink(satID, locs)
-		demands = append(demands, constellation.Demand{
-			Sat: satID, Reseeds: re, Deltas: de, Demoted: dm,
-		})
-	}
-	contacts := s.sched.Schedule(day, demands)
+	contacts, budget := s.book(day)
 	var total int64
 	for i := range contacts {
 		ct := &contacts[i]
-		meter := link.NewMeter(s.contactBudget)
+		meter := link.NewMeter(budget)
 		updates, err := s.ground.PackUplink(ct.Sat, day, s.plannedLocs(ct.Sat, day), meter)
 		if err != nil {
 			return total, err
@@ -465,8 +424,44 @@ func (s *System) contendedDayEnd(day int) (int64, error) {
 		ct.Bytes = s.deliverUpdates(ct.Sat, day, updates)
 		total += ct.Bytes
 	}
-	s.contacts = append(s.contacts, contacts...)
+	if s.sched != nil {
+		s.contacts = append(s.contacts, contacts...)
+	}
 	return total, nil
+}
+
+// book returns the day's uplink contacts and the byte budget of each.
+// Under the flat per-day budget every satellite with planned visits gets
+// one unlogged contact at Env.UplinkBytesPerDay, in satellite order. With
+// the constellation model on, each such satellite's pending uplink work
+// (station.Ground.PendingUplink over its planned visit window) becomes a
+// cross-satellite demand, and the scheduler books the day's station
+// contact windows at the per-contact budget. A satellite booked into
+// several windows keeps packing where the last contact left off —
+// PackUplink skips locations whose mirror is already current. Satellites
+// whose pending work won no window stall until tomorrow: that starvation,
+// not a shrunken budget, is what station contention costs.
+func (s *System) book(day int) ([]sim.ContactRecord, int64) {
+	var flat []sim.ContactRecord
+	var demands []constellation.Demand
+	for satID := 0; satID < s.env.Orbit.Satellites; satID++ {
+		locs := s.plannedLocs(satID, day)
+		if len(locs) == 0 {
+			continue
+		}
+		if s.sched == nil {
+			flat = append(flat, sim.ContactRecord{Sat: satID, Day: day})
+			continue
+		}
+		re, de, dm := s.ground.PendingUplink(satID, locs)
+		demands = append(demands, constellation.Demand{
+			Sat: satID, Reseeds: re, Deltas: de, Demoted: dm,
+		})
+	}
+	if s.sched == nil {
+		return flat, s.env.UplinkBytesPerDay
+	}
+	return s.sched.Schedule(day, demands), s.contactBudget
 }
 
 // deliverUpdates transmits one satellite's packed updates through the

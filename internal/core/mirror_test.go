@@ -18,15 +18,20 @@ import (
 // invariants delta uplinks rest on: wherever the ground mirrors a
 // reference, the satellite's store holds that location with content
 // bit-identical to the mirror, and no store's footprint exceeds its
-// budget. A violation fails the run.
+// budget. It also checks the day's uplink accounting (checkUplink). A
+// violation fails the run.
 type mirrorChecker struct {
 	*System
 	checked int
 }
 
 func (m *mirrorChecker) OnDayEnd(day int) (int64, error) {
+	booked, retx := len(m.contacts), m.LinkStats().RetransmitBytes
 	up, err := m.System.OnDayEnd(day)
 	if err != nil {
+		return up, err
+	}
+	if err := m.checkUplink(day, up, m.contacts[booked:], m.LinkStats().RetransmitBytes-retx); err != nil {
 		return up, err
 	}
 	budget := sat.ResolveBudget(m.cfg.StorageBytes)
@@ -50,6 +55,47 @@ func (m *mirrorChecker) OnDayEnd(day int) (int64, error) {
 		}
 	}
 	return up, nil
+}
+
+// checkUplink checks one day end's uplink accounting against the day's
+// uplink bytes up: the day's retransmitted bytes retx ride inside them.
+// Under the flat budget the fleet moved at most Satellites x
+// UplinkBytesPerDay. With stations, every contact booked that day sits on
+// the station/window grid, no (station, window) is booked twice, none
+// moved more than the per-contact budget, and their bytes sum to up.
+func (m *mirrorChecker) checkUplink(day int, up int64, contacts []sim.ContactRecord, retx int64) error {
+	if retx > up {
+		return fmt.Errorf("day %d: retransmitted %d bytes of a %d-byte uplink day", day, retx, up)
+	}
+	if m.sched == nil {
+		fleet := int64(m.env.Orbit.Satellites) * m.env.UplinkBytesPerDay
+		if m.env.UplinkBytesPerDay > 0 && up > fleet {
+			return fmt.Errorf("day %d: uplinked %d bytes over the %d-byte fleet budget", day, up, fleet)
+		}
+		return nil
+	}
+	budget := m.ContactBudget()
+	slots := map[[2]int]bool{}
+	var sum int64
+	for _, ct := range contacts {
+		if ct.Day != day || ct.Station < 0 || ct.Station >= m.cfg.Constellation.Stations ||
+			ct.Window < 0 || ct.Window >= constellation.DefaultContactsPerStation {
+			return fmt.Errorf("day %d: contact %+v is off the station/window grid", day, ct)
+		}
+		slot := [2]int{ct.Station, ct.Window}
+		if slots[slot] {
+			return fmt.Errorf("day %d: station %d window %d booked twice", day, ct.Station, ct.Window)
+		}
+		slots[slot] = true
+		if budget > 0 && ct.Bytes > budget {
+			return fmt.Errorf("day %d: contact %+v moved more than the %d-byte budget", day, ct, budget)
+		}
+		sum += ct.Bytes
+	}
+	if sum != up {
+		return fmt.Errorf("day %d: contacts moved %d bytes, the day %d", day, sum, up)
+	}
+	return nil
 }
 
 // sameBits reports whether two images hold bit-identical pixels.
@@ -90,9 +136,9 @@ func barrierEnv(w, tile, sats int, uplink int64) *sim.Env {
 	}
 }
 
-// TestMirrorMatchesStoreEveryDay checks mirror == decode(store) and
-// footprint <= budget at every day end, across the store kinds and the
-// knobs that touch them. One raw 16x16x4 reference costs 2,048 B and a
+// TestMirrorMatchesStoreEveryDay checks mirror == decode(store),
+// footprint <= budget and the day's uplink accounting at every day end,
+// across the store kinds and the knobs that touch them. One raw 16x16x4 reference costs 2,048 B and a
 // compressed one about 850 B, so the bounded rows evict. The tiled row's
 // 128x128 references span 2x2 codec tiles, so its ground splices mirror
 // frames per tile; a few days reach the first spliced installs.

@@ -11,10 +11,10 @@ import (
 	"earthplus/internal/sim"
 )
 
-// The ablations quantify the design choices DESIGN.md calls out: the
-// profiled change threshold θ, the guaranteed-download period, and
-// ground-side rejection of cloud-contaminated tiles. Each runs Earth+ on
-// the sampled large-constellation dataset with one knob varied.
+// The ablations quantify three of Earth+'s design choices: the profiled
+// change threshold θ and the guaranteed-download period (§5), and
+// ground-side rejection of cloud-contaminated tiles (§4.3). Each runs
+// Earth+ on the sampled large-constellation dataset with one knob varied.
 
 // AblationPoint is one knob setting's outcome.
 type AblationPoint struct {
@@ -63,16 +63,10 @@ func ablationRun(sc Scale, label string, spec registry.Spec) (AblationPoint, err
 	if spec.Theta == 0 {
 		spec.Theta = profiledTheta(sc, cfg, core.DefaultConfig().RefDownsample)
 	}
-	sys, err := registry.New(core.SystemName, env, spec)
-	if err != nil {
-		return AblationPoint{}, err
-	}
-	// Stream: the summary accumulates incrementally and only the PSNR
-	// samples (for the p10 quality floor) are retained per capture.
-	acc := sim.NewAccumulator()
+	// Only the PSNR samples (for the p10 quality floor) are retained per
+	// capture.
 	var psnrs []float64
-	run, err := runSystemStream(sc, env, sys, func(rec *sim.Record) {
-		acc.Add(rec)
+	m, err := measure(sc, env, core.SystemName, spec, func(rec *sim.Record) {
 		if !rec.Dropped && rec.PSNR == rec.PSNR { // skip NaN
 			psnrs = append(psnrs, rec.PSNR)
 		}
@@ -80,7 +74,7 @@ func ablationRun(sc Scale, label string, spec registry.Spec) (AblationPoint, err
 	if err != nil {
 		return AblationPoint{}, err
 	}
-	s := acc.Summary(run, dovesDownlink())
+	s := m.sum
 	return AblationPoint{
 		Label:         label,
 		BytesPerCap:   s.MeanDownBytes,

@@ -72,7 +72,6 @@ func CodecBench(outPath string) (*CodecBenchResult, error) {
 		path:        outPath,
 	}
 	for _, size := range []int{64, 256, 512} {
-		size := size
 		plane := benchPlane(11, size, size)
 		opt := codec.DefaultOptions()
 		opt.BudgetBytes = codec.BudgetForBPP(0.5, size, size)
@@ -84,29 +83,6 @@ func CodecBench(outPath string) (*CodecBenchResult, error) {
 			return nil, fmt.Errorf("codecbench: decode %d: %w", size, err)
 		}
 		raw := int64(size) * int64(size) * 4
-
-		encRes := testing.Benchmark(func(b *testing.B) {
-			b.SetBytes(raw)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := codec.EncodePlane(plane, size, size, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		res.Entries = append(res.Entries, entryFrom(fmt.Sprintf("EncodePlane%d", size), size, raw, encRes))
-
-		decRes := testing.Benchmark(func(b *testing.B) {
-			b.SetBytes(raw)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, _, err := codec.DecodePlane(data, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		res.Entries = append(res.Entries, entryFrom(fmt.Sprintf("DecodePlane%d", size), size, raw, decRes))
-
 		// The tiled profile at the same budget, pinned to ONE worker so the
 		// speedup over the monolithic rows above is algorithmic (per-tile
 		// RLGR coding), not parallelism.
@@ -117,26 +93,23 @@ func CodecBench(outPath string) (*CodecBenchResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("codecbench: tiled encode %d: %w", size, err)
 		}
-		tencRes := testing.Benchmark(func(b *testing.B) {
-			b.SetBytes(raw)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := codec.EncodePlane(plane, size, size, topt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		res.Entries = append(res.Entries, entryFrom(fmt.Sprintf("EncodeTiled%d", size), size, raw, tencRes))
-		tdecRes := testing.Benchmark(func(b *testing.B) {
-			b.SetBytes(raw)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, _, err := codec.DecodePlane(tdata, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		res.Entries = append(res.Entries, entryFrom(fmt.Sprintf("DecodeTiled%d", size), size, raw, tdecRes))
+		res.Entries = append(res.Entries,
+			bench(fmt.Sprintf("EncodePlane%d", size), size, raw, func() error {
+				_, err := codec.EncodePlane(plane, size, size, opt)
+				return err
+			}),
+			bench(fmt.Sprintf("DecodePlane%d", size), size, raw, func() error {
+				_, _, _, err := codec.DecodePlane(data, 0)
+				return err
+			}),
+			bench(fmt.Sprintf("EncodeTiled%d", size), size, raw, func() error {
+				_, err := codec.EncodePlane(plane, size, size, topt)
+				return err
+			}),
+			bench(fmt.Sprintf("DecodeTiled%d", size), size, raw, func() error {
+				_, _, _, err := codec.DecodePlane(tdata, 0)
+				return err
+			}))
 	}
 
 	// Full-quality encode at 256²: with no byte budget the monolithic
@@ -155,16 +128,10 @@ func CodecBench(outPath string) (*CodecBenchResult, error) {
 			if tiled {
 				name = "EncodeTiledFull256"
 			}
-			fullRes := testing.Benchmark(func(b *testing.B) {
-				b.SetBytes(raw)
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := codec.EncodePlane(plane, size, size, opt); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			res.Entries = append(res.Entries, entryFrom(name, size, raw, fullRes))
+			res.Entries = append(res.Entries, bench(name, size, raw, func() error {
+				_, err := codec.EncodePlane(plane, size, size, opt)
+				return err
+			}))
 		}
 	}
 
@@ -173,7 +140,6 @@ func CodecBench(outPath string) (*CodecBenchResult, error) {
 	// plane size), while the monolithic profile pays a full decode plus
 	// crop — the gap is the point of the tile index.
 	for _, size := range []int{256, 1024} {
-		size := size
 		plane := benchPlane(13, size, size)
 		raw := int64(64) * 64 * 4
 		rx := size/2 - 32
@@ -190,16 +156,10 @@ func CodecBench(outPath string) (*CodecBenchResult, error) {
 			if tiled {
 				name = fmt.Sprintf("RegionTiled64@%d", size)
 			}
-			regRes := testing.Benchmark(func(b *testing.B) {
-				b.SetBytes(raw)
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, _, _, err := codec.DecodeRegion(data, rx, rx, 64, 64); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			res.Entries = append(res.Entries, entryFrom(name, size, raw, regRes))
+			res.Entries = append(res.Entries, bench(name, size, raw, func() error {
+				_, _, _, err := codec.DecodeRegion(data, rx, rx, 64, 64)
+				return err
+			}))
 		}
 	}
 	if outPath != "" {
@@ -214,7 +174,18 @@ func CodecBench(outPath string) (*CodecBenchResult, error) {
 	return res, nil
 }
 
-func entryFrom(name string, size int, raw int64, br testing.BenchmarkResult) CodecBenchEntry {
+// bench times op with testing.Benchmark and reports it as the named row;
+// raw is the uncompressed bytes one op covers.
+func bench(name string, size int, raw int64, op func() error) CodecBenchEntry {
+	br := testing.Benchmark(func(b *testing.B) {
+		b.SetBytes(raw)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := op(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	ns := br.NsPerOp()
 	mbps := 0.0
 	if ns > 0 {

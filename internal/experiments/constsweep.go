@@ -9,7 +9,6 @@ import (
 	"earthplus/internal/metrics"
 	"earthplus/internal/registry"
 	"earthplus/internal/scene"
-	"earthplus/internal/sim"
 )
 
 // The constellation sweep measures the ground-segment regime the paper's
@@ -51,14 +50,6 @@ func constSnapshotScale() Scale {
 		EvalDays:     12,
 		MaxLocations: 1,
 	}
-}
-
-// constStatser is implemented by systems running the contended
-// ground-station model (Earth+).
-type constStatser interface {
-	ConstellationStats() constellation.Stats
-	ContactBudget() int64
-	ContactLog() []sim.ContactRecord
 }
 
 // ConstPoint is one measured (fleet size, station count) cell.
@@ -119,21 +110,13 @@ func ConstellationSweep(sc Scale) (*ConstSweepResult, error) {
 				Theta:    theta,
 				Params:   map[string]float64{"stations": float64(stations)},
 			}
-			sys, err := registry.New(core.SystemName, env, spec)
-			if err != nil {
-				return nil, fmt.Errorf("constellation sweep: %d sats / %d stations: %w", sats, stations, err)
-			}
 			tracker := constellation.NewEventTracker(env.Scene, sc.EvalStart, sc.EvalStart+sc.EvalDays, 0)
 			env.Observer = tracker
-			acc := sim.NewAccumulator()
-			r, err := runSystemStream(sc, env, sys, acc.Add)
+			m, err := measure(sc, env, core.SystemName, spec, nil)
 			if err != nil {
 				return nil, fmt.Errorf("constellation sweep: %d sats / %d stations: %w", sats, stations, err)
 			}
-			cs, ok := sys.(constStatser)
-			if !ok {
-				return nil, fmt.Errorf("constellation sweep: system does not report constellation stats")
-			}
+			cs := m.sys.(*core.System)
 			// Every contact's consumption must respect its meter: a byte
 			// over the per-contact budget would mean the packer leaked
 			// around the contact accounting.
@@ -148,13 +131,12 @@ func ConstellationSweep(sc Scale) (*ConstSweepResult, error) {
 						sats, stations, ct.Sat, ct.Station, ct.Day, ct.Bytes, budget)
 				}
 			}
-			sum := acc.Summary(r, dovesDownlink())
 			st := cs.ConstellationStats()
 			res.Points = append(res.Points, ConstPoint{
 				Satellites:         sats,
 				Stations:           stations,
-				MeanPSNR:           sum.MeanPSNR,
-				UpBytesPerDay:      sum.MeanUpBytesPerDay,
+				MeanPSNR:           m.sum.MeanPSNR,
+				UpBytesPerDay:      m.sum.MeanUpBytesPerDay,
 				ContactBudgetBytes: budget,
 				Contacts:           st.Contacts,
 				Stalls:             st.Stalls,

@@ -1,18 +1,21 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§6) from the simulation substrate. Each ExpNN function runs
-// the workload described in DESIGN.md's per-experiment index and returns a
-// result that renders the same rows/series the paper reports.
+// evaluation (§6) from the simulation substrate. Each FigNN and TableN
+// function regenerates one paper artefact; the sweeps (StorageSweep,
+// LossSweep, ConstellationSweep), the ablations and the perf snapshots
+// (CodecBench, SimScaling, SimBench) add companion measurements. Each
+// returns a Result that renders its rows or series, and its doc comment
+// describes its workload. Catalog lists them all.
 package experiments
 
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"earthplus/internal/baseline"
 	"earthplus/internal/core"
 	"earthplus/internal/link"
 	"earthplus/internal/orbit"
+	"earthplus/internal/par"
 	"earthplus/internal/registry"
 	"earthplus/internal/scene"
 	"earthplus/internal/sim"
@@ -155,8 +158,8 @@ const defaultUplinkDivisor = 50
 // SimWorkers is the package default for Env.Parallelism in every
 // experiment environment: how many locations each simulated day is
 // sharded across (the codec.Parallelism convention — <= 0 means
-// GOMAXPROCS, 1 forces the serial path). Results are identical at any
-// setting; cmd/earthplus-bench exposes it as -simworkers.
+// GOMAXPROCS, 1 means one worker). Results are identical at any setting;
+// cmd/earthplus-bench exposes it as -simworkers.
 var SimWorkers int
 
 // envFor assembles a simulation environment.
@@ -179,86 +182,87 @@ func profiledTheta(sc Scale, cfg scene.Config, downsample int) float64 {
 	return ProfileThetaOnScene(scene.New(cfg), 0, sc.ProfileStart, sc.ProfileStart+sc.ProfileDays, downsample, 0.02, core.DefaultConfig().Theta)
 }
 
-// earthPlus builds an Earth+ system through the system registry from the
-// scale's base spec with the profiled θ and a γ.
-func earthPlus(sc Scale, env *sim.Env, theta, gamma float64) (sim.System, error) {
+// earthSpec is the scale's base Earth+ spec at the profiled θ and a γ.
+func earthSpec(sc Scale, theta, gamma float64) registry.Spec {
 	spec := sc.Spec
 	spec.GammaBPP, spec.Theta = gamma, theta
-	return registry.New(core.SystemName, env, spec)
+	return spec
 }
 
-// runSystemStream runs one system over the scale's evaluation window,
-// streaming each record into emit (which may be nil) instead of retaining
-// the record set — whole-constellation sweeps hold at most one day of
+// measured is one system's run over the evaluation window: the system
+// (for its counters), the run's aggregates and its summary.
+type measured struct {
+	sys sim.System
+	res *sim.Result
+	sum sim.Summary
+}
+
+// measure builds the named system from spec on env and runs it over the
+// scale's evaluation window, bootstrapping from 30 days before it. Every
+// record is folded into the summary and handed to emit, which may be nil;
+// none is retained, so whole-constellation sweeps hold at most one day of
 // records in memory.
-func runSystemStream(sc Scale, env *sim.Env, sys sim.System, emit func(*sim.Record)) (*sim.Result, error) {
-	return sim.RunStream(env, sys, sc.EvalStart-30, sc.EvalStart, sc.EvalStart+sc.EvalDays, emit)
-}
-
-// summarizeSystem runs one system and folds its records straight into a
-// Summary without retaining them.
-func summarizeSystem(sc Scale, env *sim.Env, sys sim.System) (sim.Summary, error) {
-	acc := sim.NewAccumulator()
-	res, err := runSystemStream(sc, env, sys, acc.Add)
+func measure(sc Scale, env *sim.Env, name string, spec registry.Spec, emit func(*sim.Record)) (measured, error) {
+	sys, err := registry.New(name, env, spec)
 	if err != nil {
-		return sim.Summary{}, err
+		return measured{}, err
 	}
-	return acc.Summary(res, dovesDownlink()), nil
+	acc := sim.NewAccumulator()
+	res, err := sim.RunStream(env, sys, sc.EvalStart-30, sc.EvalStart, sc.EvalStart+sc.EvalDays, func(r *sim.Record) {
+		acc.Add(r)
+		if emit != nil {
+			emit(r)
+		}
+	})
+	if err != nil {
+		return measured{}, err
+	}
+	return measured{sys: sys, res: res, sum: acc.Summary(res, dovesDownlink())}, nil
 }
 
-// threeSystemsStream builds Earth+, Kodan and SatRoI at one γ for an
-// env-factory and runs them concurrently — each system gets a fresh
-// environment (its own scene instance), so the runs are fully
-// independent. Records are streamed into the per-system collector that
-// mkEmit returns (called once per system before its run starts; the
-// returned emit runs on that system's goroutine, so collectors for
-// different systems must not share state). The returned Results carry the
-// run aggregates with Records nil.
-func threeSystemsStream(sc Scale, mkEnv func() *sim.Env, theta, gamma float64, mkEmit func(name string) func(*sim.Record)) (map[string]*sim.Result, error) {
-	builders := []struct {
-		name string
-		mk   func(env *sim.Env) (sim.System, error)
+// threeSystems measures Earth+, Kodan and SatRoI at one γ concurrently,
+// keyed by system name. Each system gets a fresh environment from mkEnv
+// (its own scene instance), so the runs are fully independent. mkEmit,
+// when non-nil, is called once per system, in that order, before any run
+// starts; the emit it returns receives the system's records on the
+// system's own goroutine, so collectors for different systems must not
+// share state.
+func threeSystems(sc Scale, mkEnv func() *sim.Env, theta, gamma float64, mkEmit func(name string) func(*sim.Record)) (map[string]measured, error) {
+	systems := []struct {
+		name, registered string
+		spec             registry.Spec
 	}{
-		{"Earth+", func(env *sim.Env) (sim.System, error) { return earthPlus(sc, env, theta, gamma) }},
-		{"Kodan", func(env *sim.Env) (sim.System, error) {
-			return registry.New(baseline.KodanName, env, registry.Spec{GammaBPP: gamma})
-		}},
-		{"SatRoI", func(env *sim.Env) (sim.System, error) {
-			return registry.New(baseline.SatRoIName, env, registry.Spec{GammaBPP: gamma})
-		}},
+		{"Earth+", core.SystemName, earthSpec(sc, theta, gamma)},
+		{"Kodan", baseline.KodanName, registry.Spec{GammaBPP: gamma}},
+		{"SatRoI", baseline.SatRoIName, registry.Spec{GammaBPP: gamma}},
 	}
-	results := make([]*sim.Result, len(builders))
-	errs := make([]error, len(builders))
-	var wg sync.WaitGroup
-	for i, b := range builders {
-		var emit func(*sim.Record)
-		if mkEmit != nil {
-			emit = mkEmit(b.name)
+	emits := make([]func(*sim.Record), len(systems))
+	if mkEmit != nil {
+		for i, s := range systems {
+			emits[i] = mkEmit(s.name)
 		}
-		wg.Add(1)
-		go func(i int, name string, mk func(env *sim.Env) (sim.System, error), emit func(*sim.Record)) {
-			defer wg.Done()
-			env := mkEnv()
-			sys, err := mk(env)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s: %w", name, err)
-				return
-			}
-			res, err := runSystemStream(sc, env, sys, emit)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s: %w", name, err)
-				return
-			}
-			results[i] = res
-		}(i, b.name, b.mk, emit)
 	}
-	wg.Wait()
-	out := make(map[string]*sim.Result, len(builders))
-	for i, b := range builders {
+	runs := make([]measured, len(systems))
+	errs := make([]error, len(systems))
+	par.For(len(systems), len(systems), func(i int) {
+		runs[i], errs[i] = measure(sc, mkEnv(), systems[i].registered, systems[i].spec, emits[i])
+	})
+	out := make(map[string]measured, len(systems))
+	for i, s := range systems {
 		if errs[i] != nil {
-			return nil, errs[i]
+			return nil, fmt.Errorf("%s: %w", s.name, errs[i])
 		}
-		out[b.name] = results[i]
+		out[s.name] = runs[i]
 	}
 	return out, nil
+}
+
+// downlinkRatio is raw captured bytes over downlinked bytes across a
+// run's non-dropped captures: the compression ratio the downlink sees.
+func downlinkRatio(cfg scene.Config, sum sim.Summary) float64 {
+	if sum.TotalDownBytes <= 0 {
+		return 0
+	}
+	raw := int64(cfg.Width) * int64(cfg.Height) * int64(len(cfg.Bands)) * 2
+	return float64(int64(sum.Captures-sum.Dropped)*raw) / float64(sum.TotalDownBytes)
 }

@@ -53,21 +53,13 @@ type Fig11Result struct {
 func Fig11(sc Scale, ds Dataset) (*Fig11Result, error) {
 	mkEnv, theta := datasetEnv(sc, ds)
 	res := &Fig11Result{Dataset: ds, Curves: map[string][]TradeoffPoint{}}
-	down := dovesDownlink()
 	for _, gamma := range sc.GammaSweep {
-		// Stream each system's records straight into an accumulator: the
-		// sweep never retains a record set.
-		accs := map[string]*sim.Accumulator{}
-		runs, err := threeSystemsStream(sc, mkEnv, theta, gamma, func(name string) func(*sim.Record) {
-			a := sim.NewAccumulator()
-			accs[name] = a
-			return a.Add
-		})
+		runs, err := threeSystems(sc, mkEnv, theta, gamma, nil)
 		if err != nil {
 			return nil, err
 		}
 		for _, name := range sortedKeys(runs) {
-			s := accs[name].Summary(runs[name], down)
+			s := runs[name].sum
 			res.Curves[name] = append(res.Curves[name], TradeoffPoint{
 				Gamma:        gamma,
 				DownlinkMbps: s.RequiredDownlinkBps / 1e6,

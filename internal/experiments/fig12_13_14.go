@@ -28,7 +28,7 @@ func Fig12(sc Scale) (*Fig12Result, error) {
 	mkEnv, theta := datasetEnv(sc, RichContent)
 	type dist struct{ tile, psnr []float64 }
 	dists := map[string]*dist{}
-	_, err := threeSystemsStream(sc, mkEnv, theta, fig12Gamma, func(name string) func(*sim.Record) {
+	_, err := threeSystems(sc, mkEnv, theta, fig12Gamma, func(name string) func(*sim.Record) {
 		d := &dist{}
 		dists[name] = d
 		return func(r *sim.Record) {
@@ -100,7 +100,7 @@ type Fig13Result struct {
 func Fig13(sc Scale) (*Fig13Result, error) {
 	mkEnv, theta := datasetEnv(sc, RichContent)
 	series := map[string]*[]Fig13Point{}
-	_, err := threeSystemsStream(sc, mkEnv, theta, fig12Gamma, func(name string) func(*sim.Record) {
+	_, err := threeSystems(sc, mkEnv, theta, fig12Gamma, func(name string) func(*sim.Record) {
 		pts := &[]Fig13Point{}
 		series[name] = pts
 		return func(r *sim.Record) {
@@ -158,24 +158,21 @@ type Fig14Result struct {
 }
 
 // fig14Agg streams one system's records into the per-location and
-// per-band byte sums Fig 14 needs, plus the run summary — constant memory
-// per system regardless of the evaluation window.
+// per-band byte sums Fig 14 needs — constant memory per system regardless
+// of the evaluation window.
 type fig14Agg struct {
-	acc             *sim.Accumulator
 	locSum, bandSum []float64
 	locN, bandN     []int
 }
 
 func newFig14Agg(nLoc, nBand int) *fig14Agg {
 	return &fig14Agg{
-		acc:    sim.NewAccumulator(),
 		locSum: make([]float64, nLoc), locN: make([]int, nLoc),
 		bandSum: make([]float64, nBand), bandN: make([]int, nBand),
 	}
 }
 
 func (a *fig14Agg) add(r *sim.Record) {
-	a.acc.Add(r)
 	if r.Dropped {
 		return
 	}
@@ -211,7 +208,7 @@ func Fig14(sc Scale) (*Fig14Result, error) {
 	nLoc := env.Scene.NumLocations()
 	bands := env.Scene.Bands()
 	aggs := map[string]*fig14Agg{}
-	runs, err := threeSystemsStream(sc, mkEnv, theta, fig12Gamma, func(name string) func(*sim.Record) {
+	runs, err := threeSystems(sc, mkEnv, theta, fig12Gamma, func(name string) func(*sim.Record) {
 		a := newFig14Agg(nLoc, len(bands))
 		aggs[name] = a
 		return a.add
@@ -219,14 +216,13 @@ func Fig14(sc Scale) (*Fig14Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	down := dovesDownlink()
-	earth := aggs["Earth+"].acc.Summary(runs["Earth+"], down)
+	earth := runs["Earth+"].sum
 	// Strongest qualifying baseline: lowest bytes among those whose PSNR
 	// does not exceed Earth+'s; if none qualifies, the lowest-bytes one.
 	baseName := ""
 	var baseBytes float64 = math.Inf(1)
 	for _, name := range []string{"Kodan", "SatRoI"} {
-		s := aggs[name].acc.Summary(runs[name], down)
+		s := runs[name].sum
 		qualifies := s.MeanPSNR <= earth.MeanPSNR
 		if (qualifies || baseName == "") && s.MeanDownBytes < baseBytes {
 			baseName, baseBytes = name, s.MeanDownBytes

@@ -13,7 +13,6 @@ import (
 	"earthplus/internal/raster"
 	"earthplus/internal/sat"
 	"earthplus/internal/scene"
-	"earthplus/internal/sim"
 )
 
 // paperRefDownsample is the per-axis reference downsampling at Doves
@@ -30,7 +29,7 @@ type Fig15Result struct {
 }
 
 // Fig15 projects on-board storage at Doves scale from fractions measured
-// in simulation. The model (documented in EXPERIMENTS.md):
+// in simulation. The model:
 //
 //   - every system retains captured data for two contact intervals
 //     (Appendix A);
@@ -44,16 +43,10 @@ type Fig15Result struct {
 //     (Appendix A's 160a km²) but downsampled at the paper's 2601x.
 func Fig15(sc Scale) (*Fig15Result, error) {
 	mkEnv, theta := datasetEnv(sc, RichContent)
-	accs := map[string]*sim.Accumulator{}
-	runs, err := threeSystemsStream(sc, mkEnv, theta, fig12Gamma, func(name string) func(*sim.Record) {
-		a := sim.NewAccumulator()
-		accs[name] = a
-		return a.Add
-	})
+	runs, err := threeSystems(sc, mkEnv, theta, fig12Gamma, nil)
 	if err != nil {
 		return nil, err
 	}
-	down := dovesDownlink()
 	spec := orbit.DovesSpec()
 
 	imageAreaKm2 := float64(spec.ImageWidth) * spec.GSDMeters / 1000 *
@@ -66,7 +59,7 @@ func Fig15(sc Scale) (*Fig15Result, error) {
 	encRatio := fig12Gamma / 16 // γ bits per pixel vs 16-bit raw samples
 
 	stats := func(name string) (keptFrac, tileFrac float64) {
-		s := accs[name].Summary(runs[name], down)
+		s := runs[name].sum
 		kept := 1 - float64(s.Dropped)/float64(s.Captures)
 		return kept, s.MeanTileFrac
 	}

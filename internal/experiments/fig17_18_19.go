@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"earthplus/internal/codec"
+	"earthplus/internal/core"
 	"earthplus/internal/metrics"
 	"earthplus/internal/scene"
 )
@@ -47,21 +48,11 @@ func Fig17(sc Scale) (*Fig17Result, error) {
 	// Delta updates: measured uplink traffic per (location, day) from an
 	// Earth+ run with an unconstrained uplink.
 	theta := profiledTheta(sc, cfg, down)
-	env := envFor(cfg, richOrbit(), 0)
-	sys, err := earthPlus(sc, env, theta, fig12Gamma)
+	m, err := measure(sc, envFor(cfg, richOrbit(), 0), core.SystemName, earthSpec(sc, theta, fig12Gamma), nil)
 	if err != nil {
 		return nil, err
 	}
-	run, err := runSystemStream(sc, env, sys, nil)
-	if err != nil {
-		return nil, err
-	}
-	var upTotal float64
-	//lint:deterministic integer-valued sum over map values is order-independent
-	for _, b := range run.UpBytesByDay {
-		upTotal += float64(b)
-	}
-	perLocDay := upTotal / float64(run.Days) / float64(len(cfg.Locations))
+	perLocDay := m.sum.MeanUpBytesPerDay / float64(len(cfg.Locations))
 	if perLocDay <= 0 {
 		perLocDay = 1
 	}
@@ -119,14 +110,11 @@ func Fig18(sc Scale) (*Fig18Result, error) {
 	res := &Fig18Result{}
 	for _, div := range sc.UplinkDivisors {
 		env := envFor(cfg, richOrbit(), div)
-		sys, err := earthPlus(sc, env, theta, fig12Gamma)
+		m, err := measure(sc, env, core.SystemName, earthSpec(sc, theta, fig12Gamma), nil)
 		if err != nil {
 			return nil, err
 		}
-		s, err := summarizeSystem(sc, env, sys)
-		if err != nil {
-			return nil, err
-		}
+		s := m.sum
 		res.Points = append(res.Points, Fig18Point{
 			UplinkBytesPerDay: env.UplinkBytesPerDay,
 			DownlinkMbps:      s.RequiredDownlinkBps / 1e6,
@@ -175,18 +163,13 @@ func Fig19(sc Scale) (*Fig19Result, error) {
 	theta := profiledTheta(sc, cfg, 4)
 	res := &Fig19Result{}
 	for _, n := range sc.FleetSweep {
-		env := envFor(cfg, planetOrbit(n), defaultUplinkDivisor)
-		sys, err := earthPlus(sc, env, theta, fig12Gamma)
-		if err != nil {
-			return nil, err
-		}
-		s, err := summarizeSystem(sc, env, sys)
+		m, err := measure(sc, envFor(cfg, planetOrbit(n), defaultUplinkDivisor), core.SystemName, earthSpec(sc, theta, fig12Gamma), nil)
 		if err != nil {
 			return nil, err
 		}
 		ratio := 0.0
-		if s.MeanTileFrac > 0 {
-			ratio = 1 / s.MeanTileFrac
+		if m.sum.MeanTileFrac > 0 {
+			ratio = 1 / m.sum.MeanTileFrac
 		}
 		res.Fleet = append(res.Fleet, n)
 		res.Ratios = append(res.Ratios, ratio)

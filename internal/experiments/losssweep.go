@@ -8,7 +8,6 @@ import (
 	"earthplus/internal/metrics"
 	"earthplus/internal/orbit"
 	"earthplus/internal/registry"
-	"earthplus/internal/sim"
 )
 
 // The loss sweep is the robustness companion to the storage sweep: the
@@ -66,19 +65,12 @@ type LossSweepResult struct {
 	Points []LossPoint `json:"points"`
 }
 
-// linkStatser is implemented by systems that run a fault-injected link
-// (Earth+).
-type linkStatser interface {
-	LinkStats() core.LinkStats
-}
-
 // LossSweep measures Earth+'s quality, uplink use and fault/retransmit
 // accounting against the aggregate link loss rate on the rich-content
 // dataset.
 func LossSweep(sc Scale) (*LossSweepResult, error) {
 	cfg := richConfig(sc)
 	theta := profiledTheta(sc, cfg, 4)
-	rawCaptureBytes := int64(cfg.Width) * int64(cfg.Height) * int64(len(cfg.Bands)) * 2
 
 	res := &LossSweepResult{Rates: lossSweepRates, Seed: lossSweepSeed}
 	for _, rate := range lossSweepRates {
@@ -90,46 +82,33 @@ func LossSweep(sc Scale) (*LossSweepResult, error) {
 				"link_seed": lossSweepSeed,
 			}
 		}
-		sys, err := registry.New(core.SystemName, env, spec)
+		m, err := measure(sc, env, core.SystemName, spec, nil)
 		if err != nil {
 			return nil, fmt.Errorf("loss sweep: rate %v: %w", rate, err)
 		}
-		var upByDay map[int]int64
-		acc := sim.NewAccumulator()
-		r, err := runSystemStream(sc, env, sys, acc.Add)
-		if err != nil {
-			return nil, fmt.Errorf("loss sweep: rate %v: %w", rate, err)
-		}
-		upByDay = r.UpBytesByDay
 		// Retransmissions are charged to the same per-contact meter as
 		// first transmissions, so a day over budget would mean the
 		// retransmit path leaked around the pack-time accounting. The
 		// budget is per satellite; UpBytesByDay sums the fleet.
 		fleetBudget := env.UplinkBytesPerDay * int64(env.Orbit.Satellites)
 		//lint:deterministic per-day validation only; no output depends on visit order
-		for day, up := range upByDay {
+		for day, up := range m.res.UpBytesByDay {
 			if env.UplinkBytesPerDay > 0 && up > fleetBudget {
 				return nil, fmt.Errorf("loss sweep: rate %v: day %d uplinked %d bytes over the fleet budget %d",
 					rate, day, up, fleetBudget)
 			}
 		}
-		sum := acc.Summary(r, dovesDownlink())
-		p := LossPoint{
+		cs := m.sys.(*core.System)
+		_, misses := cs.StorageStats()
+		res.Points = append(res.Points, LossPoint{
 			LossRate:           rate,
-			MeanPSNR:           sum.MeanPSNR,
-			UpBytesPerDay:      sum.MeanUpBytesPerDay,
+			MeanPSNR:           m.sum.MeanPSNR,
+			Ratio:              downlinkRatio(cfg, m.sum),
+			UpBytesPerDay:      m.sum.MeanUpBytesPerDay,
 			UplinkBudgetPerDay: env.UplinkBytesPerDay,
-		}
-		if sum.TotalDownBytes > 0 {
-			p.Ratio = float64(int64(sum.Captures-sum.Dropped)*rawCaptureBytes) / float64(sum.TotalDownBytes)
-		}
-		if ss, ok := sys.(storageStatser); ok {
-			_, p.Misses = ss.StorageStats()
-		}
-		if ls, ok := sys.(linkStatser); ok {
-			p.Link = ls.LinkStats()
-		}
-		res.Points = append(res.Points, p)
+			Misses:             misses,
+			Link:               cs.LinkStats(),
+		})
 	}
 	return res, nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"earthplus/internal/baseline"
 	"earthplus/internal/core"
@@ -104,15 +103,12 @@ type StorageSweepResult struct {
 	PolicySweep []EvictPolicyPoint `json:"policy_sweep,omitempty"`
 }
 
-// storageStatser is implemented by systems with a bounded on-board
-// reference store (Earth+, SatRoI).
-type storageStatser interface {
+// boundedStore is a system with a bounded on-board reference store
+// (Earth+, SatRoI): its eviction and miss counts, and what the store still
+// holds after a run — the resident reference count and its real accounted
+// footprint.
+type boundedStore interface {
 	StorageStats() (evictions, misses int64)
-}
-
-// storageResidenter reports what the bounded store still holds after a
-// run: the resident reference count and its real accounted footprint.
-type storageResidenter interface {
 	ResidentRefs() (locations int, bytes int64)
 }
 
@@ -165,7 +161,6 @@ func StorageSweep(sc Scale) (*StorageSweepResult, error) {
 	cfg := richConfig(sc)
 	earthSet := earthRefWorkingSet(cfg)
 	satroiSet := satroiRefWorkingSet(cfg)
-	rawCaptureBytes := int64(cfg.Width) * int64(cfg.Height) * int64(len(cfg.Bands)) * 2
 
 	policy, ok := sc.Spec.StrParam("evict_policy")
 	if !ok {
@@ -173,7 +168,6 @@ func StorageSweep(sc Scale) (*StorageSweepResult, error) {
 	}
 
 	runOne := func(system string, budget int64, pol string, compress bool) (sweepRun, error) {
-		env := mkEnv()
 		spec := registry.Spec{GammaBPP: fig12Gamma}
 		if system == core.SystemName {
 			spec.Theta = theta
@@ -186,28 +180,16 @@ func StorageSweep(sc Scale) (*StorageSweepResult, error) {
 				spec.StrParams["ref_compression"] = "on"
 			}
 		}
-		sys, err := registry.New(system, env, spec)
+		m, err := measure(sc, mkEnv(), system, spec, nil)
 		if err != nil {
 			return sweepRun{}, fmt.Errorf("storage sweep: %s: %w", system, err)
 		}
-		sum, err := summarizeSystem(sc, env, sys)
-		if err != nil {
-			return sweepRun{}, fmt.Errorf("storage sweep: %s: %w", system, err)
-		}
-		r := sweepRun{sum: sum}
-		if ss, ok := sys.(storageStatser); ok {
-			r.evictions, r.misses = ss.StorageStats()
-		}
-		if sr, ok := sys.(storageResidenter); ok {
-			r.resident, r.footprint = sr.ResidentRefs()
+		r := sweepRun{sum: m.sum}
+		if bs, ok := m.sys.(boundedStore); ok {
+			r.evictions, r.misses = bs.StorageStats()
+			r.resident, r.footprint = bs.ResidentRefs()
 		}
 		return r, nil
-	}
-	ratioOf := func(sum sim.Summary) float64 {
-		if sum.TotalDownBytes <= 0 {
-			return 0
-		}
-		return float64(int64(sum.Captures-sum.Dropped)*rawCaptureBytes) / float64(sum.TotalDownBytes)
 	}
 
 	res := &StorageSweepResult{Fracs: storageBudgetFracs, Policy: policy, Satellites: mkEnv().Orbit.Satellites}
@@ -247,7 +229,7 @@ func StorageSweep(sc Scale) (*StorageSweepResult, error) {
 				return nil, err
 			}
 			series.BudgetBytes = append(series.BudgetBytes, budget)
-			series.Ratio = append(series.Ratio, ratioOf(r.sum))
+			series.Ratio = append(series.Ratio, downlinkRatio(cfg, r.sum))
 			series.UpBytesPerDay = append(series.UpBytesPerDay, r.sum.MeanUpBytesPerDay)
 			series.MeanPSNR = append(series.MeanPSNR, r.sum.MeanPSNR)
 			series.Evictions = append(series.Evictions, r.evictions)
@@ -286,7 +268,7 @@ func StorageSweep(sc Scale) (*StorageSweepResult, error) {
 				System:        s.name,
 				Policy:        pol,
 				BudgetBytes:   budget,
-				Ratio:         ratioOf(r.sum),
+				Ratio:         downlinkRatio(cfg, r.sum),
 				UpBytesPerDay: r.sum.MeanUpBytesPerDay,
 				MeanPSNR:      r.sum.MeanPSNR,
 				Evictions:     r.evictions,
@@ -295,19 +277,6 @@ func StorageSweep(sc Scale) (*StorageSweepResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// decodeStatser is the slice of core.System the decode-on-visit
-// snapshot needs.
-type decodeStatser interface {
-	DecodeStats() (decodes, lruHits int64)
-	DecodeWall() time.Duration
-}
-
-// spliceStatser is the slice of core.System the tiled-profile snapshot
-// needs on top of decodeStatser.
-type spliceStatser interface {
-	SpliceTileStats() (reencoded, total int64)
 }
 
 // refDecodeCost runs one serial storage-bounded Earth+ configuration with
@@ -343,18 +312,15 @@ func refDecodeCost(sc Scale, tiled bool) (*RefDecodeCost, error) {
 		spec.StrParams["tiled_store"] = "on"
 		spec.Params["ref_downsample"] = float64(down)
 	}
-	sys, err := registry.New(core.SystemName, env, spec)
+	m, err := measure(sc, env, core.SystemName, spec, nil)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := runSystemStream(sc, env, sys, nil); err != nil {
-		return nil, err
-	}
-	ds := sys.(decodeStatser)
-	decodes, _ := ds.DecodeStats()
-	cost := &RefDecodeCost{Decodes: decodes, WallSeconds: ds.DecodeWall().Seconds()}
+	cs := m.sys.(*core.System)
+	decodes, _ := cs.DecodeStats()
+	cost := &RefDecodeCost{Decodes: decodes, WallSeconds: cs.DecodeWall().Seconds()}
 	if tiled {
-		cost.SpliceTilesReencoded, cost.SpliceTilesTotal = sys.(spliceStatser).SpliceTileStats()
+		cost.SpliceTilesReencoded, cost.SpliceTilesTotal = cs.SpliceTileStats()
 	}
 	return cost, nil
 }

@@ -47,9 +47,6 @@ type Result struct {
 	Changed []*raster.TileMask
 	// Illum holds the per-band alignment fitted against the reference.
 	Illum []illum.Model
-	// CapLow is the downsampled capture after cloud zeroing and
-	// illumination normalisation (used for reference bookkeeping).
-	CapLow *raster.Image
 	// CloudSec and ChangeSec are the measured wall-clock costs of the
 	// cloud-detection and change-detection stages (Fig 16).
 	CloudSec  float64
@@ -86,7 +83,6 @@ func (p *Pipeline) Process(capImg *raster.Image, ref *LowResRef) (*Result, error
 	if err != nil {
 		return nil, fmt.Errorf("sat: %w", err)
 	}
-	res.CapLow = capLow
 	if ref == nil {
 		return res, nil
 	}

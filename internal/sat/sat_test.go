@@ -264,7 +264,7 @@ func TestPipelineNoReferenceYieldsNilChanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Dropped || res.Changed != nil || res.CapLow == nil {
+	if res.Dropped || res.Changed != nil {
 		t.Fatalf("no-ref result: dropped=%v changed=%v", res.Dropped, res.Changed != nil)
 	}
 }

@@ -3,8 +3,8 @@
 // terrestrial change, seasonal drift, snow dynamics, stochastic cloud
 // fields, per-capture illumination shifts and sensor noise.
 //
-// It substitutes for the paper's Sentinel-2 and Planet datasets (DESIGN.md,
-// "Substitutions"): every statistic Earth+'s savings depend on — changed
+// It substitutes for the paper's Sentinel-2 and Planet datasets: every
+// statistic Earth+'s savings depend on — changed
 // tiles vs. reference age (Fig 4), cloud-free availability (Fig 5), band
 // heterogeneity (Fig 14) — is calibrated to the published measurements, and
 // everything is a deterministic function of the configuration seed.

@@ -1,11 +1,12 @@
-// The sharded parallel simulation engine. One simulated day is split into
-// per-location shards: a location's visit sequence is always processed in
-// order by a single worker, distinct locations run concurrently on a
-// bounded pool, and the resulting records are merged back into exactly the
-// serial walk order (day ascending, then location ascending, then visiting
-// satellites in ascending id order). Day-end ground work (reference-upload
-// packing) runs on a sequential barrier between days, because the uplink
-// budget couples locations.
+// The sharded simulation engine. Every simulated day takes the same walk
+// at every worker count: the day is split into per-location shards, a
+// location's visit sequence is always processed in order by a single
+// worker, distinct locations run on the shared bounded pool (par.For,
+// which at one worker runs them inline, in location order), and the
+// records are emitted in location order (day ascending, then location
+// ascending, then visiting satellites in ascending id order). Day-end
+// ground work (reference-upload packing) runs on a sequential barrier
+// between days, because the uplink budget couples locations.
 //
 // Constellation-scale runs invert the shape the sharding was built for:
 // many satellites over few locations. When the requested worker count
@@ -13,41 +14,25 @@
 // captures across every (location, satellite) visit first — capture
 // synthesis is a pure function of (loc, day, sat), so generation order is
 // free — and the location shards then consume the ready captures in visit
-// order. System state is still touched per location in order, so results
-// stay byte-identical to the serial walk at any worker count.
+// order. System state is still touched per location in order, so the
+// records do not depend on the worker count.
 //
 // The engine guarantees determinism: because Systems only share state
 // across locations at the day-end barrier, a run's WriteTrace bytes are
-// identical at any worker count, including the serial path.
+// identical at any worker count. There is no second walk to compare a run
+// against, so the determinism matrix's golden trace digests are what pin
+// the one-worker run.
 package sim
 
 import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"earthplus/internal/par"
 	"earthplus/internal/raster"
 	"earthplus/internal/scene"
 )
-
-// Workers resolves a requested simulation parallelism against n location
-// shards, following the codec.Parallelism convention: values <= 0 mean
-// GOMAXPROCS, and the pool never exceeds the shard count.
-func Workers(requested, n int) int {
-	p := requested
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > n {
-		p = n
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
-}
 
 // RunStream simulates days [startDay, endDay) like Run, but hands each
 // Record to emit in the deterministic serial order instead of retaining it.
@@ -76,32 +61,14 @@ func RunStream(env *Env, sys System, bootstrapFrom, startDay, endDay int, emit f
 	if req <= 0 {
 		req = runtime.GOMAXPROCS(0)
 	}
-	pool := Workers(req, nLoc)
+	pool := par.Workers(req, nLoc)
 
 	// shards[loc] is reused across days; records are emitted (and the
 	// backing slices recycled) at the end of every day.
-	var shards [][]Record
-	if req > 1 {
-		shards = make([][]Record, nLoc)
-	}
+	shards := make([][]Record, nLoc)
 	for day := startDay; day < endDay; day++ {
-		if req <= 1 {
-			// Serial fast path: identical to the historical walk.
-			for loc := 0; loc < nLoc; loc++ {
-				for _, satID := range env.Orbit.VisitsOn(loc, day) {
-					rec, err := processVisit(env, sys, grid, day, loc, satID, nil)
-					if err != nil {
-						return nil, err
-					}
-					if emit != nil {
-						emit(&rec)
-					}
-				}
-			}
-		} else {
-			if err := runDaySharded(env, sys, grid, day, pool, req, shards, emit); err != nil {
-				return nil, err
-			}
+		if err := runDay(env, sys, grid, day, pool, req, shards, emit); err != nil {
+			return nil, err
 		}
 		// Sequential day-end barrier: uplink packing couples locations
 		// through the shared per-satellite budget, so it never runs
@@ -118,52 +85,39 @@ func RunStream(env *Env, sys System, bootstrapFrom, startDay, endDay int, emit f
 	return res, nil
 }
 
-// runDaySharded fans one day's locations out over a bounded worker pool and
-// merges the per-location records back in location order. When req exceeds
-// the location pool, the day's captures are pre-generated across every
-// (location, satellite) visit first so fleet-scale runs over few locations
-// still use the full worker budget.
-func runDaySharded(env *Env, sys System, grid raster.TileGrid, day, pool, req int, shards [][]Record, emit func(*Record)) error {
+// runDay simulates one day's captures: the locations fan out over pool
+// workers (at one worker they run inline, in location order), each
+// location's visits run in order into shards[loc], and the records are
+// emitted in location order. When req exceeds pool, the day's captures
+// are pre-generated across every (location, satellite) visit first so
+// fleet-scale runs over few locations still use the whole worker budget.
+func runDay(env *Env, sys System, grid raster.TileGrid, day, pool, req int, shards [][]Record, emit func(*Record)) error {
 	nLoc := len(shards)
 	var pre [][]*scene.Capture
 	if req > pool {
 		pre = pregenerateCaptures(env, day, nLoc, req)
 	}
 	errs := make([]error, nLoc)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(pool)
-	for i := 0; i < pool; i++ {
-		go func() {
-			defer wg.Done()
-			for {
-				loc := int(next.Add(1)) - 1
-				if loc >= nLoc {
-					return
-				}
-				recs := shards[loc][:0]
-				for vi, satID := range env.Orbit.VisitsOn(loc, day) {
-					var c *scene.Capture
-					if pre != nil {
-						c, pre[loc][vi] = pre[loc][vi], nil
-					}
-					rec, err := processVisit(env, sys, grid, day, loc, satID, c)
-					if err != nil {
-						errs[loc] = err
-						break
-					}
-					recs = append(recs, rec)
-				}
-				shards[loc] = recs
+	par.For(pool, nLoc, func(loc int) {
+		recs := shards[loc][:0]
+		for vi, satID := range env.Orbit.VisitsOn(loc, day) {
+			var c *scene.Capture
+			if pre != nil {
+				c, pre[loc][vi] = pre[loc][vi], nil
 			}
-		}()
-	}
-	wg.Wait()
-	// Deterministic error selection: the lowest-location failure wins, as
-	// it would in the serial walk (later locations may have already run —
-	// their records are discarded, matching serial early-return).
-	for loc := 0; loc < nLoc; loc++ {
-		if errs[loc] != nil {
+			rec, err := processVisit(env, sys, grid, day, loc, satID, c)
+			if err != nil {
+				errs[loc] = err
+				break
+			}
+			recs = append(recs, rec)
+		}
+		shards[loc] = recs
+	})
+	// Deterministic error selection: the lowest-location failure wins, and
+	// the day emits no record.
+	for _, err := range errs {
+		if err != nil {
 			// Recycle pre-generated captures the failed shard never reached.
 			for _, locPre := range pre {
 				for _, c := range locPre {
@@ -172,7 +126,7 @@ func runDaySharded(env *Env, sys System, grid raster.TileGrid, day, pool, req in
 					}
 				}
 			}
-			return errs[loc]
+			return err
 		}
 	}
 	if emit != nil {
@@ -199,29 +153,10 @@ func pregenerateCaptures(env *Env, day, nLoc, workers int) [][]*scene.Capture {
 			visits = append(visits, visit{loc, i, sat})
 		}
 	}
-	if workers > len(visits) {
-		workers = len(visits)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(visits) {
-					return
-				}
-				v := visits[i]
-				pre[v.loc][v.idx] = env.Scene.CaptureImage(v.loc, day, v.sat)
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(workers, len(visits), func(i int) {
+		v := visits[i]
+		pre[v.loc][v.idx] = env.Scene.CaptureImage(v.loc, day, v.sat)
+	})
 	return pre
 }
 

@@ -23,17 +23,17 @@ type Env struct {
 	// Downlink sizes the paper's required-bandwidth metric.
 	Downlink link.Budget
 	// UplinkBytesPerDay caps each satellite's daily reference traffic
-	// (<= 0 means unlimited). See EXPERIMENTS.md for how the Doves uplink
-	// is scaled down to the modeled location count.
+	// (<= 0 means unlimited). The experiments scale the Doves uplink down
+	// to the modeled location count (experiments.defaultUplinkDivisor).
 	UplinkBytesPerDay int64
 	// Parallelism bounds how many locations are simulated concurrently
 	// within one day (the codec.Parallelism convention: <= 0 means
-	// GOMAXPROCS, 1 forces the serial path). Each location's visit
-	// sequence stays ordered and records merge back into serial order, so
-	// results are identical at any setting; see engine.go. When the pool
-	// exceeds the location count (fleet-scale runs over few locations),
-	// the surplus workers pre-generate the day's captures across
-	// satellites instead of idling.
+	// GOMAXPROCS, 1 means one worker). Each location's visit sequence
+	// stays ordered and records are emitted in location order, so results
+	// are identical at any setting; see engine.go. When the pool exceeds
+	// the location count (fleet-scale runs over few locations), the
+	// surplus workers pre-generate the day's captures across satellites
+	// instead of idling.
 	Parallelism int
 	// Observer, when non-nil, sees every evaluated visit while its capture
 	// and ground reconstruction are still live (before the buffers recycle
@@ -163,7 +163,7 @@ type Result struct {
 // Bootstrap uses the first near-clear day at or after bootstrapFrom for
 // each location (searching up to startDay). Locations are sharded across
 // Env.Parallelism workers per day (see engine.go); the returned Result is
-// identical to a serial walk at any worker count.
+// the same at any worker count.
 func Run(env *Env, sys System, bootstrapFrom, startDay, endDay int) (*Result, error) {
 	var records []Record
 	res, err := RunStream(env, sys, bootstrapFrom, startDay, endDay, func(r *Record) {

@@ -28,6 +28,6 @@ func Experiments(sc Scale, benchJSON, simBenchJSON string) []ExperimentJob {
 
 // SetSimWorkers sets the default number of locations simulated
 // concurrently per day for the experiment sweeps (<= 0 means GOMAXPROCS,
-// 1 forces the serial path; results are identical at any setting).
+// 1 means one worker; results are identical at any setting).
 // Per-run control is Env.Parallelism.
 func SetSimWorkers(n int) { experiments.SimWorkers = n }
