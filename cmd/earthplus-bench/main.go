@@ -9,10 +9,9 @@
 //	earthplus-bench -full      # every experiment, full scale
 //	earthplus-bench -only fig11b
 //	earthplus-bench -only codecbench   # codec perf snapshot -> BENCH_codec.json
-//	earthplus-bench -only simbench     # sim engine snapshot -> BENCH_sim.json
+//	earthplus-bench -only simbench     # engine scaling snapshot -> BENCH_sim.json
 //	earthplus-bench -only servebench   # serving-tier load snapshot -> BENCH_serve.json
 //	earthplus-bench -only constsweep   # contended ground-station sweep
-//	earthplus-bench -only simscale     # engine worker-scaling probe
 //	earthplus-bench -parallel 8        # bound per-image band workers
 //	earthplus-bench -simworkers 8      # bound per-day location shards
 //	earthplus-bench -only fig17 -tiledstore   # system flags configure the Earth+ runs of Figs 11-19

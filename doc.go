@@ -79,15 +79,15 @@
 // reference rate instead of raw 16-bit planes: footprints are the actual
 // encoded bytes (~2.7x more locations per budget), every Visit decodes
 // the frame (the decode-on-visit cost model, whose decode count and
-// measured wall-clock are recorded in BENCH_sim.json as ref_decode), and
-// the store installs the frame the ground built (sat.RefCache.Install).
+// wall-clock the repo benchmark's traced sim-constrained run reports as
+// sat.ref_decodes and sat.ref_decode_busy_s), and the store installs the
+// frame the ground built (sat.RefCache.Install).
 // One sat.Storage value, built once in core and handed to the store and
 // the ground (station.Config.Storage), decides what every store keeps, so
 // the ground's mirrors hold what the stores decode and delta uplinks stay
-// byte-coherent. The storage sweep (earthplus-bench -only
-// storagesweep; also embedded in the BENCH_sim.json snapshot) measures
-// compression ratio, uplink use and reference residency against the
-// budget for the raw and compressed Earth+ stores at equal budgets,
+// byte-coherent. The storage sweep (earthplus-bench -only storagesweep)
+// measures compression ratio, uplink use and reference residency against
+// the budget for the raw and compressed Earth+ stores at equal budgets,
 // both baselines, and both eviction policies at a fixed budget.
 //
 // # Constellation ground segment
@@ -111,11 +111,11 @@
 // (constellation.EventTracker, a sim.Observer) watches every scene change
 // event and records time-to-usable-image: days from event onset until a
 // downlinked frame scores the usable PSNR bar over the event's tiles. The
-// constellation sweep (earthplus-bench -only constsweep; embedded in
-// BENCH_sim.json) measures quality, stalls, re-seed backlog and TTUI over
-// fleet sizes x station counts, and fleet-scale determinism is pinned by
-// the internal/sim tests (16 satellites, 2 stations, every worker count
-// identical down to the contact log).
+// constellation sweep (earthplus-bench -only constsweep) measures
+// quality, stalls, re-seed backlog and TTUI over fleet sizes x station
+// counts, and fleet-scale determinism is pinned by the internal/sim tests
+// (16 satellites, 2 stations, every worker count identical down to the
+// contact log).
 //
 // # Performance
 //

@@ -7,7 +7,6 @@ import (
 	"earthplus/internal/change"
 	"earthplus/internal/cloud"
 	"earthplus/internal/codec"
-	"earthplus/internal/illum"
 	"earthplus/internal/raster"
 	"earthplus/internal/sat"
 	"earthplus/internal/scene"
@@ -42,12 +41,12 @@ import (
 // by its own location's ordered visit sequence, and the ground segment
 // locks per location.
 type SatRoI struct {
-	env      *sim.Env
-	gamma    float64
-	opts     codec.Options
-	detector cloud.Detector
-	dropCov  float64
-	tileFrac float64
+	gamma float64
+	opts  codec.Options
+	// pipeline is Earth+'s on-board pipeline at downsample 1: cheap cloud
+	// removal, illumination fit and change detection, all at full
+	// resolution — SatRoI's change-detection cost in Fig 16.
+	pipeline *sat.Pipeline
 	// guaranteeDays matches Earth+'s periodic full download so the two
 	// reference-based systems share the same quality floor mechanism.
 	guaranteeDays int
@@ -105,12 +104,17 @@ func NewSatRoIWithConfig(env *sim.Env, gammaBPP float64, opts codec.Options, sc 
 		lastGuar[i] = -1 << 30
 	}
 	return &SatRoI{
-		env:           env,
-		gamma:         gammaBPP,
-		opts:          opts,
-		detector:      cloud.DefaultCheap(bands),
-		dropCov:       0.5,
-		tileFrac:      0.5,
+		gamma: gammaBPP,
+		opts:  opts,
+		pipeline: &sat.Pipeline{
+			Bands:         bands,
+			Grid:          env.Scene.Grid(),
+			Downsample:    1,
+			CloudDet:      cloud.DefaultCheap(bands),
+			Theta:         change.FullResThreshold,
+			DropCoverage:  0.5,
+			CloudTileFrac: 0.5,
+		},
 		guaranteeDays: 30,
 		ground:        ground,
 		refs:          refs,
@@ -147,31 +151,28 @@ func (s *SatRoI) Bootstrap(cap *scene.Capture) error {
 // alignment and full-resolution change detection against the fixed
 // reference.
 func (s *SatRoI) OnCapture(cap *scene.Capture) (sim.Outcome, error) {
-	grid := s.env.Scene.Grid()
-	out := sim.Outcome{TotalTiles: grid.NumTiles(), RefAge: -1}
-	var ref *raster.Image
-	if lr := s.refs.Visit(cap.Loc, cap.Day); lr != nil {
-		ref = lr.Image
-		out.RefAge = cap.Day - lr.Day
+	out := sim.Outcome{TotalTiles: s.pipeline.Grid.NumTiles(), RefAge: -1}
+	ref := s.refs.Visit(cap.Loc, cap.Day)
+	if ref != nil {
+		out.RefAge = cap.Day - ref.Day
 	} else {
 		out.RefMiss = true
 	}
-
-	tCloud := time.Now()
-	mask := s.detector.Detect(cap.Image)
-	out.CloudSec = time.Since(tCloud).Seconds()
-	if mask.Coverage() > s.dropCov {
+	res, err := s.pipeline.Process(cap.Image, ref)
+	if err != nil {
+		return sim.Outcome{}, err
+	}
+	out.CloudSec, out.ChangeSec = res.CloudSec, res.ChangeSec
+	if res.Dropped {
 		out.Dropped = true
 		return out, nil
 	}
-	cloudTiles := mask.TileMask(grid, s.tileFrac)
-	nonCloud := cloudTiles.Clone()
+	nonCloud := res.CloudTiles.Clone()
 	nonCloud.Invert()
 
 	work := cap.Image.Clone()
-	roi := make([]*raster.TileMask, len(s.env.Scene.Bands()))
-	guaranteed := cap.Day-s.lastGuar[cap.Loc] >= s.guaranteeDays && mask.Coverage() <= 0.05
-	tChange := time.Now()
+	roi := make([]*raster.TileMask, len(s.pipeline.Bands))
+	guaranteed := cap.Day-s.lastGuar[cap.Loc] >= s.guaranteeDays && res.CloudCover <= 0.05
 	if ref == nil || guaranteed {
 		for b := range roi {
 			roi[b] = nonCloud
@@ -181,20 +182,13 @@ func (s *SatRoI) OnCapture(cap *scene.Capture) (sim.Outcome, error) {
 			out.Guaranteed = true
 		}
 	} else {
-		// Full-resolution detection: this is SatRoI's change-detection
-		// cost in Fig 16 — no downsampling shortcut.
-		clear := make([]bool, len(mask.Bits))
-		for i, c := range mask.Bits {
-			clear[i] = !c
-		}
-		det := change.Detector{Theta: change.FullResThreshold}
+		// Changed tiles go down normalised into the reference's
+		// illumination; a guaranteed download keeps the capture's own.
 		for b := range roi {
-			model, _ := illum.FitRobust(ref.Plane(b), work.Plane(b), clear, 2, 0.2)
-			model.Normalize(work.Plane(b))
-			roi[b] = det.DetectBand(ref, work, b, grid, cloudTiles)
+			res.Illum[b].Normalize(work.Plane(b))
+			roi[b] = res.Changed[b]
 		}
 	}
-	out.ChangeSec = time.Since(tChange).Seconds()
 
 	tEnc := time.Now()
 	frame, err := sat.EncodeROI(work, roi, s.gamma, s.opts)

@@ -688,8 +688,8 @@ func (s *System) DecodeStats() (decodes, lruHits int64) {
 
 // DecodeWall sums the fleet's decode-on-visit wall-clock (zero without
 // RefCompression). Advisory, as a wall-clock, but it is the measured
-// CPU price of the compressed store, which the sim-engine snapshot
-// records alongside the counters.
+// CPU price of the compressed store, which the repo benchmark reports
+// alongside the counters.
 func (s *System) DecodeWall() time.Duration {
 	var total time.Duration
 	for _, c := range s.caches {

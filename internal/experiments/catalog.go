@@ -36,7 +36,6 @@ func Catalog(sc Scale, benchJSON, simBenchJSON string) []Job {
 		{"ablation-guarantee", func() (Result, error) { return AblationGuarantee(sc) }},
 		{"ablation-reject", func() (Result, error) { return AblationReject(sc) }},
 		{"codecbench", func() (Result, error) { return CodecBench(benchJSON) }},
-		{"simscale", func() (Result, error) { return SimScaling() }},
 		{"simbench", func() (Result, error) { return SimBench(simBenchJSON) }},
 	}
 }

@@ -37,21 +37,6 @@ func constConfig(sc Scale) scene.Config {
 	return cfg
 }
 
-// constSnapshotScale sizes the constellation sweep recorded in
-// BENCH_sim.json: one location and a short evaluation window — a 64-sat
-// fleet over one location already generates the contention the sweep
-// measures, and anything larger would dominate the snapshot's runtime.
-func constSnapshotScale() Scale {
-	return Scale{
-		Size:         scene.Quick,
-		ProfileStart: 0,
-		ProfileDays:  25,
-		EvalStart:    40,
-		EvalDays:     12,
-		MaxLocations: 1,
-	}
-}
-
 // ConstPoint is one measured (fleet size, station count) cell.
 type ConstPoint struct {
 	Satellites int `json:"satellites"`

@@ -2,7 +2,7 @@
 // evaluation (§6) from the simulation substrate. Each FigNN and TableN
 // function regenerates one paper artefact; the sweeps (StorageSweep,
 // LossSweep, ConstellationSweep), the ablations and the perf snapshots
-// (CodecBench, SimScaling, SimBench) add companion measurements. Each
+// (CodecBench, SimBench) add companion measurements. Each
 // returns a Result that renders its rows or series, and its doc comment
 // describes its workload. Catalog lists them all.
 package experiments

@@ -279,52 +279,6 @@ func StorageSweep(sc Scale) (*StorageSweepResult, error) {
 	return res, nil
 }
 
-// refDecodeCost runs one serial storage-bounded Earth+ configuration with
-// ref_compression=on and returns its decode-on-visit cost (count and
-// wall-clock), so the sim-engine snapshot records what decode-on-visit
-// actually costs. With tiled the store runs the tiled (EPT1) codestream
-// profile and the cost also carries the ground's per-tile splice savings.
-func refDecodeCost(sc Scale, tiled bool) (*RefDecodeCost, error) {
-	cfg := richConfig(sc)
-	def := core.DefaultConfig()
-	down := def.RefDownsample
-	if tiled {
-		// The ground's per-tile splice only has something to save when a
-		// reference spans several 64px codec tiles: at the snapshot's
-		// 192x192 scene the default detection downsample (4) yields 48x48
-		// references — a single tile, so every splice trivially re-encodes
-		// everything. Halve the downsample (96x96 references, a 2x2 codec
-		// tile grid) so localized deltas leave untouched tiles behind.
-		down = 2
-	}
-	// A quarter of the raw working set keeps the compressed store
-	// pressured — capacity for some but not all locations — so evictions
-	// AND decodes both happen.
-	budget := refWorkingSet(cfg, down) / 4
-	env := envFor(cfg, richOrbit(), defaultUplinkDivisor)
-	env.Parallelism = 1
-	spec := registry.Spec{
-		GammaBPP:  fig12Gamma,
-		Params:    map[string]float64{"storage_bytes": float64(budget)},
-		StrParams: map[string]string{"evict_policy": "lru", "ref_compression": "on"},
-	}
-	if tiled {
-		spec.StrParams["tiled_store"] = "on"
-		spec.Params["ref_downsample"] = float64(down)
-	}
-	m, err := measure(sc, env, core.SystemName, spec, nil)
-	if err != nil {
-		return nil, err
-	}
-	cs := m.sys.(*core.System)
-	decodes, _ := cs.DecodeStats()
-	cost := &RefDecodeCost{Decodes: decodes, WallSeconds: cs.DecodeWall().Seconds()}
-	if tiled {
-		cost.SpliceTilesReencoded, cost.SpliceTilesTotal = cs.SpliceTileStats()
-	}
-	return cost, nil
-}
-
 // ID implements Result.
 func (r *StorageSweepResult) ID() string { return "Storage sweep (Fig 15 companion)" }
 

@@ -79,12 +79,12 @@ func (p *Pipeline) Process(capImg *raster.Image, ref *LowResRef) (*Result, error
 	if err != nil {
 		return nil, fmt.Errorf("sat: %w", err)
 	}
+	if ref == nil {
+		return res, nil
+	}
 	capLow, err := capImg.Downsample(p.Downsample)
 	if err != nil {
 		return nil, fmt.Errorf("sat: %w", err)
-	}
-	if ref == nil {
-		return res, nil
 	}
 	if !ref.Image.SameShape(capLow) {
 		return nil, fmt.Errorf("sat: reference %dx%d does not match detection resolution %dx%d",

@@ -335,12 +335,12 @@ func (c *RefCache) load(loc int, e *entry) *LowResRef {
 	if e.ref.Frame == nil {
 		return &LowResRef{Image: e.ref.Image, Day: e.day}
 	}
-	t0 := time.Now() //lint:deterministic wall time feeds DecodeWall, which only the repo benchmark and simbench read
+	t0 := time.Now() //lint:deterministic wall time feeds DecodeWall, which only the repo benchmark reads
 	im, err := e.ref.Load()
 	if err != nil {
 		panic(fmt.Sprintf("sat: loc %d: %v", loc, err))
 	}
-	c.decodeNanos.Add(time.Since(t0).Nanoseconds()) //lint:deterministic wall time feeds DecodeWall, which only the repo benchmark and simbench read
+	c.decodeNanos.Add(time.Since(t0).Nanoseconds()) //lint:deterministic wall time feeds DecodeWall, which only the repo benchmark reads
 	c.decodes.Add(1)
 	return &LowResRef{Image: im, Day: e.day}
 }
@@ -567,9 +567,8 @@ func (c *RefCache) Decodes() int64 { return c.decodes.Load() }
 
 // DecodeWall reports the cumulative wall-clock spent decoding stored
 // frames. Like every timing it stays out of the determinism-checked
-// record stream, but it is the actual decode-on-visit price a compressed
-// store paid, which the sim-engine snapshot records so the cost stops
-// being invisible.
+// record stream; it is the decode-on-visit price a compressed store
+// paid, which the repo benchmark reports as sat.ref_decode_busy_s.
 func (c *RefCache) DecodeWall() time.Duration { return time.Duration(c.decodeNanos.Load()) }
 
 // Len returns the number of cached references.

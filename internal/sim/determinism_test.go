@@ -132,6 +132,9 @@ func matrixRows() []matrixRow {
 		{"Kodan", detEnv, func(env *sim.Env) (sim.System, error) {
 			return baseline.NewKodan(env, 1.0, codec.DefaultOptions())
 		}, nil},
+		{"SatRoI", detEnv, func(env *sim.Env) (sim.System, error) {
+			return baseline.NewSatRoI(env, 1.0, codec.DefaultOptions())
+		}, nil},
 		{"tiled-store", tiledDetEnv, earthPlus(func(c *core.Config) {
 			c.RefCompression = true
 			c.RefDownsample = 2 // 128x128 references: a 2x2 codec-tile grid
