@@ -77,11 +77,12 @@
 // With ref_compression=on (flag -refcompress, default off) the store
 // holds each reference as its encoded codestream at the uplink's
 // reference rate instead of raw 16-bit planes: footprints are the actual
-// encoded bytes (~2.7x more locations per budget), every Visit decodes
-// the frame (the decode-on-visit cost model, whose decode count and
-// wall-clock the repo benchmark's traced sim-constrained run reports as
-// sat.ref_decodes and sat.ref_decode_busy_s), and the store installs the
-// frame the ground built (sat.RefCache.Install).
+// encoded bytes (~2.7x more locations per budget), a Visit hands out the
+// stored frame and the pipeline decodes it only for a capture that
+// survives the cloud drop (core.System.DecodeStats counts those decodes;
+// the repo benchmark's traced sim-constrained run reports their count and
+// wall-clock as sat.ref_decodes and sat.ref_decode_busy_s), and the store
+// installs the frame the ground built (sat.RefCache.Install).
 // One sat.Storage value, built once in core and handed to the store and
 // the ground (station.Config.Storage), decides what every store keeps, so
 // the ground's mirrors hold what the stores decode and delta uplinks stay

@@ -152,9 +152,9 @@ func (s *SatRoI) Bootstrap(cap *scene.Capture) error {
 // reference.
 func (s *SatRoI) OnCapture(cap *scene.Capture) (sim.Outcome, error) {
 	out := sim.Outcome{TotalTiles: s.pipeline.Grid.NumTiles(), RefAge: -1}
-	ref := s.refs.Visit(cap.Loc, cap.Day)
+	ref, refDay := s.refs.Visit(cap.Loc, cap.Day)
 	if ref != nil {
-		out.RefAge = cap.Day - ref.Day
+		out.RefAge = cap.Day - refDay
 	} else {
 		out.RefMiss = true
 	}

@@ -64,7 +64,7 @@ type Config struct {
 	// stale for that capture.
 	LinkFaults link.FaultConfig
 	// RefCompression stores each on-board reference as its encoded
-	// codestream at the uplink's reference rate (refBPP, lossy) instead
+	// codestream at the uplink's reference rate (RefBPP, lossy) instead
 	// of raw planes: the store charges real encoded bytes against
 	// StorageBytes (about 2.7x below the raw sat.RawBitsPerSample rate,
 	// so the same budget holds ~2.7x more locations), captures decode the
@@ -93,9 +93,9 @@ const (
 	cloudTileFrac = 0.25
 	// guaranteeMaxCloud is the most cloud a guaranteed download accepts.
 	guaranteeMaxCloud = 0.05
-	// refBPP is the bits per pixel spent on uplinked reference tiles, and
+	// RefBPP is the bits per pixel spent on uplinked reference tiles, and
 	// the rate compressed references are stored at.
-	refBPP = 6.0
+	RefBPP = 6.0
 	// maxRefCloud bounds reference-candidate cloudiness. The paper uses
 	// <1% on whole images; our ground promotes the cloud-free archive
 	// MOSAIC (cloudy tiles keep their older clear content), so a looser
@@ -143,6 +143,10 @@ type System struct {
 	// counters are atomic for the same reason.
 	channel   *link.Channel
 	linkStats linkCounters
+	// refDecodes counts the stored frames the pipeline decoded, and
+	// refDecodeNanos the wall-clock it spent on them: the compressed
+	// store's on-board price. Bumped from concurrent capture workers.
+	refDecodes, refDecodeNanos atomic.Int64
 	// sched books ground-station contact windows when the constellation
 	// model is on (nil otherwise); contactBudget is the resolved
 	// per-contact uplink byte budget (-1 = unlimited) and contacts is the
@@ -182,7 +186,7 @@ func New(env *sim.Env, cfg Config) (*System, error) {
 	// One representation for uplink and storage: references live on board
 	// at the rate and with the codec options they arrive at, and the ground
 	// builds every stored reference through the same Storage.
-	storage := sat.Storage{Compress: cfg.RefCompression, BPP: refBPP, Codec: cfg.CodecOpts}
+	storage := sat.Storage{Compress: cfg.RefCompression, BPP: RefBPP, Codec: cfg.CodecOpts}
 	ground, err := station.NewGround(station.Config{
 		Bands:       bands,
 		Grid:        grid,
@@ -276,25 +280,16 @@ func (s *System) Bootstrap(cap *scene.Capture) error {
 	return nil
 }
 
-// fullAlias reinterprets a detection-resolution tile mask on the full grid
-// (tile indices are scale-invariant).
-func fullAlias(m *raster.TileMask, full raster.TileGrid) *raster.TileMask {
-	if m == nil {
-		return nil
-	}
-	return &raster.TileMask{Grid: full, Set: m.Set}
-}
-
 // OnCapture implements sim.System: the on-board pipeline followed by the
 // ground-side application of the downloaded tiles.
 func (s *System) OnCapture(cap *scene.Capture) (sim.Outcome, error) {
 	grid := s.env.Scene.Grid()
-	// Visit (not Get): the lookup records recency for eviction and counts
-	// misses. A miss — the reference was evicted under the storage budget —
-	// leaves ref nil, and the ROI selection below falls back to
-	// reference-free encoding of every non-cloudy tile; the ground re-seeds
-	// the reference on the next uplink cycle.
-	ref := s.caches[cap.Sat].Visit(cap.Loc, cap.Day)
+	// Visit (not Get), for every capture: the lookup records recency for
+	// eviction and counts misses. A miss — the reference was evicted under
+	// the storage budget — leaves ref nil, and the ROI selection below
+	// falls back to reference-free encoding of every non-cloudy tile; the
+	// ground re-seeds the reference on the next uplink cycle.
+	ref, refDay := s.caches[cap.Sat].Visit(cap.Loc, cap.Day)
 	res, err := s.pipeline.Process(cap.Image, ref)
 	if err != nil {
 		return sim.Outcome{}, err
@@ -307,11 +302,16 @@ func (s *System) OnCapture(cap *scene.Capture) (sim.Outcome, error) {
 		RefMiss:    ref == nil,
 	}
 	if ref != nil {
-		out.RefAge = cap.Day - ref.Day
+		out.RefAge = cap.Day - refDay
 	}
 	if res.Dropped {
 		out.Dropped = true
 		return out, nil
+	}
+	if ref != nil && ref.Frame != nil {
+		// The pipeline decoded the stored frame for this kept capture.
+		s.refDecodes.Add(1)
+		s.refDecodeNanos.Add(int64(res.DecodeSec * float64(time.Second)))
 	}
 
 	// Pick this capture's region of interest per band.
@@ -319,21 +319,17 @@ func (s *System) OnCapture(cap *scene.Capture) (sim.Outcome, error) {
 	nonCloud.Invert()
 	guaranteed := cap.Day-s.lastGuar[cap.Loc] >= s.cfg.GuaranteePeriodDays &&
 		res.CloudCover <= guaranteeMaxCloud
-	roi := make([]*raster.TileMask, len(s.pipeline.Bands))
-	switch {
-	case guaranteed || res.Changed == nil:
+	roi := res.Changed
+	if guaranteed || roi == nil {
 		// Guaranteed download (§5), or no usable reference: everything
 		// that is not cloudy goes down.
+		roi = make([]*raster.TileMask, len(s.pipeline.Bands))
 		for b := range roi {
 			roi[b] = nonCloud
 		}
 		if guaranteed {
 			s.lastGuar[cap.Loc] = cap.Day
 			out.Guaranteed = true
-		}
-	default:
-		for b := range roi {
-			roi[b] = fullAlias(res.Changed[b], grid)
 		}
 	}
 
@@ -676,26 +672,20 @@ func (s *System) LinkStats() LinkStats {
 	}
 }
 
-// DecodeStats sums the fleet's frame decodes (zero without
-// RefCompression): one per compressed reference visit. The store keeps no
-// decoded planes, so lruHits is always 0; the benchmark reads both.
+// DecodeStats counts the fleet's reference frame decodes (zero without
+// RefCompression): one per capture that hit a compressed store and
+// survived the cloud drop. The store keeps no decoded planes, so lruHits
+// is always 0; the benchmark reads both.
 func (s *System) DecodeStats() (decodes, lruHits int64) {
-	for _, c := range s.caches {
-		decodes += c.Decodes()
-	}
-	return decodes, 0
+	return s.refDecodes.Load(), 0
 }
 
-// DecodeWall sums the fleet's decode-on-visit wall-clock (zero without
+// DecodeWall sums the wall-clock of those decodes (zero without
 // RefCompression). Advisory, as a wall-clock, but it is the measured
 // CPU price of the compressed store, which the repo benchmark reports
 // alongside the counters.
 func (s *System) DecodeWall() time.Duration {
-	var total time.Duration
-	for _, c := range s.caches {
-		total += c.DecodeWall()
-	}
-	return total
+	return time.Duration(s.refDecodeNanos.Load())
 }
 
 // SpliceTileStats reports the ground segment's per-tile mirror splice

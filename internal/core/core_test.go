@@ -402,6 +402,60 @@ func TestCompressedStorageHoldsMoreAndStaysCoherent(t *testing.T) {
 	_ = resRaw
 }
 
+// TestDroppedCapturesDecodeNoReference pins where a compressed store's
+// frames are decoded: Visit hands out the stored frame, and the pipeline
+// decodes it only for a capture that survives the cloud drop. The fleet
+// therefore decodes once per kept capture that hit its store, never for a
+// capture dropped for cloud, and a raw store decodes nothing. Captures run
+// on four workers, so under -race this also covers the decode counters.
+func TestDroppedCapturesDecodeNoReference(t *testing.T) {
+	for _, row := range []struct {
+		name     string
+		compress bool
+	}{{"compressed", true}, {"raw", false}} {
+		t.Run(row.name, func(t *testing.T) {
+			env := barrierEnv(64, 16, 4, 6<<10)
+			cfg := DefaultConfig()
+			cfg.RefCompression = row.compress
+			sys, err := New(env, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sim.Run(env, sys, 0, 20, 40)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var kept, droppedHits int64
+			for _, r := range res.Records {
+				switch {
+				case r.RefMiss:
+				case r.Dropped:
+					droppedHits++
+				default:
+					kept++
+				}
+			}
+			decodes, _ := sys.DecodeStats()
+			if !row.compress {
+				if decodes != 0 || sys.DecodeWall() != 0 {
+					t.Fatalf("raw store decoded %d references in %v", decodes, sys.DecodeWall())
+				}
+				return
+			}
+			if kept == 0 || droppedHits == 0 {
+				t.Fatalf("want kept and dropped captures that hit the store, got %d kept, %d dropped", kept, droppedHits)
+			}
+			if decodes != kept {
+				t.Fatalf("decoded %d references for %d kept hits (%d dropped hits)", decodes, kept, droppedHits)
+			}
+			t.Logf("%d decodes for %d kept hits; %d dropped hits decoded nothing", decodes, kept, droppedHits)
+			if sys.DecodeWall() <= 0 {
+				t.Fatal("decodes ran but no decode time was recorded")
+			}
+		})
+	}
+}
+
 // TestRefCompressionKnobContract pins the registry surface: "off" (and
 // absence) is byte-identical to the default raw store, and anything but
 // on/off is rejected loudly.

@@ -62,7 +62,7 @@ func TestLossyRunGracefulAndCoherent(t *testing.T) {
 			if mirror == nil {
 				continue
 			}
-			ref := cache.Get(loc)
+			ref, _ := cache.Get(loc)
 			if ref == nil {
 				t.Fatalf("sat %d loc %d: ground mirrors a reference the satellite does not hold", satID, loc)
 			}

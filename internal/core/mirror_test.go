@@ -44,11 +44,15 @@ func (m *mirrorChecker) OnDayEnd(day int) (int64, error) {
 			if mirror == nil {
 				continue
 			}
-			ref := cache.Get(loc) // Get leaves eviction recency alone
+			ref, _ := cache.Get(loc) // Get leaves eviction recency alone
 			if ref == nil {
 				return up, fmt.Errorf("day %d sat %d loc %d: the ground mirrors a reference the store does not hold", day, satID, loc)
 			}
-			if !sameBits(ref.Image, mirror) {
+			held, err := ref.Load()
+			if err != nil {
+				return up, fmt.Errorf("day %d sat %d loc %d: %w", day, satID, loc, err)
+			}
+			if !sameBits(held, mirror) {
 				return up, fmt.Errorf("day %d sat %d loc %d: the store's content differs from the ground's mirror", day, satID, loc)
 			}
 			m.checked++

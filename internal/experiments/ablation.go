@@ -61,7 +61,7 @@ func ablationRun(sc Scale, label string, spec registry.Spec) (AblationPoint, err
 	cfg := scene.LargeConstellationSampled(sc.Size)
 	env := envFor(cfg, planetOrbit(8), defaultUplinkDivisor)
 	if spec.Theta == 0 {
-		spec.Theta = profiledTheta(sc, cfg, core.DefaultConfig().RefDownsample)
+		spec.Theta = profiledTheta(sc, cfg)
 	}
 	// Only the PSNR samples (for the p10 quality floor) are retained per
 	// capture.
@@ -90,7 +90,7 @@ func ablationRun(sc Scale, label string, spec registry.Spec) (AblationPoint, err
 // re-downloads noise, too high misses changes (lower quality floor).
 func AblationTheta(sc Scale) (*AblationResult, error) {
 	cfg := scene.LargeConstellationSampled(sc.Size)
-	profiled := profiledTheta(sc, cfg, core.DefaultConfig().RefDownsample)
+	profiled := profiledTheta(sc, cfg)
 	res := &AblationResult{Name: "change threshold θ (profiled vs fixed)"}
 	for _, v := range []struct {
 		label string

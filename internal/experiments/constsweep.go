@@ -80,7 +80,7 @@ type ConstSweepResult struct {
 // workload's time-to-usable-image.
 func ConstellationSweep(sc Scale) (*ConstSweepResult, error) {
 	cfg := constConfig(sc)
-	theta := profiledTheta(sc, cfg, 4)
+	theta := profiledTheta(sc, cfg)
 
 	res := &ConstSweepResult{
 		Sats:          constSweepSats,

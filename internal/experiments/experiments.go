@@ -176,12 +176,6 @@ func envFor(cfg scene.Config, cons orbit.Constellation, uplinkDivisor float64) *
 	return env
 }
 
-// profiledTheta calibrates Earth+'s change threshold θ on the profiling
-// window (the paper profiles last year's data on one location, §5).
-func profiledTheta(sc Scale, cfg scene.Config, downsample int) float64 {
-	return ProfileThetaOnScene(scene.New(cfg), 0, sc.ProfileStart, sc.ProfileStart+sc.ProfileDays, downsample, 0.02, core.DefaultConfig().Theta)
-}
-
 // earthSpec is the scale's base Earth+ spec at the profiled θ and a γ.
 func earthSpec(sc Scale, theta, gamma float64) registry.Spec {
 	spec := sc.Spec

@@ -104,13 +104,18 @@ func TestFig8MissRateStaysModest(t *testing.T) {
 	render(t, r)
 }
 
+// TestFig11PlanetShape runs Fig 11b over six evaluation days, the
+// shortest window in which both bandwidth checks below still fail when
+// Earth+ downloads every non-cloudy tile instead of the changed ones.
 func TestFig11PlanetShape(t *testing.T) {
-	r, err := Fig11(Tiny(), PlanetSampled)
+	sc := Tiny()
+	sc.EvalDays = 6
+	r, err := Fig11(sc, PlanetSampled)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"Earth+", "Kodan", "SatRoI"} {
-		if len(r.Curves[name]) != len(Tiny().GammaSweep) {
+		if len(r.Curves[name]) != len(sc.GammaSweep) {
 			t.Fatalf("%s curve has %d points", name, len(r.Curves[name]))
 		}
 	}
@@ -318,7 +323,7 @@ func TestFig19MoreSatellitesMoreCompression(t *testing.T) {
 
 func TestProfiledThetaSane(t *testing.T) {
 	sc := Tiny()
-	theta := profiledTheta(sc, richConfig(sc), 4)
+	theta := profiledTheta(sc, richConfig(sc))
 	if theta <= 0 || theta > 0.05 {
 		t.Fatalf("profiled theta = %v", theta)
 	}

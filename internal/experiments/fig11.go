@@ -82,13 +82,13 @@ func datasetEnv(sc Scale, ds Dataset) (func() *sim.Env, float64) {
 	switch ds {
 	case PlanetSampled:
 		cfg := scene.LargeConstellationSampled(sc.Size)
-		theta := profiledTheta(sc, cfg, 4)
+		theta := profiledTheta(sc, cfg)
 		return func() *sim.Env {
 			return envFor(cfg, planetOrbit(48), defaultUplinkDivisor)
 		}, theta
 	default:
 		cfg := richConfig(sc)
-		theta := profiledTheta(sc, cfg, 4)
+		theta := profiledTheta(sc, cfg)
 		return func() *sim.Env {
 			return envFor(cfg, richOrbit(), defaultUplinkDivisor)
 		}, theta

@@ -177,14 +177,9 @@ func Fig16(sc Scale) (*Fig16Result, error) {
 		Bands: s.Bands(), Grid: grid, Downsample: 4,
 		CloudDet: cheap, Theta: 0.008, DropCoverage: 1.1, CloudTileFrac: 0.25,
 	}
-	lowRef := &sat.LowResRef{Image: refLow, Day: 0}
 	changeLowSec, err := timeIt(func() error {
-		res, err := pipe.Process(cap.Image, lowRef)
-		if err != nil {
-			return err
-		}
-		_ = res
-		return nil
+		_, err := pipe.Process(cap.Image, &sat.Ref{Image: refLow})
+		return err
 	})
 	if err != nil {
 		return nil, err

@@ -25,19 +25,18 @@ type Fig17Result struct {
 func Fig17(sc Scale) (*Fig17Result, error) {
 	cfg := richConfig(sc)
 	s := scene.New(cfg)
-	down := 4
 	rawPerLoc := float64(cfg.Width) * float64(cfg.Height) * float64(len(cfg.Bands)) * 2
 
 	// Downsampling + codec, full reference.
 	ref := s.GroundTruth(0, sc.EvalStart)
-	refLow, err := ref.Downsample(down)
+	refLow, err := ref.Downsample(core.DefaultConfig().RefDownsample)
 	if err != nil {
 		return nil, err
 	}
 	var lowBytes float64
 	for b := 0; b < refLow.NumBands(); b++ {
 		opts := codec.DefaultOptions()
-		opts.BudgetBytes = int(6.0 * float64(refLow.Width*refLow.Height) / 8)
+		opts.BudgetBytes = codec.BandBudget(core.RefBPP, refLow.Width*refLow.Height)
 		data, err := codec.EncodePlane(refLow.Plane(b), refLow.Width, refLow.Height, opts)
 		if err != nil {
 			return nil, err
@@ -47,7 +46,7 @@ func Fig17(sc Scale) (*Fig17Result, error) {
 
 	// Delta updates: measured uplink traffic per (location, day) from an
 	// Earth+ run with an unconstrained uplink.
-	theta := profiledTheta(sc, cfg, down)
+	theta := profiledTheta(sc, cfg)
 	m, err := measure(sc, envFor(cfg, richOrbit(), 0), core.SystemName, earthSpec(sc, theta, fig12Gamma), nil)
 	if err != nil {
 		return nil, err
@@ -106,7 +105,7 @@ type Fig18Result struct {
 // Fig18 sweeps the uplink budget divisor on the rich-content dataset.
 func Fig18(sc Scale) (*Fig18Result, error) {
 	cfg := richConfig(sc)
-	theta := profiledTheta(sc, cfg, 4)
+	theta := profiledTheta(sc, cfg)
 	res := &Fig18Result{}
 	for _, div := range sc.UplinkDivisors {
 		env := envFor(cfg, richOrbit(), div)
@@ -160,7 +159,7 @@ type Fig19Result struct {
 // inverse of the average changed (downloaded) area.
 func Fig19(sc Scale) (*Fig19Result, error) {
 	cfg := scene.LargeConstellationSampled(sc.Size)
-	theta := profiledTheta(sc, cfg, 4)
+	theta := profiledTheta(sc, cfg)
 	res := &Fig19Result{}
 	for _, n := range sc.FleetSweep {
 		m, err := measure(sc, envFor(cfg, planetOrbit(n), defaultUplinkDivisor), core.SystemName, earthSpec(sc, theta, fig12Gamma), nil)

@@ -70,7 +70,7 @@ type LossSweepResult struct {
 // dataset.
 func LossSweep(sc Scale) (*LossSweepResult, error) {
 	cfg := richConfig(sc)
-	theta := profiledTheta(sc, cfg, 4)
+	theta := profiledTheta(sc, cfg)
 
 	res := &LossSweepResult{Rates: lossSweepRates, Seed: lossSweepSeed}
 	for _, rate := range lossSweepRates {

@@ -10,8 +10,8 @@ import (
 
 // The compressed reference store's contract: an entry's content is ALWAYS
 // decode(frame) of the storage codec — never the raw image that was
-// installed — its accounted footprint is the frame's real byte count, and
-// every visit decodes the frame afresh.
+// installed — and its accounted footprint is the frame's real byte count.
+// The store hands out the frame; whoever loads it decodes it afresh.
 
 const testStoreBPP = 6.0
 
@@ -63,14 +63,15 @@ func TestCompressedCacheDecodesStorageCodecContent(t *testing.T) {
 	want := storedImage(t, im)
 
 	cache.Put(0, im.Clone(), 3)
-	got := cache.Visit(0, 4)
-	if got == nil || got.Day != 3 {
-		t.Fatalf("visit returned %+v, want day 3", got)
+	ref, day := cache.Visit(0, 4)
+	if ref == nil || ref.Frame == nil || day != 3 {
+		t.Fatalf("visit returned day %d (frame held: %v), want a frame from day 3", day, ref != nil && ref.Frame != nil)
 	}
-	if !got.Image.Equal(want) {
+	got := loadRef(t, *ref)
+	if !got.Equal(want) {
 		t.Fatal("compressed entry did not decode to the storage codec's output")
 	}
-	if got.Image.Equal(im) {
+	if got.Equal(im) {
 		t.Fatal("lossy storage codec returned the raw install image; the test is vacuous")
 	}
 
@@ -103,8 +104,9 @@ func TestCompressedPutFrameMatchesPut(t *testing.T) {
 	}
 	viaFrame.Install(5, heldRef(t, testStorage(codec.DefaultOptions()), im), 2)
 
-	a, b := viaPut.Visit(5, 3), viaFrame.Visit(5, 3)
-	if !a.Image.Equal(b.Image) || a.Day != b.Day {
+	a, aDay := viaPut.Visit(5, 3)
+	b, bDay := viaFrame.Visit(5, 3)
+	if !loadRef(t, *a).Equal(loadRef(t, *b)) || aDay != bDay {
 		t.Fatal("Install-installed entry diverged from Put-installed entry")
 	}
 	if viaPut.FootprintBytes() != viaFrame.FootprintBytes() {
@@ -171,7 +173,7 @@ func TestCompressedBoundedCacheInvariantsUnderChurn(t *testing.T) {
 				shadow[loc] = storedImage(t, im)
 			}
 		default:
-			got := cache.Visit(loc, round)
+			got, _ := cache.Visit(loc, round)
 			if (got == nil) != (shadow[loc] == nil) {
 				t.Fatalf("round %d: visit miss=%v but shadow has=%v", round, got == nil, shadow[loc] != nil)
 			}
@@ -190,11 +192,11 @@ func TestCompressedBoundedCacheInvariantsUnderChurn(t *testing.T) {
 			t.Fatalf("round %d: cache holds %d entries, shadow %d", round, cache.Len(), len(shadow))
 		}
 		for l, sh := range shadow {
-			ref := cache.Get(l)
+			ref, _ := cache.Get(l)
 			if ref == nil {
 				t.Fatalf("round %d: loc %d vanished without an eviction report", round, l)
 			}
-			if !ref.Image.Equal(sh) {
+			if !loadRef(t, *ref).Equal(sh) {
 				t.Fatalf("round %d: loc %d diverged from storage-codec shadow", round, l)
 			}
 		}

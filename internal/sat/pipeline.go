@@ -38,18 +38,20 @@ type Result struct {
 	Dropped bool
 	// CloudCover is the detected (not true) cloud coverage.
 	CloudCover float64
-	// CloudMask is the detected per-pixel mask.
-	CloudMask *cloud.Mask
-	// CloudTiles marks tiles considered cloudy (full-res grid indexing).
+	// CloudTiles marks tiles considered cloudy, on the capture's grid.
 	CloudTiles *raster.TileMask
-	// Changed holds, per band, the changed-tile mask (nil when no
-	// reference was available; the caller decides the fallback).
+	// Changed holds, per band, the changed-tile mask on the capture's grid
+	// (nil when no reference was available; the caller decides the
+	// fallback).
 	Changed []*raster.TileMask
 	// Illum holds the per-band alignment fitted against the reference.
 	Illum []illum.Model
-	// CloudSec and ChangeSec are the measured wall-clock costs of the
-	// cloud-detection and change-detection stages (Fig 16).
+	// CloudSec, DecodeSec and ChangeSec are the measured wall-clock costs
+	// of the cloud-detection, reference-load and change-detection stages
+	// (Fig 16). DecodeSec is the frame decode of a compressed store's
+	// reference; loading a raw one costs nothing.
 	CloudSec  float64
+	DecodeSec float64
 	ChangeSec float64
 }
 
@@ -58,19 +60,20 @@ func (p *Pipeline) lowGrid() (raster.TileGrid, error) {
 	return p.Grid.Scaled(p.Downsample)
 }
 
-// Process runs the §5 pipeline on one capture against the cached reference
-// (which may be nil).
-func (p *Pipeline) Process(capImg *raster.Image, ref *LowResRef) (*Result, error) {
+// Process runs the §5 pipeline on one capture against the stored
+// reference ref, nil when the store has none. ref is loaded — a compressed
+// store's frame decoded — only for a capture that survives the cloud drop.
+func (p *Pipeline) Process(capImg *raster.Image, ref *Ref) (*Result, error) {
 	if capImg.Width != p.Grid.ImageW || capImg.Height != p.Grid.ImageH {
 		return nil, fmt.Errorf("sat: capture %dx%d does not match grid", capImg.Width, capImg.Height)
 	}
 	res := &Result{}
 	// Cloud removal: detect, then drop heavily cloudy captures.
 	tCloud := time.Now() //lint:deterministic wall time feeds Outcome.CloudSec, which only the repo benchmark reads
-	res.CloudMask = p.CloudDet.Detect(capImg)
+	cloudMask := p.CloudDet.Detect(capImg)
 	res.CloudSec = time.Since(tCloud).Seconds() //lint:deterministic wall time feeds Outcome.CloudSec, which only the repo benchmark reads
-	res.CloudCover = res.CloudMask.Coverage()
-	res.CloudTiles = res.CloudMask.TileMask(p.Grid, p.CloudTileFrac)
+	res.CloudCover = cloudMask.Coverage()
+	res.CloudTiles = cloudMask.TileMask(p.Grid, p.CloudTileFrac)
 	if res.CloudCover > p.DropCoverage {
 		res.Dropped = true
 		return res, nil
@@ -82,34 +85,38 @@ func (p *Pipeline) Process(capImg *raster.Image, ref *LowResRef) (*Result, error
 	if ref == nil {
 		return res, nil
 	}
+	tDecode := time.Now() //lint:deterministic wall time feeds DecodeWall, which only the repo benchmark reads
+	refLow, err := ref.Load()
+	res.DecodeSec = time.Since(tDecode).Seconds() //lint:deterministic wall time feeds DecodeWall, which only the repo benchmark reads
+	if err != nil {
+		return nil, err
+	}
 	capLow, err := capImg.Downsample(p.Downsample)
 	if err != nil {
 		return nil, fmt.Errorf("sat: %w", err)
 	}
-	if !ref.Image.SameShape(capLow) {
+	if !refLow.SameShape(capLow) {
 		return nil, fmt.Errorf("sat: reference %dx%d does not match detection resolution %dx%d",
-			ref.Image.Width, ref.Image.Height, capLow.Width, capLow.Height)
+			refLow.Width, refLow.Height, capLow.Width, capLow.Height)
 	}
 	// Clear-pixel mask at detection resolution for the illumination fit.
 	tChange := time.Now() //lint:deterministic wall time feeds Outcome.ChangeSec, which only the repo benchmark reads
-	clearLow := clearPixelsLow(res.CloudMask, p.Downsample, capLow.Width, capLow.Height)
+	clearLow := clearPixelsLow(cloudMask, p.Downsample, capLow.Width, capLow.Height)
 	det := change.Detector{Theta: p.Theta}
 	res.Changed = make([]*raster.TileMask, len(p.Bands))
 	res.Illum = make([]illum.Model, len(p.Bands))
 	for b := range p.Bands {
-		model, _ := illum.FitRobust(ref.Image.Plane(b), capLow.Plane(b), clearLow, 2, 0.2)
+		model, _ := illum.FitRobust(refLow.Plane(b), capLow.Plane(b), clearLow, 2, 0.2)
 		model.Normalize(capLow.Plane(b))
 		res.Illum[b] = model
-		res.Changed[b] = det.DetectBand(ref.Image, capLow, b, gLow, lowAlias(res.CloudTiles, gLow))
+		// Tile indices are the same at both scales, so the cloudy tiles
+		// exclude as they are and the mask moves to the capture's grid.
+		changed := det.DetectBand(refLow, capLow, b, gLow, res.CloudTiles)
+		changed.Grid = p.Grid
+		res.Changed[b] = changed
 	}
 	res.ChangeSec = time.Since(tChange).Seconds() //lint:deterministic wall time feeds Outcome.ChangeSec, which only the repo benchmark reads
 	return res, nil
-}
-
-// lowAlias reinterprets a full-resolution-grid tile mask as a mask over the
-// scaled grid (tile indices are identical across scales).
-func lowAlias(m *raster.TileMask, gLow raster.TileGrid) *raster.TileMask {
-	return &raster.TileMask{Grid: gLow, Set: m.Set}
 }
 
 // clearPixelsLow reduces a full-resolution cloud mask to a clear-pixel

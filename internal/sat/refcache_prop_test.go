@@ -61,12 +61,12 @@ func TestApplyTileUpdateSplicesExactly(t *testing.T) {
 				}
 			}
 		}
-		ref := cache.Get(3)
+		ref, day := cache.Get(3)
 		if ref == nil {
 			t.Fatal("reference vanished")
 		}
-		if ref.Day != round {
-			t.Fatalf("round %d: reference day %d", round, ref.Day)
+		if day != round {
+			t.Fatalf("round %d: reference day %d", round, day)
 		}
 		if !ref.Image.Equal(shadow) {
 			t.Fatalf("round %d: cached reference diverged from tile-spliced shadow", round)
@@ -77,7 +77,7 @@ func TestApplyTileUpdateSplicesExactly(t *testing.T) {
 	update := propImage(src, 999, w, h, bands)
 	empty := make([]*raster.TileMask, len(bands))
 	cache.ApplyTileUpdate(7, update, empty, 5)
-	if ref := cache.Get(7); ref == nil || ref.Day != 5 || !ref.Image.Equal(update) {
+	if ref, day := cache.Get(7); ref == nil || day != 5 || !ref.Image.Equal(update) {
 		t.Fatal("missing-entry update did not install the full image")
 	}
 	if cache.Len() != 2 {
@@ -97,7 +97,8 @@ func TestApplyTileUpdateLeavesStoredImagesUntouched(t *testing.T) {
 	c := NewRefCache()
 	put := propImage(src, 1, w, h, bands)
 	c.Put(0, put, 1)
-	visited := c.Visit(0, 2).Image
+	ref, _ := c.Visit(0, 2)
+	visited := ref.Image
 	wantPut, wantVisited := put.Clone(), visited.Clone()
 
 	update := propImage(src, 2, w, h, bands)
@@ -109,7 +110,7 @@ func TestApplyTileUpdateLeavesStoredImagesUntouched(t *testing.T) {
 	}
 	c.ApplyTileUpdate(0, update, perBand, 3)
 
-	if got := c.Get(0); got == nil || got.Day != 3 || !got.Image.Equal(update) {
+	if got, day := c.Get(0); got == nil || day != 3 || !got.Image.Equal(update) {
 		t.Fatal("a splice over every tile did not install the update")
 	}
 	if !put.Equal(wantPut) || !visited.Equal(wantVisited) {
@@ -171,7 +172,7 @@ func TestBoundedCacheInvariantsUnderChurn(t *testing.T) {
 						shadow[loc] = im.Clone()
 					}
 				default:
-					got := cache.Visit(loc, round)
+					got, _ := cache.Visit(loc, round)
 					if (got == nil) != (shadow[loc] == nil) {
 						t.Fatalf("round %d: visit miss=%v but shadow has=%v", round, got == nil, shadow[loc] != nil)
 					}
@@ -190,7 +191,7 @@ func TestBoundedCacheInvariantsUnderChurn(t *testing.T) {
 					t.Fatalf("round %d: cache holds %d entries, shadow %d", round, cache.Len(), len(shadow))
 				}
 				for l, sh := range shadow {
-					ref := cache.Get(l)
+					ref, _ := cache.Get(l)
 					if ref == nil {
 						t.Fatalf("round %d: loc %d vanished without an eviction report", round, l)
 					}

@@ -9,24 +9,12 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"earthplus/internal/codec"
 	"earthplus/internal/container"
 	"earthplus/internal/orbit"
 	"earthplus/internal/raster"
 )
-
-// LowResRef is one cached downsampled reference image.
-type LowResRef struct {
-	// Image is the reference content at the pipeline's detection
-	// resolution (already cloud-free by ground-side construction). It may
-	// be shared with the store and must not be mutated (see RefCache).
-	Image *raster.Image
-	// Day is the capture day of the reference content (its freshness).
-	Day int
-}
 
 // Policy names a reference-store eviction policy.
 type Policy string
@@ -121,7 +109,8 @@ type Storage struct {
 	// Compress keeps frames instead of raw planes: the footprint charged
 	// against a budget is the frame's real byte count (at Earth+'s 6 bpp
 	// about 2.7x below RawBitsPerSample, so the same budget holds ~2.7x
-	// more locations), and every visit decodes the frame.
+	// more locations), and the pipeline decodes the frame for every
+	// capture that survives the cloud drop.
 	Compress bool
 	// BPP is the rate of a compressed reference, in bits per pixel per
 	// band; required (> 0) with Compress.
@@ -212,8 +201,8 @@ func (s Storage) Update(prev Ref, next *raster.Image, changed []*raster.TileMask
 }
 
 // Load returns r's content: a raw Ref's own image, or a compressed one's
-// frame decoded into a fresh image. Bands decode one after another: a
-// store's loads run inside the sharded engine's capture workers.
+// frame decoded into a fresh image. Bands decode one after another: the
+// pipeline's loads run inside the sharded engine's capture workers.
 func (r Ref) Load() (*raster.Image, error) {
 	if r.Frame == nil {
 		return r.Image, nil
@@ -250,8 +239,8 @@ func (r Ref) bytes() int64 {
 }
 
 // entry is one stored reference. Every field but lastVisit is fixed at
-// install — an update installs a new entry — so a Visit may read an entry
-// after releasing the cache lock.
+// install — an update installs a new entry — so the Ref a Visit or Get
+// hands out may be read after the cache lock is released.
 type entry struct {
 	ref Ref
 	// day is the content's capture day; lastVisit the day of the most
@@ -270,16 +259,17 @@ type entry struct {
 // The store keeps each reference as its CacheConfig.Storage dictates: raw
 // planes, or a container frame at the uplink's reference rate, whose
 // footprint is its real encoded byte count (so the same budget holds ~2.7x
-// more locations at Earth+'s 6 bpp) and which every Visit decodes. The
-// ground builds the Ref a store installs through the same Storage and
-// mirrors its Load, so what the satellite detects changes against is
-// byte-equal to what the ground believes it holds.
+// more locations at Earth+'s 6 bpp). The store is pure storage: Visit and
+// Get hand out the Ref it holds and never decode, and the pipeline loads a
+// Ref only for a capture it keeps. The ground builds the Ref a store
+// installs through the same Storage and mirrors its Load, so what the
+// satellite detects changes against is byte-equal to what the ground
+// believes it holds.
 //
-// Ownership: a Ref and its image or frame are never mutated. A raw store
-// gives the image it installed to every Visit, and ApplyTileUpdate splices
-// into a new image. One Ref may therefore back several satellites' stores
-// and the ground's mirrors at once, and no caller may write to an image it
-// passed in or got back.
+// Ownership: a Ref and its image or frame are never mutated, and
+// ApplyTileUpdate splices into a new image. One Ref may therefore back
+// several satellites' stores and the ground's mirrors at once, and no
+// caller may write to a Ref, or an image, it passed in or got back.
 //
 // Determinism contract: eviction decisions depend only on the visit
 // schedule (day numbers), never on wall-clock or goroutine order. Visit
@@ -291,9 +281,9 @@ type entry struct {
 //
 // The cache is safe for concurrent use on DISTINCT locations: the sharded
 // simulation engine looks up references for many locations at once while a
-// satellite's cache is shared across its day's visits, and a compressed
-// Visit decodes outside the lock. Same-location ordering is the caller's
-// responsibility (the engine serialises each location's visit sequence).
+// satellite's cache is shared across its day's visits. Same-location
+// ordering is the caller's responsibility (the engine serialises each
+// location's visit sequence).
 type RefCache struct {
 	mu      sync.RWMutex
 	cfg     CacheConfig
@@ -305,11 +295,6 @@ type RefCache struct {
 	lastDay int
 	// evictions and misses count capacity evictions and Visit misses.
 	evictions, misses int64
-	// decodes counts the store's frame decodes and decodeNanos the
-	// wall-clock spent in them, so the decode-on-visit cost of a
-	// compressed store is measurable, not just countable. Visit and Get
-	// decode outside mu.
-	decodes, decodeNanos atomic.Int64
 }
 
 // NewRefCache returns an empty, unbounded cache.
@@ -328,45 +313,34 @@ func NewBoundedRefCache(cfg CacheConfig) (*RefCache, error) {
 	return &RefCache{cfg: cfg, entries: make(map[int]*entry)}, nil
 }
 
-// load returns e's reference: a raw entry's own image, or a compressed
-// entry's frame decoded afresh. Only these decodes count in Decodes and
-// DecodeWall; a Ref's Load elsewhere (the ground's mirrors) does not.
-func (c *RefCache) load(loc int, e *entry) *LowResRef {
-	if e.ref.Frame == nil {
-		return &LowResRef{Image: e.ref.Image, Day: e.day}
-	}
-	t0 := time.Now() //lint:deterministic wall time feeds DecodeWall, which only the repo benchmark reads
-	im, err := e.ref.Load()
-	if err != nil {
-		panic(fmt.Sprintf("sat: loc %d: %v", loc, err))
-	}
-	c.decodeNanos.Add(time.Since(t0).Nanoseconds()) //lint:deterministic wall time feeds DecodeWall, which only the repo benchmark reads
-	c.decodes.Add(1)
-	return &LowResRef{Image: im, Day: e.day}
-}
-
-// Get returns the cached reference for loc, or nil. It does not count as a
-// visit; capture processing uses Visit so eviction recency tracks the
-// schedule. A compressed entry is decoded like a visit would.
-func (c *RefCache) Get(loc int) *LowResRef {
-	c.mu.RLock()
-	e := c.entries[loc]
-	c.mu.RUnlock()
+// held returns e's Ref and the capture day of its content, or nil for a
+// missing entry.
+func (e *entry) held() (*Ref, int) {
 	if e == nil {
-		return nil
+		return nil, 0
 	}
-	return c.load(loc, e)
+	return &e.ref, e.day
 }
 
-// Visit returns the cached reference for loc, recording the visit day for
-// eviction recency. A nil return is a cache MISS: the reference was
-// evicted (or never seeded) and the caller must fall back to
-// reference-free encoding. Recency is keyed by day, so concurrent visits
-// to distinct locations leave the same state in any order. A compressed
-// cache decodes the stored frame on every visit — decode-on-visit is the
-// cost the compressed footprint trades for.
-func (c *RefCache) Visit(loc, day int) *LowResRef {
+// Get returns loc's stored Ref and the capture day of its content, or nil.
+// It does not count as a visit; capture processing uses Visit so eviction
+// recency tracks the schedule.
+func (c *RefCache) Get(loc int) (*Ref, int) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.entries[loc].held()
+}
+
+// Visit returns loc's stored Ref and the capture day of its content,
+// recording the visit day for eviction recency. A nil Ref is a cache
+// MISS: the reference was evicted (or never seeded) and the caller must
+// fall back to reference-free encoding. Recency is keyed by day, so
+// concurrent visits to distinct locations leave the same state in any
+// order. Nothing is decoded here: a compressed Ref's frame is decoded by
+// whoever loads it (Pipeline.Process, for a capture it keeps).
+func (c *RefCache) Visit(loc, day int) (*Ref, int) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.lastDay = max(c.lastDay, day)
 	e := c.entries[loc]
 	if e == nil {
@@ -374,17 +348,13 @@ func (c *RefCache) Visit(loc, day int) *LowResRef {
 	} else {
 		e.lastVisit = max(e.lastVisit, day)
 	}
-	c.mu.Unlock()
-	if e == nil {
-		return nil
-	}
-	return c.load(loc, e)
+	return e.held()
 }
 
 // Put installs the Storage's Ref for content im (Install(loc,
 // Storage.Hold(im), day)). A compressed cache expects the PRE-storage-codec
-// image and keeps only its frame: the next Visit decodes the frame, NOT
-// the pixels passed here.
+// image and keeps only its frame: loading the stored Ref decodes the
+// frame, NOT the pixels passed here.
 func (c *RefCache) Put(loc int, im *raster.Image, day int) []int {
 	ref, err := c.cfg.Storage.Hold(im)
 	if err != nil {
@@ -432,7 +402,11 @@ func (c *RefCache) ApplyTileUpdate(loc int, update *raster.Image, perBand []*ras
 	if old := c.entries[loc]; old != nil {
 		prev = old.ref
 		if !prev.Frame.Tiled() {
-			next = c.load(loc, old).Image.Clone()
+			im, err := prev.Load()
+			if err != nil {
+				panic(fmt.Sprintf("sat: loc %d: %v", loc, err))
+			}
+			next = im.Clone()
 			spliceTiles(next, update, perBand)
 		}
 	}
@@ -559,17 +533,6 @@ func (c *RefCache) Stats() (evictions, misses int64) {
 	defer c.mu.RUnlock()
 	return c.evictions, c.misses
 }
-
-// Decodes reports how many stored frames the cache decoded: one per
-// compressed Visit or Get hit (plus one per monolithic ApplyTileUpdate),
-// zero in raw mode. Loads of the same Refs outside the cache do not count.
-func (c *RefCache) Decodes() int64 { return c.decodes.Load() }
-
-// DecodeWall reports the cumulative wall-clock spent decoding stored
-// frames. Like every timing it stays out of the determinism-checked
-// record stream; it is the decode-on-visit price a compressed store
-// paid, which the repo benchmark reports as sat.ref_decode_busy_s.
-func (c *RefCache) DecodeWall() time.Duration { return time.Duration(c.decodeNanos.Load()) }
 
 // Len returns the number of cached references.
 func (c *RefCache) Len() int {

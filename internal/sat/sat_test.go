@@ -5,6 +5,7 @@ import (
 
 	"earthplus/internal/cloud"
 	"earthplus/internal/codec"
+	"earthplus/internal/container"
 	"earthplus/internal/raster"
 	"earthplus/internal/scene"
 )
@@ -47,16 +48,25 @@ func cloudyCapture(t *testing.T, s *scene.Scene, minCov float64) *scene.Capture 
 	return nil
 }
 
+// holds reports whether c holds every one of locs.
+func holds(c *RefCache, locs ...int) bool {
+	for _, loc := range locs {
+		if ref, _ := c.Get(loc); ref == nil {
+			return false
+		}
+	}
+	return true
+}
+
 func TestRefCacheBasics(t *testing.T) {
 	c := NewRefCache()
-	if c.Get(3) != nil || c.Len() != 0 {
+	if ref, _ := c.Get(3); ref != nil || c.Len() != 0 {
 		t.Fatal("fresh cache not empty")
 	}
 	im := raster.New(8, 8, raster.PlanetBands())
 	c.Put(3, im, 17)
-	ref := c.Get(3)
-	if ref == nil || ref.Day != 17 {
-		t.Fatalf("Get = %+v", ref)
+	if ref, day := c.Get(3); ref == nil || ref.Image != im || day != 17 {
+		t.Fatalf("Get = %+v, day %d", ref, day)
 	}
 	if c.StorageBytes() != 8*8*4*2 {
 		t.Fatalf("StorageBytes = %d", c.StorageBytes())
@@ -112,23 +122,20 @@ func TestBoundedCacheEvictsLRU(t *testing.T) {
 		t.Fatalf("second insert evicted %v", ev)
 	}
 	// Visiting loc 0 makes loc 1 the least-recently-visited.
-	if c.Visit(0, 3) == nil {
+	if ref, _ := c.Visit(0, 3); ref == nil {
 		t.Fatal("visit of cached loc missed")
 	}
 	if ev := c.Put(2, ref8(t), 4); len(ev) != 1 || ev[0] != 1 {
 		t.Fatalf("evicted %v, want [1]", ev)
 	}
-	if c.Get(1) != nil {
-		t.Fatal("evicted entry still cached")
-	}
-	if c.Get(0) == nil || c.Get(2) == nil {
-		t.Fatal("survivors missing")
+	if !holds(c, 0, 2) || holds(c, 1) {
+		t.Fatal("want locations 0 and 2 held and the evicted 1 gone")
 	}
 	if got := c.FootprintBytes(); got != 1024 {
 		t.Fatalf("footprint %d after eviction, want 1024", got)
 	}
 	// The miss is observable and counted.
-	if c.Visit(1, 5) != nil {
+	if ref, _ := c.Visit(1, 5); ref != nil {
 		t.Fatal("evicted entry served a visit")
 	}
 	ev, miss := c.Stats()
@@ -179,7 +186,7 @@ func TestBoundedCacheOversizeInsertKeepsOthers(t *testing.T) {
 	if len(ev) != 1 || ev[0] != 9 {
 		t.Fatalf("evicted %v, want only the oversize entry [9]", ev)
 	}
-	if c.Get(0) == nil || c.Get(1) == nil || c.Len() != 2 {
+	if !holds(c, 0, 1) || c.Len() != 2 {
 		t.Fatal("oversize insert flushed resident entries")
 	}
 	if got := c.FootprintBytes(); got != 1024 {
@@ -223,16 +230,16 @@ func TestRefCacheApplyTileUpdate(t *testing.T) {
 	masks[0] = raster.NewTileMask(g)
 	masks[0].Set[0] = true
 	c.ApplyTileUpdate(0, update, masks, 9)
-	ref := c.Get(0)
-	if ref.Day != 9 {
-		t.Fatalf("day = %d", ref.Day)
+	ref, day := c.Get(0)
+	if day != 9 {
+		t.Fatalf("day = %d", day)
 	}
 	if ref.Image.At(0, 0, 0) != 1 || ref.Image.At(0, 7, 7) != 0 {
 		t.Fatal("tile update applied wrong region")
 	}
 	// Update to an empty slot installs the image as-is.
 	c.ApplyTileUpdate(1, update, masks, 3)
-	if c.Get(1) == nil || c.Get(1).Day != 3 {
+	if ref, day := c.Get(1); ref == nil || day != 3 {
 		t.Fatal("update to empty slot not installed")
 	}
 }
@@ -241,9 +248,11 @@ func TestPipelineDropsCloudyCaptures(t *testing.T) {
 	s := testScene()
 	p := testPipeline(s)
 	cap := cloudyCapture(t, s, 0.75)
-	res, err := p.Process(cap.Image, nil)
+	// A frame that cannot decode: a dropped capture must never load it.
+	junk := &Ref{Frame: container.Codestream("not a frame"), W: 8, H: 8, Bands: s.Bands()}
+	res, err := p.Process(cap.Image, junk)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("dropped capture loaded its reference: %v", err)
 	}
 	if !res.Dropped {
 		t.Fatalf("capture with %.2f true coverage not dropped (detected %.2f)", cap.Coverage, res.CloudCover)
@@ -253,6 +262,9 @@ func TestPipelineDropsCloudyCaptures(t *testing.T) {
 	}
 	if res.CloudSec <= 0 {
 		t.Fatal("cloud timing not recorded")
+	}
+	if _, err := p.Process(clearCapture(t, s, 0).Image, junk); err == nil {
+		t.Fatal("a kept capture did not load its reference")
 	}
 }
 
@@ -278,13 +290,18 @@ func TestPipelineDetectsInjectedChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := &LowResRef{Image: refImg, Day: cap.Day}
+	ref := &Ref{Image: refImg}
 	res, err := p.Process(cap.Image, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Dropped {
 		t.Fatal("clear capture dropped")
+	}
+	for b, m := range res.Changed {
+		if m.Grid != p.Grid {
+			t.Fatalf("band %d: changed mask on grid %+v, want the capture's %+v", b, m.Grid, p.Grid)
+		}
 	}
 	baselineCount := res.Changed[0].Count()
 
@@ -315,7 +332,7 @@ func TestPipelineFalsePositiveFloorIsLow(t *testing.T) {
 	p := testPipeline(s)
 	cap := clearCapture(t, s, 0)
 	refImg, _ := cap.Truth.Downsample(p.Downsample)
-	res, err := p.Process(cap.Image, &LowResRef{Image: refImg, Day: cap.Day})
+	res, err := p.Process(cap.Image, &Ref{Image: refImg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +352,7 @@ func TestPipelineRejectsGeometryMismatch(t *testing.T) {
 		t.Fatal("expected geometry error")
 	}
 	cap := clearCapture(t, s, 0)
-	badRef := &LowResRef{Image: raster.New(5, 5, s.Bands()), Day: 0}
+	badRef := &Ref{Image: raster.New(5, 5, s.Bands())}
 	if _, err := p.Process(cap.Image, badRef); err == nil {
 		t.Fatal("expected reference-shape error")
 	}

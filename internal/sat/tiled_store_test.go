@@ -33,10 +33,11 @@ func tiledStoreImage(seed, w, h int) *raster.Image {
 }
 
 // TestConcurrentCompressedVisits visits distinct locations of one
-// compressed store from concurrent goroutines, as the sharded engine
-// does; run it under -race, since a compressed Visit decodes outside the
-// cache lock. The store keeps no decoded planes, so every visit decodes
-// its frame once, and each decode equals the storage codec's own.
+// compressed store from concurrent goroutines and loads what each visit
+// hands out, as the sharded engine's capture workers do; run it under
+// -race, since the loads read stored frames outside the cache lock. Every
+// visit hands out its location's stored frame, and each load equals the
+// storage codec's own decode.
 func TestConcurrentCompressedVisits(t *testing.T) {
 	const w, h = 128, 64 // 2x1 codec tiles
 	const locs, rounds = 6, 3
@@ -61,18 +62,19 @@ func TestConcurrentCompressedVisits(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for day := 1; day <= rounds; day++ {
-						ref := c.Visit(loc, day)
-						if ref == nil || ref.Day != 0 || !ref.Image.Equal(want[loc]) {
-							t.Errorf("loc %d day %d: visit diverged from the storage codec's decode", loc, day)
+						ref, refDay := c.Visit(loc, day)
+						if ref == nil || refDay != 0 {
+							t.Errorf("loc %d day %d: visit missed or handed out day %d", loc, day, refDay)
+							return
+						}
+						if im, err := ref.Load(); err != nil || !im.Equal(want[loc]) {
+							t.Errorf("loc %d day %d: load diverged from the storage codec's decode (%v)", loc, day, err)
 							return
 						}
 					}
 				}()
 			}
 			wg.Wait()
-			if got := c.Decodes(); got != locs*rounds {
-				t.Fatalf("Decodes = %d, want one per visit (%d)", got, locs*rounds)
-			}
 		})
 	}
 }

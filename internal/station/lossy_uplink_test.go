@@ -143,11 +143,11 @@ func TestSingleFaultedUpdateKeepsCoherence(t *testing.T) {
 					if mirror == nil {
 						continue
 					}
-					ref := cache.Get(loc)
+					ref, _ := cache.Get(loc)
 					if ref == nil {
 						t.Fatalf("day %d loc %d: ground mirrors a reference the satellite does not hold", day, loc)
 					}
-					if !ref.Image.Equal(mirror) {
+					if !loadRef(t, ref).Equal(mirror) {
 						t.Fatalf("day %d loc %d: on-board reference diverged from ground mirror", day, loc)
 					}
 				}

@@ -431,7 +431,7 @@ func TestSharedMirrorsDoNotAliasOnboardStores(t *testing.T) {
 	}
 	for _, u := range ups {
 		caches[0].ApplyTileUpdate(u.Loc, u.Decoded, u.PerBand, u.Day)
-		if !caches[0].Get(u.Loc).Image.Equal(g.MirrorImage(0, u.Loc)) {
+		if ref, _ := caches[0].Get(u.Loc); !loadRef(t, ref).Equal(g.MirrorImage(0, u.Loc)) {
 			t.Fatalf("loc %d: satellite 0's store diverged from its mirror", u.Loc)
 		}
 	}
@@ -441,7 +441,7 @@ func TestSharedMirrorsDoNotAliasOnboardStores(t *testing.T) {
 			if !sameBits(mirror, before[s][loc]) {
 				t.Fatalf("sat %d loc %d: another satellite's splice changed this mirror", s, loc)
 			}
-			if !caches[s].Get(loc).Image.Equal(mirror) {
+			if ref, _ := caches[s].Get(loc); !loadRef(t, ref).Equal(mirror) {
 				t.Fatalf("sat %d loc %d: store diverged from its mirror", s, loc)
 			}
 		}

@@ -34,6 +34,16 @@ func testGround(t *testing.T, numLocs int) *Ground {
 	return g
 }
 
+// loadRef returns the content of a stored reference.
+func loadRef(t testing.TB, ref *sat.Ref) *raster.Image {
+	t.Helper()
+	im, err := ref.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return im
+}
+
 func testImage(seed uint64) *raster.Image {
 	im := raster.New(testW, testH, raster.PlanetBands())
 	for b := 0; b < im.NumBands(); b++ {

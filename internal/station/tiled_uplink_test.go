@@ -152,8 +152,8 @@ func TestTiledCompressedUplinkCoherent(t *testing.T) {
 			if mirror == nil {
 				continue
 			}
-			ref := cache.Get(loc)
-			if ref == nil || !ref.Image.Equal(mirror) {
+			ref, _ := cache.Get(loc)
+			if ref == nil || !loadRef(t, ref).Equal(mirror) {
 				t.Fatalf("day %d loc %d: tiled store decode diverged from ground mirror", day, loc)
 			}
 		}
@@ -207,8 +207,9 @@ func TestTiledSpliceMatchesWholeReencodePath(t *testing.T) {
 		u := packed[0]
 		viaFrame.Install(u.Loc, u.Ref, u.Day)
 		viaSplice.ApplyTileUpdate(u.Loc, u.Decoded, u.PerBand, u.Day)
-		a, b := viaFrame.Get(0), viaSplice.Get(0)
-		if a == nil || b == nil || !a.Image.Equal(b.Image) {
+		a, _ := viaFrame.Get(0)
+		b, _ := viaSplice.Get(0)
+		if a == nil || b == nil || !loadRef(t, a).Equal(loadRef(t, b)) {
 			t.Fatalf("day %d: Install and ApplyTileUpdate routes diverged", day)
 		}
 	}

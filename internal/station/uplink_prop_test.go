@@ -116,16 +116,16 @@ func TestPackUplinkBudgetAndMirrorReproduction(t *testing.T) {
 			}
 			for _, u := range updates {
 				caches[s].ApplyTileUpdate(u.Loc, u.Decoded, u.PerBand, u.Day)
-				ref := caches[s].Get(u.Loc)
+				ref, refDay := caches[s].Get(u.Loc)
 				mirror := g.MirrorImage(s, u.Loc)
 				if mirror == nil {
 					t.Fatalf("day %d sat %d loc %d: update shipped but no mirror", day, s, u.Loc)
 				}
-				if !ref.Image.Equal(mirror) {
+				if !loadRef(t, ref).Equal(mirror) {
 					t.Fatalf("day %d sat %d loc %d: on-board reference diverged from ground mirror", day, s, u.Loc)
 				}
-				if ref.Day != g.MirrorRefDay(s, u.Loc) {
-					t.Fatalf("day %d sat %d loc %d: reference day %d, mirror day %d", day, s, u.Loc, ref.Day, g.MirrorRefDay(s, u.Loc))
+				if refDay != g.MirrorRefDay(s, u.Loc) {
+					t.Fatalf("day %d sat %d loc %d: reference day %d, mirror day %d", day, s, u.Loc, refDay, g.MirrorRefDay(s, u.Loc))
 				}
 			}
 		}
@@ -134,7 +134,7 @@ func TestPackUplinkBudgetAndMirrorReproduction(t *testing.T) {
 	// The unconstrained satellite must have converged to the freshest
 	// reference for every location.
 	for loc := 0; loc < numLocs; loc++ {
-		if d := caches[0].Get(loc).Day; d != 10 {
+		if _, d := caches[0].Get(loc); d != 10 {
 			t.Fatalf("unconstrained satellite stuck at day %d for loc %d", d, loc)
 		}
 	}
@@ -235,15 +235,15 @@ func TestEvictionKeepsGroundMirrorCoherent(t *testing.T) {
 			if mirror == nil {
 				continue
 			}
-			ref := cache.Get(loc)
+			ref, refDay := cache.Get(loc)
 			if ref == nil {
 				t.Fatalf("day %d loc %d: ground mirrors a reference the satellite does not hold", day, loc)
 			}
-			if !ref.Image.Equal(mirror) {
+			if !loadRef(t, ref).Equal(mirror) {
 				t.Fatalf("day %d loc %d: on-board reference diverged from ground mirror", day, loc)
 			}
-			if ref.Day != g.MirrorRefDay(satID, loc) {
-				t.Fatalf("day %d loc %d: reference day %d, mirror day %d", day, loc, ref.Day, g.MirrorRefDay(satID, loc))
+			if refDay != g.MirrorRefDay(satID, loc) {
+				t.Fatalf("day %d loc %d: reference day %d, mirror day %d", day, loc, refDay, g.MirrorRefDay(satID, loc))
 			}
 		}
 	}

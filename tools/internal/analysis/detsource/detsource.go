@@ -6,9 +6,10 @@
 // inputs and seeds, or runs stop being byte-identical across reruns and
 // -simworkers counts. The only sanctioned wall-clock reads feed timings
 // that never reach a sim.Record or its trace: sim.Outcome's EncodeSec,
-// CloudSec and ChangeSec and the reference cache's DecodeWall, which the
-// repo benchmark reads. Each of those sites carries a //lint:deterministic
-// annotation naming the field it feeds.
+// CloudSec and ChangeSec and the pipeline's reference-decode time behind
+// core.System.DecodeWall, which the repo benchmark reads. Each of those
+// sites carries a //lint:deterministic annotation naming the field it
+// feeds.
 //
 // Flagged in scoped packages:
 //
