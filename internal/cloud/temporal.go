@@ -71,7 +71,7 @@ func (d *TemporalDetector) DetectWithReference(im, ref *raster.Image) *Mask {
 	// a bright illumination day reads as a global cloud sheet.
 	capBright := bandMean(im, d.VisBands)
 	refBright := bandMean(ref, d.VisBands)
-	if m, ok := illum.FitRobust(refBright, capBright, nil, 2, 0.25); ok {
+	if m, ok := illum.FitRobust(refBright, capBright, nil, 0.25); ok {
 		m.Normalize(capBright)
 	}
 	score := make([]float32, w*h)

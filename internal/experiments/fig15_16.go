@@ -195,7 +195,7 @@ func Fig16(sc Scale) (*Fig16Result, error) {
 	work := cap.Image.Clone()
 	changeFullSec, err := timeIt(func() error {
 		for b := range s.Bands() {
-			model, _ := illum.FitRobust(ref.Plane(b), work.Plane(b), nil, 2, 0.2)
+			model, _ := illum.FitRobust(ref.Plane(b), work.Plane(b), nil, 0.2)
 			model.Normalize(work.Plane(b))
 			raster.TileMeanAbsDiff(ref, work, b, grid)
 		}

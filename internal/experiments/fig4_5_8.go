@@ -193,7 +193,7 @@ func Fig8(sc Scale) *Fig8Result {
 		// Truth labels come from the underlying surface change.
 		truly := change.TrueChanges(refCap.Truth, newCap.Truth, band, grid, nil)
 		// Align the capture to the reference per the pipeline.
-		if m, ok := illum.FitRobust(ref.Plane(band), cap.Plane(band), nil, 2, 0.2); ok {
+		if m, ok := illum.FitRobust(ref.Plane(band), cap.Plane(band), nil, 0.2); ok {
 			m.Normalize(cap.Plane(band))
 		}
 		p := pair{lowDiffs: map[int][]float64{}, truly: truly.Set}

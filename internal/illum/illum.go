@@ -4,7 +4,11 @@
 // the mutually cloud-free pixels.
 package illum
 
-import "sort"
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // Model is a linear pixel-value mapping capture ≈ Gain*reference + Offset.
 type Model struct {
@@ -54,6 +58,10 @@ func Fit(ref, cap []float32, use []bool) (Model, bool) {
 	return Model{Gain: gain, Offset: offset}, true
 }
 
+// trimRounds is how many trimmed refits FitRobust makes after its
+// initial least-squares pass.
+const trimRounds = 2
+
 // FitRobust estimates the illumination model like Fit but with trimmed
 // refits: after an initial least-squares pass it discards the pixels with
 // the largest absolute residuals and refits. Undetected haze brightens
@@ -61,7 +69,12 @@ func Fit(ref, cap []float32, use []bool) (Model, bool) {
 // every downloaded tile passes through this fit, the bias would compound
 // into a systematic illumination drift of the whole ground archive.
 // Trimming the residual tail removes the haze pixels from the fit.
-func FitRobust(ref, cap []float32, use []bool, rounds int, trimFrac float64) (Model, bool) {
+//
+// Each round keeps the pixels whose absolute residual is at most the one
+// at index ⌊n·(1−trimFrac)⌋ of the n current residuals in ascending order,
+// found by selection in expected linear time. The buffers are made once
+// per call.
+func FitRobust(ref, cap []float32, use []bool, trimFrac float64) (Model, bool) {
 	m, ok := Fit(ref, cap, use)
 	if !ok {
 		return m, false
@@ -78,44 +91,37 @@ func FitRobust(ref, cap []float32, use []bool, rounds int, trimFrac float64) (Mo
 		}
 	}
 	resid := make([]float64, len(ref))
-	for r := 0; r < rounds; r++ {
-		// Residuals under the current model, over current pixels.
-		var abs []float64
+	abs := make([]float64, 0, len(ref))
+	for r := 0; r < trimRounds; r++ {
+		// Absolute residuals under the current model, over current pixels.
+		abs = abs[:0]
 		for i := range ref {
 			if !cur[i] {
 				continue
 			}
-			resid[i] = float64(cap[i]) - (m.Gain*float64(ref[i]) + m.Offset)
-			if resid[i] < 0 {
-				abs = append(abs, -resid[i])
-			} else {
-				abs = append(abs, resid[i])
-			}
+			resid[i] = math.Abs(float64(cap[i]) - (m.Gain*float64(ref[i]) + m.Offset))
+			abs = append(abs, resid[i])
 		}
 		if len(abs) < 4*minSamples {
 			return m, ok
 		}
-		sort.Float64s(abs)
-		cut := abs[int(float64(len(abs))*(1-trimFrac))]
-		next := make([]bool, len(cur))
+		cut := selectAt(abs, int(float64(len(abs))*(1-trimFrac)))
+		// Narrow the current pixels to those within the cut. A failed
+		// round returns the previous model, so cur may change in place.
 		kept := 0
 		for i := range ref {
 			if !cur[i] {
 				continue
 			}
-			d := resid[i]
-			if d < 0 {
-				d = -d
-			}
-			if d <= cut {
-				next[i] = true
+			if resid[i] <= cut {
 				kept++
+			} else {
+				cur[i] = false
 			}
 		}
 		if kept < 2*minSamples {
 			return m, ok
 		}
-		cur = next
 		m2, ok2 := Fit(ref, cap, cur)
 		if !ok2 {
 			return m, ok
@@ -123,6 +129,76 @@ func FitRobust(ref, cap []float32, use []bool, rounds int, trimFrac float64) (Mo
 		m = m2
 	}
 	return m, true
+}
+
+// selectCutoff is the range length at or below which quickselect sorts
+// instead of partitioning.
+const selectCutoff = 12
+
+// selectAt reorders a in place so that a[k] holds a value equal to the one
+// sort.Float64s would leave there — NaNs first, then ascending, with −0 and
+// +0 equal — and returns it, in expected O(n) and worst-case O(n log n).
+func selectAt(a []float64, k int) float64 {
+	// NaNs order before every number: gather them at the front.
+	nan := 0
+	for i, v := range a {
+		if v != v {
+			a[i], a[nan] = a[nan], v
+			nan++
+		}
+	}
+	if k < nan {
+		return a[k]
+	}
+	return quickselect(a[nan:], k-nan, 2*bits.Len(uint(len(a)-nan)))
+}
+
+// quickselect returns the value at index k of the NaN-free a in ascending
+// order, partitioning around a median-of-three pivot. It partitions at
+// most depth times and then sorts the range still holding k.
+func quickselect(a []float64, k, depth int) float64 {
+	lo, hi := 0, len(a)-1
+	for ; depth > 0 && hi-lo >= selectCutoff; depth-- {
+		// Order a[lo], a[mid], a[hi] and take the middle one as pivot.
+		mid := lo + (hi-lo)/2
+		if a[mid] < a[lo] {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if a[hi] < a[lo] {
+			a[hi], a[lo] = a[lo], a[hi]
+		}
+		if a[hi] < a[mid] {
+			a[hi], a[mid] = a[mid], a[hi]
+		}
+		x := a[mid]
+		// Hoare partition: afterwards a[lo..j] <= x <= a[i..hi], and any
+		// index between j and i holds x. The scans stay inside [lo, hi]:
+		// a[lo] <= x <= a[hi] stops the first ones, each swap the next.
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < x {
+				i++
+			}
+			for x < a[j] {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return a[k]
+		}
+	}
+	slices.Sort(a[lo : hi+1])
+	return a[k]
 }
 
 // Normalize maps capture-domain values back into reference-domain values,

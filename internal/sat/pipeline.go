@@ -106,7 +106,7 @@ func (p *Pipeline) Process(capImg *raster.Image, ref *Ref) (*Result, error) {
 	res.Changed = make([]*raster.TileMask, len(p.Bands))
 	res.Illum = make([]illum.Model, len(p.Bands))
 	for b := range p.Bands {
-		model, _ := illum.FitRobust(refLow.Plane(b), capLow.Plane(b), clearLow, 2, 0.2)
+		model, _ := illum.FitRobust(refLow.Plane(b), capLow.Plane(b), clearLow, 0.2)
 		model.Normalize(capLow.Plane(b))
 		res.Illum[b] = model
 		// Tile indices are the same at both scales, so the cloudy tiles
@@ -120,8 +120,8 @@ func (p *Pipeline) Process(capImg *raster.Image, ref *Ref) (*Result, error) {
 }
 
 // clearPixelsLow reduces a full-resolution cloud mask to a clear-pixel
-// selector at detection resolution: a low-res pixel is usable when fewer
-// than half of its footprint is cloudy.
+// selector at detection resolution: a low-res pixel is usable when at
+// most half of its footprint is cloudy.
 func clearPixelsLow(m *cloud.Mask, factor, lw, lh int) []bool {
 	out := make([]bool, lw*lh)
 	half := factor * factor / 2
