@@ -54,7 +54,7 @@ func EncodeFrame(n, parallelism int, encodeBand func(b int) ([]byte, error)) (co
 // band1, and so on. Band 0 decodes first and fixes the geometry; bands
 // 1..n-1 then decode straight into their image planes on a pool of
 // Workers(parallelism, n-1) goroutines, checking ctx before each band.
-// The image is clamped to [0,1].
+// Each band is clamped to [0,1] by the worker that decodes it.
 func DecodeFrame(ctx context.Context, frame container.Codestream, bands []raster.BandInfo, maxLayers, parallelism int) (*raster.Image, error) {
 	return decodeFrame(ctx, frame, bands, parallelism, func(data []byte, dst []float32) ([]float32, int, int, error) {
 		return decodeStream(data, maxLayers, dst)
@@ -106,6 +106,7 @@ func decodeFrame(ctx context.Context, frame container.Codestream, bands []raster
 	}
 	im := raster.New(w, h, bands)
 	copy(im.Plane(0), plane0)
+	raster.ClampPlane(im.Plane(0))
 	errs := make([]error, len(streams))
 	ParallelBands(parallelism, len(streams)-1, func(i int) {
 		b := i + 1
@@ -123,6 +124,8 @@ func decodeFrame(ctx context.Context, frame container.Codestream, bands []raster
 		} else if bw != w || bh != h {
 			errs[b] = eperr.New(eperr.BadCodestream, "codec",
 				"band %d geometry %dx%d differs from band 0's %dx%d", b, bw, bh, w, h)
+		} else {
+			raster.ClampPlane(p)
 		}
 	})
 	for _, err := range errs {
@@ -130,7 +133,6 @@ func decodeFrame(ctx context.Context, frame container.Codestream, bands []raster
 			return nil, err
 		}
 	}
-	im.Clamp()
 	return im, nil
 }
 
@@ -138,8 +140,12 @@ func decodeFrame(ctx context.Context, frame container.Codestream, bands []raster
 // band, absent where the band sent nothing) and scatters each present
 // band's tiles, clamped to [0,1], into the same band of dst. rois[b] is
 // band b's ROI mask. Tiles marked in reject are decoded but not written,
-// and dst's other tiles are left untouched.
-func DecodeROIFrame(frame container.Codestream, rois []*raster.TileMask, reject *raster.TileMask, dst *raster.Image) error {
+// and dst's other tiles are left untouched. Bands decode on a pool of
+// Workers(parallelism, n) goroutines, each into its own plane of dst, so
+// dst is the same at any worker count; when bands fail, the
+// lowest-numbered band's error is returned. Callers that already run on
+// a worker of their own pass 1.
+func DecodeROIFrame(frame container.Codestream, rois []*raster.TileMask, reject *raster.TileMask, dst *raster.Image, parallelism int) error {
 	streams, err := frame.Split()
 	if err != nil {
 		return err
@@ -148,12 +154,18 @@ func DecodeROIFrame(frame container.Codestream, rois []*raster.TileMask, reject 
 		return eperr.New(eperr.BadCodestream, "codec",
 			"ROI frame carries %d bands for %d ROI masks", len(streams), len(rois))
 	}
-	for b, data := range streams {
-		if data == nil || rois[b] == nil {
-			continue
+	errs := make([]error, len(streams))
+	ParallelBands(parallelism, len(streams), func(b int) {
+		if streams[b] == nil || rois[b] == nil {
+			return
 		}
-		if err := decodeROIPlane(dst.Plane(b), rois[b], reject, data); err != nil {
-			return fmt.Errorf("codec: band %d: %w", b, err)
+		if err := decodeROIPlane(dst.Plane(b), rois[b], reject, streams[b]); err != nil {
+			errs[b] = fmt.Errorf("codec: band %d: %w", b, err)
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil

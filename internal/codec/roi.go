@@ -67,8 +67,8 @@ func EncodeROIBand(plane []float32, roi *raster.TileMask, bpp float64, opt Optio
 }
 
 // decodeROIPlane decodes a stream produced by EncodeROIPlane and scatters
-// the tiles marked in roi but not in reject (nil = none) back into dst
-// (full-plane row-major, geometry roi.Grid).
+// the tiles marked in roi but not in reject (nil = none), clamped to
+// [0,1], back into dst (full-plane row-major, geometry roi.Grid).
 func decodeROIPlane(dst []float32, roi, reject *raster.TileMask, data []byte) error {
 	g := roi.Grid
 	if len(dst) != g.ImageW*g.ImageH {
@@ -99,16 +99,9 @@ func decodeROIPlane(dst []float32, roi, reject *raster.TileMask, data []byte) er
 		sx, sy := (slot%cols)*g.Tile, (slot/cols)*g.Tile
 		for dy := 0; dy < g.Tile; dy++ {
 			srcRow := (sy + dy) * mw
-			dstRow := (y0 + dy) * g.ImageW
-			for dx := 0; dx < g.Tile; dx++ {
-				v := mosaic[srcRow+sx+dx]
-				if v < 0 {
-					v = 0
-				} else if v > 1 {
-					v = 1
-				}
-				dst[dstRow+x0+dx] = v
-			}
+			row := dst[(y0+dy)*g.ImageW+x0 : (y0+dy)*g.ImageW+x0+g.Tile]
+			copy(row, mosaic[srcRow+sx:srcRow+sx+g.Tile])
+			raster.ClampPlane(row)
 		}
 	}
 	return nil

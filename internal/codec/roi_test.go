@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"earthplus/internal/container"
@@ -80,7 +82,7 @@ func TestROIPlaneEmptyROI(t *testing.T) {
 	// An absent band (an empty ROI's nil stream) leaves its plane as is.
 	dst := raster.New(64, 64, raster.PlanetBands()[:1])
 	dst.Plane(0)[0] = 0.5
-	if err := DecodeROIFrame(container.Pack([][]byte{nil}), []*raster.TileMask{roi}, nil, dst); err != nil {
+	if err := DecodeROIFrame(container.Pack([][]byte{nil}), []*raster.TileMask{roi}, nil, dst, 1); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Plane(0)[0] != 0.5 {
@@ -153,5 +155,71 @@ func TestROIMaskBytes(t *testing.T) {
 	g := raster.MustTileGrid(192, 192, 16) // 144 tiles -> 18 bytes
 	if got := ROIMaskBytes(g); got != 18 {
 		t.Fatalf("ROIMaskBytes = %d, want 18", got)
+	}
+}
+
+// TestDecodeROIFrameSameAtAnyWorkerCount: the band pool writes the same
+// image at one worker and at several, clamped to [0,1] and leaving each
+// band's unmarked tiles alone, and a frame with two bad bands reports the
+// lower one's error.
+func TestDecodeROIFrameSameAtAnyWorkerCount(t *testing.T) {
+	const w, h, tile, bands = 96, 64, 16, 5
+	g := raster.MustTileGrid(w, h, tile)
+	streams := make([][]byte, bands)
+	rois := make([]*raster.TileMask, bands)
+	for b := range streams {
+		plane := testPlane(uint64(40+b), w, h)
+		plane[0] = 1.5 // out of range: the decode must clamp it
+		rois[b] = raster.NewTileMask(g)
+		for tl := b % 3; tl < g.NumTiles(); tl += 2 + b%3 {
+			rois[b].Set[tl] = true
+		}
+		if b == 2 {
+			rois[b] = nil // no ROI: the band stays absent
+			continue
+		}
+		var err error
+		if streams[b], err = EncodeROIPlane(plane, rois[b], DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame := container.Pack(streams)
+	decode := func(frame container.Codestream, parallelism int) (*raster.Image, error) {
+		dst := raster.New(w, h, make([]raster.BandInfo, bands))
+		for b := range dst.Pix {
+			dst.Fill(b, -7) // sentinel: unmarked tiles must keep it
+		}
+		return dst, DecodeROIFrame(frame, rois, nil, dst, parallelism)
+	}
+	want, err := decode(frame, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := range want.Pix {
+		for tl := 0; tl < g.NumTiles(); tl++ {
+			x0, y0, _, _ := g.Bounds(tl)
+			v := want.At(b, x0, y0)
+			if marked := rois[b] != nil && rois[b].Set[tl]; marked != (v != -7) || v > 1 {
+				t.Fatalf("band %d tile %d: corner sample %v (marked %v)", b, tl, v, marked)
+			}
+		}
+	}
+	for _, workers := range []int{2, 4} {
+		got, err := decode(frame, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%d workers decoded a different image", workers)
+		}
+	}
+
+	bad := slices.Clone(streams)
+	bad[1], bad[3] = []byte("EPC1junk"), []byte("EPC1junk")
+	for _, workers := range []int{1, 4} {
+		_, err := decode(container.Pack(bad), workers)
+		if err == nil || !strings.HasPrefix(err.Error(), "codec: band 1:") {
+			t.Fatalf("%d workers: error %v, want band 1's", workers, err)
+		}
 	}
 }

@@ -422,23 +422,26 @@ func decodeRegion(data []byte, x, y, rw, rh int, dst []float32) ([]float32, int,
 }
 
 // TiledSplicePlane applies an update to one band of the tiled stream old.
-// The codec tiles that intersect a tile marked in changed are re-encoded;
-// every other tile's payload bytes are reused verbatim. A re-encoded
-// tile's content is old's decode of that tile, clamped to [0,1] as every
-// reference decode is, overlaid with update's samples in the changed
-// tiles. update is the full updated plane at old's geometry, and changed
-// may use any tile size over the same plane (change masks run at the
-// detection grid, the codestream at the codec grid). opt must carry the
-// rate-control parameters of the original encode so re-encoded tiles get
-// the same per-tile budget. It returns the new stream, the number of
-// re-encoded tiles and the stream's tile count.
-func TiledSplicePlane(old []byte, update []float32, changed *raster.TileMask, opt Options) (data []byte, reencoded, total int, err error) {
+// plane is the band's new content at old's geometry, and the caller
+// guarantees that outside the tiles marked in changed it equals old's
+// decode clamped to [0,1], as every reference decode is: a mirror of old
+// with the update's changed tiles overlaid. The codec tiles that
+// intersect a tile marked in changed are re-encoded straight from plane,
+// and every other tile's payload bytes are reused verbatim, so no old
+// payload is decoded. Each re-encoded tile's decode, clamped to [0,1], is
+// then written back into plane, so on return plane holds the new
+// stream's clamped decode. changed may use any tile size over the same
+// plane (change masks run at the detection grid, the codestream at the
+// codec grid). opt must carry the rate-control parameters of the original
+// encode so re-encoded tiles get the same per-tile budget. It returns the
+// new stream, the number of re-encoded tiles and the stream's tile count.
+func TiledSplicePlane(old []byte, plane []float32, changed *raster.TileMask, opt Options) (data []byte, reencoded, total int, err error) {
 	p, err := parseTiled(old)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if len(update) != p.w*p.h {
-		return nil, 0, 0, eperr.New(eperr.BadImage, "codec", "plane length %d != %dx%d", len(update), p.w, p.h)
+	if len(plane) != p.w*p.h {
+		return nil, 0, 0, eperr.New(eperr.BadImage, "codec", "plane length %d != %dx%d", len(plane), p.w, p.h)
 	}
 	g := changed.Grid
 	if g.ImageW != p.w || g.ImageH != p.h {
@@ -467,36 +470,6 @@ func TiledSplicePlane(old []byte, update []float32, changed *raster.TileMask, op
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	// The splice base: the re-encoded tiles decoded and clamped, then the
-	// changed tiles overlaid. Samples of other tiles are never read.
-	base := make([]float32, p.w*p.h)
-	ParallelBands(opt.Parallelism, n, func(t int) {
-		if !redo[t] {
-			return
-		}
-		x0, y0, x1, y1 := raster.ClampedTileBounds(p.w, p.h, p.tile, t)
-		decodeTileInto(base, p.w, x0, y0, x1, y1, p.payloads[t], p.levels, p.baseStep, 0, 0, p.w, p.h, 0, 0)
-		for y := y0; y < y1; y++ {
-			row := base[y*p.w+x0 : y*p.w+x1]
-			for i, v := range row {
-				// Explicit comparisons keep -0, which min/max would not.
-				if v < 0 {
-					row[i] = 0
-				} else if v > 1 {
-					row[i] = 1
-				}
-			}
-		}
-	})
-	for t, set := range changed.Set {
-		if !set {
-			continue
-		}
-		mx0, my0, mx1, my1 := g.Bounds(t)
-		for y := my0; y < my1; y++ {
-			copy(base[y*p.w+mx0:y*p.w+mx1], update[y*p.w+mx0:y*p.w+mx1])
-		}
-	}
 	tiles := make([][]byte, n)
 	ParallelBands(opt.Parallelism, n, func(t int) {
 		if !redo[t] {
@@ -508,7 +481,11 @@ func TiledSplicePlane(old []byte, update []float32, changed *raster.TileMask, op
 		if budgets != nil {
 			b = budgets[t]
 		}
-		tiles[t] = encodeTile(base, p.w, x0, y0, x1, y1, p.levels, p.baseStep, b)
+		tiles[t] = encodeTile(plane, p.w, x0, y0, x1, y1, p.levels, p.baseStep, b)
+		decodeTileInto(plane, p.w, x0, y0, x1, y1, tiles[t], p.levels, p.baseStep, 0, 0, p.w, p.h, 0, 0)
+		for y := y0; y < y1; y++ {
+			raster.ClampPlane(plane[y*p.w+x0 : y*p.w+x1])
+		}
 	})
 	return assembleTiled(p.w, p.h, p.tile, p.levels, p.baseStep, tiles), reencoded, n, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"earthplus/internal/raster"
@@ -229,22 +230,24 @@ func TestRegionTiles(t *testing.T) {
 	}
 }
 
-// TestTiledSpliceMatchesReencode: a splice re-encodes exactly the codec
-// tiles a changed mask tile touches, from clamp(decode(old)) overlaid with
-// the update's changed tiles, so each such tile equals the same tile of a
-// fresh encode of that plane; every other tile keeps its old payload
-// bytes. This is the coherence invariant the sat store and the ground
-// mirror rely on.
+// TestTiledSpliceMatchesReencode: a splice takes the band's new content,
+// clamp(decode(old)) overlaid with the update's changed tiles, and
+// re-encodes exactly the codec tiles a changed mask tile touches, so each
+// such tile equals the same tile of a fresh encode of that plane; every
+// other tile keeps its old payload bytes. On return the plane holds the
+// spliced stream's clamped decode, bit for bit. This is the coherence
+// invariant the sat store and the ground mirror rely on. The plane has
+// edge codec tiles on both axes, and changed tiles touch them.
 func TestTiledSpliceMatchesReencode(t *testing.T) {
-	const w, h = 256, 192
+	const w, h = 250, 180 // 4x3 codec tiles, the last column 58 wide, the last row 52 high
 	opt := DefaultOptions()
 	opt.Tiled = true
 	opt.BudgetBytes = BudgetForBPP(1.0, w, h)
 	oldPlane := tiledTestPlane(7, w, h)
 	// Out-of-range blocks in codec tile 0, outside any changed mask tile,
-	// that still decode out of range: the splice base must clamp them.
+	// that still decode out of range: the input is the clamped decode.
 	for y := 32; y < 64; y++ {
-		for x := 16; x < 64; x++ {
+		for x := 16; x < 56; x++ {
 			oldPlane[y*w+x] = 1.5
 			if x < 32 {
 				oldPlane[y*w+x] = -0.5
@@ -255,50 +258,45 @@ func TestTiledSpliceMatchesReencode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	clampedDecode := func(data []byte) []float32 {
+		t.Helper()
+		p, _, _, err := DecodePlane(data, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raster.ClampPlane(p)
+		return p
+	}
 
-	// Update two 16px detection-grid tiles; the mask grid is finer than
-	// the codec grid, as in the simulator. They touch codec tiles 0 and 5.
-	update := append([]float32(nil), oldPlane...)
-	mask := raster.NewTileMask(raster.MustTileGrid(w, h, 16))
-	for _, mt := range []int{0, 5*16 + 7} {
+	// Update four 10px detection-grid tiles; the mask grid is finer than
+	// the codec grid and not aligned to it, as in the simulator. They
+	// touch codec tile 0, tiles 4 and 5 (one mask tile straddles them),
+	// the right edge tile 3 and the corner tile 11. The update is out of
+	// range, so the decode written back must be clamped.
+	input := clampedDecode(oldEnc)
+	mask := raster.NewTileMask(raster.MustTileGrid(w, h, 10))
+	for _, mt := range []int{0, 7*25 + 6, 20, 17*25 + 24} {
 		mask.Set[mt] = true
 		x0, y0, x1, y1 := mask.Grid.Bounds(mt)
 		for y := y0; y < y1; y++ {
 			for x := x0; x < x1; x++ {
-				update[y*w+x] = float32(x%3) * 0.3
+				input[y*w+x] = float32(x%3)*0.6 - 0.1
 			}
 		}
+	}
+	fresh, err := EncodePlane(input, w, h, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	spliced, reencoded, total, err := TiledSplicePlane(oldEnc, update, mask, opt)
+	plane := append([]float32(nil), input...)
+	spliced, reencoded, total, err := TiledSplicePlane(oldEnc, plane, mask, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reencoded != 2 || total != 12 {
-		t.Fatalf("re-encoded %d of %d tiles, want 2 of 12", reencoded, total)
-	}
-	base, _, _, err := DecodePlane(oldEnc, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range base {
-		if v < 0 {
-			base[i] = 0
-		} else if v > 1 {
-			base[i] = 1
-		}
-	}
-	for mt, set := range mask.Set {
-		if set {
-			x0, y0, x1, y1 := mask.Grid.Bounds(mt)
-			for y := y0; y < y1; y++ {
-				copy(base[y*w+x0:y*w+x1], update[y*w+x0:y*w+x1])
-			}
-		}
-	}
-	fresh, err := EncodePlane(base, w, h, opt)
-	if err != nil {
-		t.Fatal(err)
+	redo := map[int]bool{0: true, 3: true, 4: true, 5: true, 11: true}
+	if reencoded != len(redo) || total != 12 {
+		t.Fatalf("re-encoded %d of %d tiles, want %d of 12", reencoded, total, len(redo))
 	}
 	got, err := parseTiled(spliced)
 	if err != nil {
@@ -308,7 +306,7 @@ func TestTiledSpliceMatchesReencode(t *testing.T) {
 	oldTiles, _ := parseTiled(oldEnc)
 	for tile := range got.payloads {
 		want := oldTiles.payloads[tile]
-		if tile == 0 || tile == 5 {
+		if redo[tile] {
 			want = freshTiles.payloads[tile]
 		}
 		if !bytes.Equal(got.payloads[tile], want) {
@@ -316,15 +314,26 @@ func TestTiledSpliceMatchesReencode(t *testing.T) {
 				tile, len(got.payloads[tile]), len(want))
 		}
 	}
+	wantPlane := clampedDecode(spliced)
+	for i, v := range plane {
+		if math.Float32bits(v) != math.Float32bits(wantPlane[i]) {
+			t.Fatalf("sample (%d,%d) = %v after the splice, want the clamped decode %v", i%w, i/w, v, wantPlane[i])
+		}
+	}
+	if slices.Equal(plane, input) {
+		t.Fatal("the splice wrote no decode back into the plane")
+	}
 
-	// An empty mask must reproduce the old stream bytes.
+	// An empty mask must reproduce the old stream bytes and leave the
+	// plane alone.
 	empty := raster.NewTileMask(mask.Grid)
-	same, reencoded, _, err := TiledSplicePlane(oldEnc, update, empty, opt)
+	plane = append(plane[:0], input...)
+	same, reencoded, _, err := TiledSplicePlane(oldEnc, plane, empty, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(same, oldEnc) || reencoded != 0 {
-		t.Fatal("empty splice changed the stream")
+	if !bytes.Equal(same, oldEnc) || reencoded != 0 || !slices.Equal(plane, input) {
+		t.Fatal("empty splice changed the stream or the plane")
 	}
 }
 

@@ -24,8 +24,9 @@ const minSamples = 16
 
 // Fit estimates the linear illumination model mapping ref to cap by least
 // squares over pixels where use[i] is true (a nil use means all pixels).
-// It returns Identity with ok=false when too few pixels are usable or the
-// reference has no variance.
+// It returns Identity with ok=false when too few pixels are usable, the
+// reference has no variance, or the gain is out of range or undefined
+// (a NaN or infinite pixel among the usable ones).
 func Fit(ref, cap []float32, use []bool) (Model, bool) {
 	var n int
 	var sx, sy, sxx, sxy float64
@@ -51,7 +52,9 @@ func Fit(ref, cap []float32, use []bool) (Model, bool) {
 	gain := (sxy - sx*sy/fn) / varX
 	// A non-positive or wild gain means the "reference" explains nothing
 	// (e.g. nearly-disjoint content); refuse to warp the capture with it.
-	if gain < 0.2 || gain > 5 {
+	// The test is written to fail for NaN too: a NaN or infinite pixel
+	// makes the sums, and so the gain, NaN or infinite.
+	if !(gain >= 0.2 && gain <= 5) {
 		return Identity, false
 	}
 	offset := (sy - gain*sx) / fn

@@ -88,6 +88,35 @@ func TestFitRejectsDegenerateInputs(t *testing.T) {
 	}
 }
 
+// TestFitRejectsNonFinitePixels: one NaN or infinite pixel, in the
+// capture or the reference, among the usable ones leaves no defined
+// model, so Fit and FitRobust refuse it rather than return a NaN model
+// that Normalize would spread over the whole plane.
+func TestFitRejectsNonFinitePixels(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, side := range []string{"capture", "reference"} {
+			for _, at := range []int{0, 137, 255} {
+				ref, cap := fitInput(rng, 256, 0, 0.1)
+				if m, ok := Fit(ref, cap, nil); !ok {
+					t.Fatalf("clean input refused: %+v", m)
+				}
+				if side == "capture" {
+					cap[at] = float32(bad)
+				} else {
+					ref[at] = float32(bad)
+				}
+				if m, ok := Fit(ref, cap, nil); ok || m != Identity {
+					t.Fatalf("Fit with %v at %s pixel %d = %+v ok=%v, want Identity, false", bad, side, at, m, ok)
+				}
+				if m, ok := FitRobust(ref, cap, nil, 0.2); ok || m != Identity {
+					t.Fatalf("FitRobust with %v at %s pixel %d = %+v ok=%v, want Identity, false", bad, side, at, m, ok)
+				}
+			}
+		}
+	}
+}
+
 func TestNormalizeInvertsApply(t *testing.T) {
 	m := Model{Gain: 1.07, Offset: -0.02}
 	orig := []float32{0.1, 0.5, 0.9, 0.33}
@@ -253,7 +282,7 @@ func TestFitRobustMatchesSortedReference(t *testing.T) {
 			return ref, cap
 		}},
 	}
-	cases := 0
+	cases, refused := 0, 0
 	for _, n := range sizes {
 		for _, in := range inputs {
 			for _, mask := range masks {
@@ -269,11 +298,14 @@ func TestFitRobustMatchesSortedReference(t *testing.T) {
 							n, in.name, mask.name, trim, got, gotOK, want, wantOK)
 					}
 					cases++
+					if !gotOK {
+						refused++
+					}
 				}
 			}
 		}
 	}
-	t.Logf("%d cases bit-identical", cases)
+	t.Logf("%d cases bit-identical, %d of them refused (ok=false)", cases, refused)
 }
 
 // sameOrderValue reports whether a and b are equal under sort.Float64s'

@@ -89,12 +89,18 @@ func (im *Image) Fill(b int, v float32) {
 // Clamp bounds every pixel of every band into [0,1].
 func (im *Image) Clamp() {
 	for _, p := range im.Pix {
-		for i, v := range p {
-			if v < 0 {
-				p[i] = 0
-			} else if v > 1 {
-				p[i] = 1
-			}
+		ClampPlane(p)
+	}
+}
+
+// ClampPlane bounds every sample of p into [0,1], in place. The explicit
+// comparisons keep -0, which min/max would not.
+func ClampPlane(p []float32) {
+	for i, v := range p {
+		if v < 0 {
+			p[i] = 0
+		} else if v > 1 {
+			p[i] = 1
 		}
 	}
 }

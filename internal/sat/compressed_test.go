@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"bytes"
 	"testing"
 
 	"earthplus/internal/codec"
@@ -49,6 +50,61 @@ func loadRef(t testing.TB, ref Ref) *raster.Image {
 func storedImage(t *testing.T, im *raster.Image) *raster.Image {
 	t.Helper()
 	return loadRef(t, heldRef(t, testStorage(codec.DefaultOptions()), im))
+}
+
+// TestUpdateContentMatchesLoad: the content Storage.Update returns next
+// to a Ref is that Ref's Load, bit for bit, and next is left as it was.
+// Each kind of held reference (a tiled frame, which splices, a monolithic
+// frame, a raw image, and the zero Ref of each storage) takes nil, empty
+// and partial masks; next is the held content with the update's changed
+// tiles overlaid, as the ground's mirror builds it.
+func TestUpdateContentMatchesLoad(t *testing.T) {
+	const w, h = 150, 100 // edge codec tiles on both axes
+	g := raster.MustTileGrid(w, h, 10)
+	empty := make([]*raster.TileMask, 4)
+	for b := range empty {
+		empty[b] = raster.NewTileMask(g)
+	}
+	maskSets := []struct {
+		name  string
+		masks []*raster.TileMask
+	}{{"nil", nil}, {"empty", empty}, {"partial", digestMasks(g)}}
+	storages := []struct {
+		name string
+		s    Storage
+	}{{"raw", Storage{}}, {"monolithic", testStorage(codec.DefaultOptions())}, {"tiled", testStorage(tiledStoreOpts())}}
+	held := digestImage(7500, w, h)
+	update := digestImage(7600, w, h)
+	for _, st := range storages {
+		for _, prev := range []struct {
+			name string
+			ref  Ref
+		}{{"zero", Ref{}}, {"held", heldRef(t, st.s, held)}} {
+			for _, ms := range maskSets {
+				t.Run(st.name+"/"+prev.name+"/"+ms.name, func(t *testing.T) {
+					next := update
+					if prev.ref.Frame != nil || prev.ref.Image != nil {
+						next = overlaid(loadRef(t, prev.ref), update, ms.masks)
+					}
+					before := imageBits(next)
+					ref, content, stats, err := st.s.Update(prev.ref, next, ms.masks)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(imageBits(content), imageBits(loadRef(t, ref))) {
+						t.Fatal("Update's content differs from its Ref's Load")
+					}
+					if !bytes.Equal(imageBits(next), before) {
+						t.Fatal("Update modified next")
+					}
+					spliced := st.name == "tiled" && prev.name == "held" && ms.name == "partial"
+					if (stats.TilesReencoded > 0) != spliced {
+						t.Fatalf("re-encoded %d of %d codec tiles", stats.TilesReencoded, stats.TilesTotal)
+					}
+				})
+			}
+		}
+	}
 }
 
 func TestCompressedCacheDecodesStorageCodecContent(t *testing.T) {

@@ -65,6 +65,14 @@ func digestMasks(g raster.TileGrid) []*raster.TileMask {
 	return masks
 }
 
+// overlaid returns a copy of base with the tiles marked in masks (one per
+// band, nil = none) copied from update.
+func overlaid(base, update *raster.Image, masks []*raster.TileMask) *raster.Image {
+	out := base.Clone()
+	spliceTiles(out, update, masks)
+	return out
+}
+
 // imageBits hashes an image's pixels by their float32 bits, so -0 and +0
 // differ.
 func imageBits(im *raster.Image) []byte {
@@ -101,13 +109,13 @@ func TestFrameDigests(t *testing.T) {
 		outputs["roi-frame/"+prof.name] = roi
 	}
 
-	// The splice reads only the update's changed tiles, so any image
-	// serves as the update.
+	// The splice's input is the held content with the update's changed
+	// tiles overlaid, as the ground's mirror builds it.
 	tiled := testStorage(tiledStoreOpts())
 	old := heldRef(t, tiled, digestImage(7300, w, h))
 	masks := digestMasks(raster.MustTileGrid(w, h, 10))
 	masks[3] = nil
-	spliced, st, err := tiled.Update(old, digestImage(7400, w, h), masks)
+	spliced, _, st, err := tiled.Update(old, overlaid(loadRef(t, old), digestImage(7400, w, h), masks), masks)
 	if err != nil {
 		t.Fatal(err)
 	}

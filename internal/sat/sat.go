@@ -157,57 +157,77 @@ type SpliceStats struct {
 }
 
 // Update returns the Ref for next, the content a reference held as prev
-// takes once the tiles marked in changed (one mask per band; nil leaves a
-// band alone) are replaced. A tiled prev frame is spliced band by band
-// through codec.TiledSplicePlane, which reads only next's changed tiles:
-// the codec tiles they touch are decoded, overlaid and re-encoded, and
-// every other tile keeps its payload bytes, skipping a codec generation.
-// Any other prev — a raw image, a monolithic frame, or the zero Ref of a
-// reference not held yet — gives Hold(next).
-func (s Storage) Update(prev Ref, next *raster.Image, changed []*raster.TileMask) (Ref, SpliceStats, error) {
+// takes once the tiles marked in changed (one mask per band; a nil slice
+// or a nil mask leaves a band alone) are replaced, and that Ref's content,
+// bit-equal to its Load. A tiled prev frame is spliced band by band
+// through codec.TiledSplicePlane: the codec tiles the changed tiles touch
+// are re-encoded from next, and every other tile keeps its payload bytes,
+// skipping a codec generation. The caller guarantees that outside the
+// changed tiles next equals prev's content (a mirror of prev with the
+// update overlaid), and the content returned is a clone of next whose
+// re-encoded tiles hold their clamped decode. Any other prev — a raw
+// image, a monolithic frame, or the zero Ref of a reference not held yet
+// — gives Hold(next), whose content is next itself in a raw store or the
+// new frame decoded with its bands on the pool. next is never modified.
+func (s Storage) Update(prev Ref, next *raster.Image, changed []*raster.TileMask) (Ref, *raster.Image, SpliceStats, error) {
 	var stats SpliceStats
 	if !prev.Frame.Tiled() {
 		ref, err := s.Hold(next)
-		return ref, stats, err
+		if err != nil {
+			return Ref{}, nil, stats, err
+		}
+		content, err := ref.load(s.Codec.Parallelism)
+		if err != nil {
+			return Ref{}, nil, stats, err
+		}
+		return ref, content, stats, nil
 	}
 	streams, err := prev.Frame.SplitNoCRC()
 	if err != nil {
-		return Ref{}, stats, fmt.Errorf("sat: splicing stored reference: %w", err)
+		return Ref{}, nil, stats, fmt.Errorf("sat: splicing stored reference: %w", err)
 	}
 	if len(streams) != len(prev.Bands) {
-		return Ref{}, stats, fmt.Errorf("sat: stored reference frame carries %d bands, want %d", len(streams), len(prev.Bands))
+		return Ref{}, nil, stats, fmt.Errorf("sat: stored reference frame carries %d bands, want %d", len(streams), len(prev.Bands))
 	}
 	opts := s.Codec
 	opts.BudgetBytes = codec.BandBudget(s.BPP, prev.W*prev.H)
+	content := next.Clone()
 	reencoded := make([]int, len(streams))
 	total := make([]int, len(streams))
 	frame, err := codec.EncodeFrame(len(streams), opts.Parallelism, func(b int) ([]byte, error) {
-		mask := changed[b]
+		var mask *raster.TileMask
+		if b < len(changed) {
+			mask = changed[b]
+		}
 		if streams[b] == nil || mask == nil || mask.Count() == 0 {
 			return streams[b], nil
 		}
-		data, n, nt, err := codec.TiledSplicePlane(streams[b], next.Plane(b), mask, opts)
+		data, n, nt, err := codec.TiledSplicePlane(streams[b], content.Plane(b), mask, opts)
 		reencoded[b], total[b] = n, nt
 		return data, err
 	})
 	if err != nil {
-		return Ref{}, stats, fmt.Errorf("sat: splicing stored reference: %w", err)
+		return Ref{}, nil, stats, fmt.Errorf("sat: splicing stored reference: %w", err)
 	}
 	for b := range streams {
 		stats.TilesReencoded += int64(reencoded[b])
 		stats.TilesTotal += int64(total[b])
 	}
-	return Ref{Frame: frame, W: prev.W, H: prev.H, Bands: prev.Bands}, stats, nil
+	return Ref{Frame: frame, W: prev.W, H: prev.H, Bands: prev.Bands}, content, stats, nil
 }
 
 // Load returns r's content: a raw Ref's own image, or a compressed one's
 // frame decoded into a fresh image. Bands decode one after another: the
 // pipeline's loads run inside the sharded engine's capture workers.
-func (r Ref) Load() (*raster.Image, error) {
+func (r Ref) Load() (*raster.Image, error) { return r.load(1) }
+
+// load is Load with the frame's bands decoded on a pool of
+// codec.Workers(parallelism, bands) goroutines.
+func (r Ref) load(parallelism int) (*raster.Image, error) {
 	if r.Frame == nil {
 		return r.Image, nil
 	}
-	im, err := codec.DecodeFrame(context.Background(), r.Frame, r.Bands, 0, 1)
+	im, err := codec.DecodeFrame(context.Background(), r.Frame, r.Bands, 0, parallelism)
 	if err != nil {
 		return nil, fmt.Errorf("sat: stored reference frame: %w", err)
 	}
@@ -389,11 +409,11 @@ func (c *RefCache) Install(loc int, ref Ref, day int) []int {
 // the footprint, but a compressed entry is re-encoded and its new frame
 // may be larger.
 //
-// The new Ref comes from Storage.Update, as the ground's mirror's does. A
-// TILED frame splices update's marked tiles in per codec tile, with no
-// whole-frame decode or re-encode. Any other entry is spliced into a copy
-// of its content (decoded, for a monolithic frame), which the Storage then
-// holds afresh.
+// The held entry's content (decoded, for a frame) is cloned and update's
+// marked tiles are spliced into the copy, which Storage.Update turns into
+// the new Ref, as the ground's mirror's is: a TILED frame re-encodes only
+// the codec tiles the marked tiles touch, and any other entry is held
+// afresh.
 func (c *RefCache) ApplyTileUpdate(loc int, update *raster.Image, perBand []*raster.TileMask, day int) []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -401,16 +421,14 @@ func (c *RefCache) ApplyTileUpdate(loc int, update *raster.Image, perBand []*ras
 	next := update
 	if old := c.entries[loc]; old != nil {
 		prev = old.ref
-		if !prev.Frame.Tiled() {
-			im, err := prev.Load()
-			if err != nil {
-				panic(fmt.Sprintf("sat: loc %d: %v", loc, err))
-			}
-			next = im.Clone()
-			spliceTiles(next, update, perBand)
+		im, err := prev.Load()
+		if err != nil {
+			panic(fmt.Sprintf("sat: loc %d: %v", loc, err))
 		}
+		next = im.Clone()
+		spliceTiles(next, update, perBand)
 	}
-	ref, _, err := c.cfg.Storage.Update(prev, next, perBand)
+	ref, _, _, err := c.cfg.Storage.Update(prev, next, perBand)
 	if err != nil {
 		panic(fmt.Sprintf("sat: loc %d: %v", loc, err))
 	}

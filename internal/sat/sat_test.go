@@ -417,7 +417,7 @@ func TestEncodeROIDecodableByStationPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := raster.New(g.ImageW, g.ImageH, s.Bands())
-	if err := codec.DecodeROIFrame(frame, roi, nil, dst); err != nil {
+	if err := codec.DecodeROIFrame(frame, roi, nil, dst, 0); err != nil {
 		t.Fatal(err)
 	}
 	x0, y0, _, _ := g.Bounds(7)

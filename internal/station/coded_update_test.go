@@ -3,6 +3,8 @@ package station
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"earthplus/internal/codec"
@@ -33,8 +35,10 @@ func meterWith(remaining int64) *link.Meter {
 // running charge passes the meter, the update must ship whole exactly
 // when C fits, and a fully coded frame must be the container of the
 // bands' own ROI encodes. A satellite with a larger meter continues the
-// day's partly coded update, and a trim with less than one unit of
-// meter left selects nothing.
+// day's partly coded update. A trim keeps the most-changed units by the
+// diffs the update recorded when its masks were chosen, which are the
+// mirror's own, and with less than one unit of meter left it keeps
+// nothing.
 func TestPackUplinkStopsCodingPastMeter(t *testing.T) {
 	grid := raster.MustTileGrid(tiledTestW, tiledTestH, tiledTestTile)
 	base := tiledTestImage(4100)
@@ -51,7 +55,8 @@ func TestPackUplinkStopsCodingPastMeter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	masks := g.sharedUpdate(0, best, seeded, gLow).masks
+	shared := g.sharedUpdate(0, best, seeded, gLow)
+	masks := shared.masks
 	g.EndUplinkDay()
 	streams := make([][]byte, len(masks))
 	charges := make([]int64, len(masks))
@@ -135,16 +140,50 @@ func TestPackUplinkStopsCodingPastMeter(t *testing.T) {
 	}
 	g.EndUplinkDay()
 
-	// A trim with less than one unit of meter left selects nothing.
+	// The trim ranks by the recorded diffs: each band's are the mirror's.
+	type trimUnit struct {
+		band, tile int
+		diff       float64
+	}
+	if len(shared.diffs) != len(masks) {
+		t.Fatalf("update recorded diffs for %d bands, want %d", len(shared.diffs), len(masks))
+	}
+	var units []trimUnit
+	for b, mask := range masks {
+		diffs := raster.TileMeanAbsDiff(best.img, seeded.img, b, gLow)
+		if !slices.Equal(shared.diffs[b], diffs) {
+			t.Fatalf("band %d: recorded diffs differ from the mirror's", b)
+		}
+		for tile, set := range mask.Set {
+			if set {
+				units = append(units, trimUnit{b, tile, diffs[tile]})
+			}
+		}
+	}
+	if len(units) <= 3 {
+		t.Fatalf("update of %d units too small to rank", len(units))
+	}
 	unit := g.trimUnitBytes(gLow)
-	for _, remaining := range []int64{-1, 0, unit - 1, unit} {
-		out := g.trimUpdateToBudget(best, seeded, masks, remaining)
+	for _, remaining := range []int64{-1, 0, unit - 1, unit, 3 * unit, int64(len(units)+1) * unit} {
+		out := g.trimUpdateToBudget(shared, remaining)
 		n := 0
 		for _, m := range out {
 			n += m.Count()
 		}
-		if want := int(max(remaining, 0) / unit); n != want {
-			t.Fatalf("trim against %d remaining (unit %d) kept %d units, want %d", remaining, unit, n, want)
+		kept, minKept, maxDropped := 0, math.Inf(1), math.Inf(-1)
+		for _, u := range units {
+			if out[u.band].Set[u.tile] {
+				kept++
+				minKept = min(minKept, u.diff)
+			} else {
+				maxDropped = max(maxDropped, u.diff)
+			}
+		}
+		if want := min(int(max(remaining, 0)/unit), len(units)); n != want || kept != want {
+			t.Fatalf("trim against %d remaining (unit %d) kept %d units (%d of the update's), want %d", remaining, unit, n, kept, want)
+		}
+		if minKept < maxDropped {
+			t.Fatalf("trim against %d remaining kept a unit of diff %v and dropped one of %v", remaining, minKept, maxDropped)
 		}
 	}
 }

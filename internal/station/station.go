@@ -191,7 +191,9 @@ func (g *Ground) ApplyDownload(loc, day int, cs container.Codestream, perBandROI
 	if archive == nil {
 		archive = raster.New(g.grid.ImageW, g.grid.ImageH, g.bands)
 	}
-	if err := codec.DecodeROIFrame(cs, perBandROI, reject, archive); err != nil {
+	// One band at a time: downloads apply inside the engine's capture
+	// workers.
+	if err := codec.DecodeROIFrame(cs, perBandROI, reject, archive, 1); err != nil {
 		return fmt.Errorf("station: loc %d download frame: %w", loc, err)
 	}
 	g.archive[loc] = archive
@@ -256,9 +258,10 @@ type RefUpdate struct {
 	Day int
 	// Decoded is the full reference as the satellite decodes the uplink
 	// frame on top of what it held (what survived the uplink encoding, not
-	// the pristine ground copy), before the store's Storage applies. A
-	// store that splices updates itself (sat.RefCache.ApplyTileUpdate)
-	// takes its PerBand tiles.
+	// the pristine ground copy), before the store's Storage applies. The
+	// simulator installs Ref and never reads it; tests splice its PerBand
+	// tiles into a store themselves (sat.RefCache.ApplyTileUpdate) and
+	// compare shared updates by it.
 	Decoded *raster.Image
 	// Ref is what the store installs (sat.RefCache.Install): the Storage's
 	// Ref for Decoded, whose Load the ground's mirror holds — Decoded
@@ -371,7 +374,7 @@ func (g *Ground) PackUplink(sat, day int, locs []int, budget *link.Meter) ([]Ref
 			// shortage (§5); skipping at tile granularity avoids the
 			// deadlock where a whole-image update never fits a small
 			// daily budget and the reference ages forever.
-			perBand := g.trimUpdateToBudget(best, mirror[loc], c.masks, budget.Remaining())
+			perBand := g.trimUpdateToBudget(c, budget.Remaining())
 			totalTiles := 0
 			for _, m := range perBand {
 				totalTiles += m.Count()
@@ -423,6 +426,10 @@ func (g *Ground) EndUplinkDay() {
 // an earlier satellite's meter stopped.
 type codedUpdate struct {
 	masks []*raster.TileMask
+	// diffs[b] holds band b's per-tile mean absolute differences between
+	// the reference and the mirror that chose masks[b], which a trim ranks
+	// by; nil for a re-seed and for a trimmed update.
+	diffs [][]float64
 	// streams holds the coded bands' codec streams (nil for a band
 	// without changed tiles) until the frame packs them; bands before
 	// next are coded. bytes is their uplink charge: the codec payloads
@@ -496,12 +503,13 @@ func sameBits(a, b *raster.Image) bool {
 // refreshed from the same ground reference, so on a day that promotes a
 // reference, satellites whose mirrors hold the same content need the same
 // update: the first one packed diffs it, and the rest of the day's
-// satellites reuse the masks and the bands coded so far — and, once
-// admitted, its decode and stored Ref. The update is coded band by
-// band, each band at most once per day: a satellite codes only the bands
-// its meter reaches (codeWithin), and a later one with a larger meter
-// continues from there. The key fixes best.img, so every satellite codes
-// from the same image.
+// satellites reuse the masks, their diffs and the bands coded so far —
+// and, once admitted, its decode and stored Ref. A memo hit means a
+// bit-identical mirror, so the recorded diffs are that mirror's too. The
+// update is coded band by band, each band at most once per day: a
+// satellite codes only the bands its meter reaches (codeWithin), and a
+// later one with a larger meter continues from there. The key fixes
+// best.img, so every satellite codes from the same image.
 func (g *Ground) sharedUpdate(loc int, best, prev *refState, gLow raster.TileGrid) *codedUpdate {
 	key := memoKey{loc: loc, ref: best.img}
 	for _, e := range g.memo[key] {
@@ -510,14 +518,18 @@ func (g *Ground) sharedUpdate(loc int, best, prev *refState, gLow raster.TileGri
 		}
 	}
 	perBand := make([]*raster.TileMask, len(g.bands))
+	var diffs [][]float64
+	if prev != nil {
+		diffs = make([][]float64, len(g.bands))
+	}
 	totalTiles := 0
 	for b := range g.bands {
 		mask := raster.NewTileMask(gLow)
 		if prev == nil {
 			mask.SetAll()
 		} else {
-			diffs := raster.TileMeanAbsDiff(best.img, prev.img, b, gLow)
-			for t, d := range diffs {
+			diffs[b] = raster.TileMeanAbsDiff(best.img, prev.img, b, gLow)
+			for t, d := range diffs[b] {
 				mask.Set[t] = d > refDiffEps
 			}
 		}
@@ -526,7 +538,7 @@ func (g *Ground) sharedUpdate(loc int, best, prev *refState, gLow raster.TileGri
 	}
 	var c *codedUpdate
 	if totalTiles > 0 {
-		c = &codedUpdate{masks: perBand}
+		c = &codedUpdate{masks: perBand, diffs: diffs}
 	}
 	e := &memoEntry{coded: c}
 	if prev != nil {
@@ -551,16 +563,13 @@ func (g *Ground) admit(c *codedUpdate, prev, best *refState) error {
 	if err != nil {
 		return err
 	}
-	// The store installs ref as is, so the mirror holds what it decodes.
+	// The store installs ref as is, so the mirror holds what it decodes:
+	// the content Update returns with it.
 	var held sat.Ref
 	if prev != nil {
 		held = prev.ref
 	}
-	ref, st, err := g.storage.Update(held, decoded, c.masks)
-	if err != nil {
-		return fmt.Errorf("station: %w", err)
-	}
-	stored, err := ref.Load()
+	ref, stored, st, err := g.storage.Update(held, decoded, c.masks)
 	if err != nil {
 		return fmt.Errorf("station: %w", err)
 	}
@@ -615,13 +624,15 @@ func (g *Ground) PendingUplink(sat int, locs []int) (reseeds, deltas, demoted in
 	return reseeds, deltas, demoted
 }
 
-// trimUpdateToBudget reduces per-band update masks to the most-changed
-// (band, tile) units whose estimated cost fits remaining bytes, returned
-// as new masks: perBand is left untouched, since a shared update holds
-// it. The tiles that do not make the cut remain different from the
+// trimUpdateToBudget reduces the untrimmed update c's masks to the
+// most-changed (band, tile) units whose estimated cost fits remaining
+// bytes, ranked by c's recorded diffs (a re-seed's units tie), and
+// returns them as new masks: c is left untouched, since it may be
+// shared. The tiles that do not make the cut remain different from the
 // reference, so the content diff re-selects them on the following days
 // until the mirror converges.
-func (g *Ground) trimUpdateToBudget(best, mirror *refState, perBand []*raster.TileMask, remaining int64) []*raster.TileMask {
+func (g *Ground) trimUpdateToBudget(c *codedUpdate, remaining int64) []*raster.TileMask {
+	perBand := c.masks
 	gLow := perBand[0].Grid
 	out := make([]*raster.TileMask, len(perBand))
 	for b := range out {
@@ -638,20 +649,13 @@ func (g *Ground) trimUpdateToBudget(best, mirror *refState, perBand []*raster.Ti
 	}
 	var units []unit
 	for b, mask := range perBand {
-		if mask.Count() == 0 {
-			continue
-		}
-		var diffs []float64
-		if mirror != nil {
-			diffs = raster.TileMeanAbsDiff(best.img, mirror.img, b, gLow)
-		}
 		for t, set := range mask.Set {
 			if !set {
 				continue
 			}
 			d := 1.0
-			if diffs != nil {
-				d = diffs[t]
+			if c.diffs != nil {
+				d = c.diffs[b][t]
 			}
 			units = append(units, unit{band: b, tile: t, diff: d})
 		}
@@ -704,7 +708,10 @@ func (g *Ground) codeWithin(c *codedUpdate, ref *raster.Image, limit int64) (boo
 }
 
 // decodeRefUpdate reconstructs the reference image a satellite ends up with
-// after applying the update on top of its current mirror.
+// after applying the update on top of its current mirror, decoding the
+// bands on the pool: the day-end barrier runs it on one goroutine. The
+// result needs no clamp: the mirror is a clamped decode already, and the
+// ROI decode clamps every tile it writes.
 func (g *Ground) decodeRefUpdate(cs container.Codestream, masks []*raster.TileMask, current *refState, best *refState) (*raster.Image, error) {
 	var base *raster.Image
 	if current != nil {
@@ -712,10 +719,9 @@ func (g *Ground) decodeRefUpdate(cs container.Codestream, masks []*raster.TileMa
 	} else {
 		base = raster.New(best.img.Width, best.img.Height, g.bands)
 	}
-	if err := codec.DecodeROIFrame(cs, masks, nil, base); err != nil {
+	if err := codec.DecodeROIFrame(cs, masks, nil, base, g.storage.Codec.Parallelism); err != nil {
 		return nil, fmt.Errorf("station: reference frame: %w", err)
 	}
-	base.Clamp()
 	return base, nil
 }
 
@@ -731,12 +737,9 @@ func (g *Ground) SeedBootstrap(loc, day int, full *raster.Image, sats []int) (sa
 		return sat.Ref{}, fmt.Errorf("station: bootstrap downsample: %w", err)
 	}
 	// The ground's own reference stays pristine; what each mirror holds
-	// is what the satellite's store will reproduce.
-	ref, err := g.storage.Hold(low)
-	if err != nil {
-		return sat.Ref{}, fmt.Errorf("station: bootstrap: %w", err)
-	}
-	stored, err := ref.Load()
+	// is what the satellite's store will reproduce: the content of the
+	// Ref a store not holding loc yet gets.
+	ref, stored, _, err := g.storage.Update(sat.Ref{}, low, nil)
 	if err != nil {
 		return sat.Ref{}, fmt.Errorf("station: bootstrap: %w", err)
 	}
