@@ -53,8 +53,12 @@
 // worker count; the determinism matrix in internal/sim pins this under
 // -race, and its golden digests pin the one-worker traces themselves.
 // Scene synthesis draws capture buffers from pools (scene.ReleaseCapture
-// recycles them), and sim.RunStream plus sim.Accumulator aggregate
-// records without retaining them.
+// recycles them). Each location's shard synthesises the day's ground,
+// clouds and atmosphere once as a scene.Sky and takes every visiting
+// satellite's capture from it; those captures share the sky's Truth and
+// TrueCloud read-only, and scene.ReleaseSky recycles the sky after its
+// last capture. sim.RunStream plus sim.Accumulator aggregate records
+// without retaining them.
 //
 // # Storage model
 //

@@ -5,7 +5,10 @@
 // reproducible across runs and platforms.
 package noise
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Source generates smooth 2-D value noise from a 64-bit seed.
 type Source struct {
@@ -71,18 +74,138 @@ func (s *Source) FBM(x, y float64, octaves int, lacunarity, gain float64) float6
 
 // FillFBM writes an fBm field into plane (row-major w x h) with the given
 // base frequency (feature size ~ w/frequency pixels), octave count and
-// standard lacunarity 2 / gain 0.5.
+// standard lacunarity 2 / gain 0.5. Every value is bit-identical to
+// float32(FBM(x·frequency/w, y·frequency/h, octaves, 2, 0.5)); FillFBM
+// only hoists what FBM would recompute per pixel. Each octave's lattice
+// columns and smoothstep weights are computed once per call, and a
+// lattice row's values once per octave and lattice row, so a pixel costs
+// the interpolation and the octave sum alone.
 func (s *Source) FillFBM(plane []float32, w, h int, frequency float64, octaves int) {
 	if len(plane) != w*h {
 		panic("noise: plane length does not match dimensions")
 	}
+	if octaves <= 0 {
+		clear(plane)
+		return
+	}
+	sc := fbmPool.Get().(*fbmScratch)
+	defer fbmPool.Put(sc)
+	sc.prepare(w, octaves)
 	sx := frequency / float64(w)
 	sy := frequency / float64(h)
+	var norm float64
+	amp, freq := 1.0, 1.0
+	for o := range sc.oct {
+		sc.columns(o, w, sx, freq)
+		norm += amp
+		amp *= 0.5
+		freq *= 2
+	}
+	acc := sc.acc
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			plane[y*w+x] = float32(s.FBM(float64(x)*sx, float64(y)*sy, octaves, 2, 0.5))
+		yc := float64(y) * sy
+		clear(acc)
+		amp, freq = 1.0, 1.0
+		for o := range sc.oct {
+			oc := &sc.oct[o]
+			yf := yc * freq
+			y0 := math.Floor(yf)
+			ty := smoothstep(yf - y0)
+			if iy := int64(y0); !oc.rowValid || oc.iy != iy {
+				for c, ix := range oc.cells {
+					oc.row0[c] = s.lattice(ix, iy)
+					oc.row1[c] = s.lattice(ix, iy+1)
+				}
+				oc.iy, oc.rowValid = iy, true
+			}
+			row0, row1 := oc.row0, oc.row1
+			for x, k := range oc.cell {
+				tx := oc.tx[x]
+				v00, v10 := row0[k], row0[k+1]
+				v01, v11 := row1[k], row1[k+1]
+				top := v00 + (v10-v00)*tx
+				bot := v01 + (v11-v01)*tx
+				acc[x] += amp * (top + (bot-top)*ty)
+			}
+			amp *= 0.5
+			freq *= 2
+		}
+		dst := plane[y*w : (y+1)*w]
+		for x, v := range acc {
+			dst[x] = float32(v / norm)
 		}
 	}
+}
+
+// fbmScratch is FillFBM's working set, pooled across calls.
+type fbmScratch struct {
+	oct []fbmOctave
+	acc []float64 // one row's octave sums
+}
+
+// fbmOctave holds one octave's hoisted tables. cells lists the lattice
+// columns the image touches; column x interpolates between cells[cell[x]]
+// and cells[cell[x]+1] (always its lattice column and the next one) with
+// weight tx[x]. row0 and row1 hold the lattice values of cells on lattice
+// rows iy and iy+1.
+type fbmOctave struct {
+	cell       []int32
+	tx         []float64
+	cells      []int64
+	row0, row1 []float64
+	iy         int64
+	rowValid   bool
+}
+
+var fbmPool = sync.Pool{New: func() any { return new(fbmScratch) }}
+
+// prepare sizes the scratch for a w-wide field of the given octave count.
+func (sc *fbmScratch) prepare(w, octaves int) {
+	sc.oct = resize(sc.oct, octaves)
+	sc.acc = resize(sc.acc, w)
+	for o := range sc.oct {
+		oc := &sc.oct[o]
+		oc.cell = resize(oc.cell, w)
+		oc.tx = resize(oc.tx, w)
+		oc.rowValid = false
+	}
+}
+
+// columns fills octave o's column tables for coordinates x·sx·freq.
+// Consecutive columns usually share a lattice column or step to the next
+// one, so the cell list stays near the octave's lattice span instead of
+// holding two cells per pixel.
+func (sc *fbmScratch) columns(o, w int, sx, freq float64) {
+	oc := &sc.oct[o]
+	cells := oc.cells[:0]
+	for x := 0; x < w; x++ {
+		xf := float64(x) * sx * freq
+		x0 := math.Floor(xf)
+		oc.tx[x] = smoothstep(xf - x0)
+		ix, n := int64(x0), len(cells)
+		switch {
+		case n >= 2 && cells[n-2] == ix:
+			oc.cell[x] = int32(n - 2)
+		case n >= 1 && cells[n-1] == ix:
+			cells = append(cells, ix+1)
+			oc.cell[x] = int32(n - 1)
+		default:
+			cells = append(cells, ix, ix+1)
+			oc.cell[x] = int32(n)
+		}
+	}
+	oc.cells = cells
+	oc.row0 = resize(oc.row0, len(cells))
+	oc.row1 = resize(oc.row1, len(cells))
+}
+
+// resize returns buf with length n, reusing its backing array when it is
+// large enough. The content is stale.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // Uniform returns the k-th uniform variate in [0,1) of the stream identified

@@ -111,6 +111,60 @@ func TestFillFBM(t *testing.T) {
 	s.FillFBM(make([]float32, 3), 16, 8, 4, 3)
 }
 
+// FillFBM hoists FBM's per-pixel lattice work into per-call and per-row
+// tables; every value must still equal the pointwise FBM bit for bit, at
+// every (frequency, octaves) pair internal/scene passes (w/3 is the
+// microtexture's frequency) and on an odd non-square plane.
+func TestFillFBMMatchesPointwiseFBM(t *testing.T) {
+	type pair struct {
+		freq    float64 // 0 stands for w/3
+		octaves int
+	}
+	pairs := []pair{
+		{3, 2}, {0, 2}, {4, 4}, {2, 2}, // seasonal, microtexture, clouds, atmosphere
+		{5, 6}, {7, 3}, {24, 2}, {18, 2}, {10, 1}, {3, 4}, {8, 3}, {9, 3}, {6, 4}, {12, 4}, // terrain
+		{4, 0}, {4, -1}, // no octaves: zeros
+	}
+	sizes := [][2]int{{37, 23}, {48, 48}, {64, 64}, {96, 96}, {192, 192}, {384, 384}}
+	for _, seed := range []uint64{1, 42, 0x9e3779b97f4a7c15} {
+		s := New(seed)
+		for _, sz := range sizes {
+			w, h := sz[0], sz[1]
+			plane := make([]float32, w*h)
+			for _, p := range pairs {
+				freq := p.freq
+				if freq == 0 {
+					freq = float64(w) / 3
+				}
+				for i := range plane {
+					plane[i] = -1 // stale content must be overwritten
+				}
+				s.FillFBM(plane, w, h, freq, p.octaves)
+				sx, sy := freq/float64(w), freq/float64(h)
+				for y := 0; y < h; y++ {
+					for x := 0; x < w; x++ {
+						want := float32(s.FBM(float64(x)*sx, float64(y)*sy, p.octaves, 2, 0.5))
+						if got := plane[y*w+x]; math.Float32bits(got) != math.Float32bits(want) {
+							t.Fatalf("seed %#x %dx%d freq %v octaves %d: (%d,%d) = %v, pointwise FBM %v",
+								seed, w, h, freq, p.octaves, x, y, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkFillFBM(b *testing.B) {
+	const w = 192
+	s := New(7)
+	plane := make([]float32, w*w)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.FillFBM(plane, w, w, 4, 4)
+	}
+}
+
 func TestUniformStreamIndependence(t *testing.T) {
 	s := New(21)
 	seen := map[float64]bool{}

@@ -116,29 +116,59 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Capture is one simulated photograph.
+// Capture is one simulated photograph. A capture from Sky.Capture shares
+// its sky's Truth and TrueCloud with every other capture of that sky:
+// nothing may write them, and the sky must outlive the capture. A capture
+// from CaptureImage owns a private sky instead.
 type Capture struct {
 	Loc, Day, Sat int
 	// Image is what the satellite sensed: truth + clouds + illumination +
-	// noise, clamped to [0,1].
+	// noise, clamped to [0,1]. It always belongs to this capture alone.
 	Image *raster.Image
 	// TrueCloud is the ground-truth cloud mask (for evaluation and for
 	// the ground station's "accurate" detector oracle tests; on-board
-	// systems must use their own detectors).
+	// systems must use their own detectors). Read-only.
 	TrueCloud *cloud.Mask
 	// Truth is the cloud-free surface image at capture time (evaluation
-	// only).
+	// only). Read-only.
 	Truth *raster.Image
 	// TrueIllum is the illumination model applied (evaluation only).
 	TrueIllum illum.Model
 	// Coverage is TrueCloud's cloudy fraction.
 	Coverage float64
+
+	// private is the sky a CaptureImage capture owns (nil when the
+	// capture shares a caller's sky); ReleaseCapture releases it.
+	private *Sky
 }
 
-// Scene generates imagery for a dataset configuration. CaptureImage and
-// GroundTruth are safe for concurrent use; per-location synthesis state is
-// guarded by the scene mutex and everything else is a pure function of
-// (seed, location, day), so results never depend on call order.
+// Sky is everything a capture of one (location, day) holds before its
+// first satellite-dependent step: the ground truth, the true cloud mask
+// and coverage, and the composite (the truth with the cloud blend and the
+// atmosphere applied, unclamped). Every satellite over the location that
+// day photographs the same sky, so it is synthesised once and each
+// Capture adds only its satellite's illumination, sensor noise and clamp.
+// Captures share the sky's Truth and TrueCloud read-only, so a sky must
+// outlive its captures; Scene.ReleaseSky recycles it. Capture is safe for
+// concurrent use.
+type Sky struct {
+	Loc, Day int
+	// Truth is the cloud-free surface image. Read-only.
+	Truth *raster.Image
+	// TrueCloud is the ground-truth cloud mask. Read-only.
+	TrueCloud *cloud.Mask
+	// Coverage is TrueCloud's cloudy fraction.
+	Coverage float64
+
+	scene     *Scene
+	composite *raster.Image
+}
+
+// Scene generates imagery for a dataset configuration. CaptureImage, Sky
+// and GroundTruth are safe for concurrent use; per-location synthesis
+// state is guarded by the scene mutex and everything else is a pure
+// function of (seed, location, day), so results never depend on call
+// order.
 type Scene struct {
 	cfg      Config
 	src      *noise.Source
@@ -150,7 +180,8 @@ type Scene struct {
 
 	// Pools recycle capture-sized buffers so scene synthesis stops
 	// allocating per visit once the simulation reaches steady state.
-	// Callers opt in by returning finished captures via ReleaseCapture.
+	// Callers opt in by returning finished captures via ReleaseCapture
+	// and finished skies via ReleaseSky.
 	imgPool  sync.Pool // *raster.Image with the scene geometry
 	f32Pool  sync.Pool // []float32 of Width*Height
 	maskPool sync.Pool // *cloud.Mask of Width*Height
@@ -215,20 +246,35 @@ func (s *Scene) ReleaseImage(im *raster.Image) {
 	s.imgPool.Put(im)
 }
 
-// ReleaseCapture recycles a finished capture's buffers (image, truth and
-// cloud mask) into the scene's pools and clears the capture's references so
-// accidental reuse fails fast. Callers that retain any of the capture's
-// images must clone them first (every sim.System already does).
+// ReleaseCapture recycles a finished capture's image into the scene's
+// pools, with its truth and cloud mask when the capture came from
+// CaptureImage (a shared sky's are released by ReleaseSky), and clears the
+// capture's references so accidental reuse fails fast. Callers that retain
+// any of the capture's images must clone them first (every sim.System
+// already does).
 func (s *Scene) ReleaseCapture(c *Capture) {
 	if c == nil {
 		return
 	}
 	s.ReleaseImage(c.Image)
-	s.ReleaseImage(c.Truth)
-	if c.TrueCloud != nil && len(c.TrueCloud.Bits) == s.cfg.Width*s.cfg.Height {
-		s.maskPool.Put(c.TrueCloud)
+	s.ReleaseSky(c.private)
+	c.Image, c.Truth, c.TrueCloud, c.private = nil, nil, nil, nil
+}
+
+// ReleaseSky recycles a sky's truth, cloud mask and composite into the
+// scene's pools and clears its references. Every capture taken from the
+// sky must be finished first: they share its truth and mask. A nil sky is
+// ignored.
+func (s *Scene) ReleaseSky(k *Sky) {
+	if k == nil {
+		return
 	}
-	c.Image, c.Truth, c.TrueCloud = nil, nil, nil
+	s.ReleaseImage(k.composite)
+	s.ReleaseImage(k.Truth)
+	if k.TrueCloud != nil && len(k.TrueCloud.Bits) == s.cfg.Width*s.cfg.Height {
+		s.maskPool.Put(k.TrueCloud)
+	}
+	k.composite, k.Truth, k.TrueCloud = nil, nil, nil
 }
 
 // Config returns the scene's configuration.
@@ -433,8 +479,8 @@ func (s *Scene) CloudCoverageTarget(loc, day int) float64 {
 // cloudField renders the optical-thickness plane tau in [0,1] for
 // (loc, day) hitting the day's coverage target, plus the truth mask
 // (tau > 0.15).
-// The returned tau plane comes from the scene's scratch pool; CaptureImage
-// returns it via putF32 once the cloud blend is done.
+// The returned tau plane comes from the scene's scratch pool; Sky returns
+// it to the pool once the cloud blend is done.
 func (s *Scene) cloudField(loc, day int) ([]float32, *cloud.Mask, float64) {
 	w, h := s.cfg.Width, s.cfg.Height
 	target := s.CloudCoverageTarget(loc, day)
@@ -498,8 +544,10 @@ func (s *Scene) IllumModel(loc, day, sat int) illum.Model {
 	return illum.Model{Gain: g, Offset: o}
 }
 
-// CaptureImage simulates satellite sat photographing loc on day.
-func (s *Scene) CaptureImage(loc, day, sat int) *Capture {
+// Sky synthesises everything (loc, day) contributes to its captures: the
+// ground truth, the cloud field and the pre-illumination composite. The
+// caller releases it with ReleaseSky after its last capture.
+func (s *Scene) Sky(loc, day int) *Sky {
 	s.mu.Lock()
 	truth := s.groundTruthLocked(loc, day)
 	s.mu.Unlock()
@@ -520,19 +568,51 @@ func (s *Scene) CaptureImage(loc, day, sat int) *Capture {
 	if s.cfg.AtmosVariability > 0 {
 		s.applyAtmosphere(im, loc, day)
 	}
-	model := s.IllumModel(loc, day, sat)
+	return &Sky{
+		Loc: loc, Day: day,
+		Truth: truth, TrueCloud: mask, Coverage: coverage,
+		scene: s, composite: im,
+	}
+}
+
+// Capture simulates satellite sat photographing the sky: a copy of the
+// composite under sat's illumination and sensor noise, clamped to [0,1].
+// The capture shares the sky's Truth and TrueCloud; release it with
+// Scene.ReleaseCapture before releasing the sky.
+func (k *Sky) Capture(sat int) *Capture {
+	im := k.scene.getImage()
+	im.CopyFrom(k.composite)
+	return k.expose(im, sat)
+}
+
+// expose applies sat's illumination, sensor noise and clamp to im (the
+// sky's composite or a copy of it) and wraps it as sat's capture.
+func (k *Sky) expose(im *raster.Image, sat int) *Capture {
+	s := k.scene
+	model := s.IllumModel(k.Loc, k.Day, sat)
 	for b := range s.cfg.Bands {
 		model.Apply(im.Plane(b))
 	}
 	if s.cfg.SensorNoise > 0 {
-		s.addSensorNoise(im, loc, day, sat)
+		s.addSensorNoise(im, k.Loc, k.Day, sat)
 	}
 	im.Clamp()
 	return &Capture{
-		Loc: loc, Day: day, Sat: sat,
-		Image: im, TrueCloud: mask, Truth: truth,
-		TrueIllum: model, Coverage: coverage,
+		Loc: k.Loc, Day: k.Day, Sat: sat,
+		Image: im, TrueCloud: k.TrueCloud, Truth: k.Truth,
+		TrueIllum: model, Coverage: k.Coverage,
 	}
+}
+
+// CaptureImage simulates satellite sat photographing loc on day. It is
+// Sky(loc, day).Capture(sat) with the capture owning its sky: the image
+// is the sky's composite itself, and ReleaseCapture releases the rest.
+func (s *Scene) CaptureImage(loc, day, sat int) *Capture {
+	k := s.Sky(loc, day)
+	c := k.expose(k.composite, sat)
+	k.composite = nil
+	c.private = k
+	return c
 }
 
 // applyAtmosphere adds the day's atmospheric pattern (water vapor, haze

@@ -8,13 +8,21 @@
 // ground work (reference-upload packing) runs on a sequential barrier
 // between days, because the uplink budget couples locations.
 //
+// Every satellite over a location on one day photographs the same sky:
+// the ground truth, clouds and atmosphere depend on (loc, day) alone. A
+// shard therefore synthesises its location's scene.Sky once, takes each
+// visit's capture from it (adding only that satellite's illumination and
+// sensor noise) and releases it after the last visit. The sky is a plain
+// value owned by the shard, with no lock and no cache behind it.
+//
 // Constellation-scale runs invert the shape the sharding was built for:
 // many satellites over few locations. When the requested worker count
 // exceeds the location count, the surplus workers pre-generate the day's
-// captures across every (location, satellite) visit first — capture
-// synthesis is a pure function of (loc, day, sat), so generation order is
-// free — and the location shards then consume the ready captures in visit
-// order. System state is still touched per location in order, so the
+// skies and then its captures across every (location, satellite) visit
+// first — capture synthesis is a pure function of (loc, day, sat), so
+// generation order is free — and the location shards then consume the
+// ready captures in visit order; the skies are released once the shards
+// finish. System state is still touched per location in order, so the
 // records do not depend on the worker count.
 //
 // The engine guarantees determinism: because Systems only share state
@@ -87,22 +95,38 @@ func RunStream(env *Env, sys System, bootstrapFrom, startDay, endDay int, emit f
 
 // runDay simulates one day's captures: the locations fan out over pool
 // workers (at one worker they run inline, in location order), each
-// location's visits run in order into shards[loc], and the records are
-// emitted in location order. When req exceeds pool, the day's captures
-// are pre-generated across every (location, satellite) visit first so
-// fleet-scale runs over few locations still use the whole worker budget.
+// location's visits run in order into shards[loc] from one sky per
+// location, and the records are emitted in location order. When req
+// exceeds pool, the day's skies and captures are pre-generated across
+// every (location, satellite) visit first so fleet-scale runs over few
+// locations still use the whole worker budget.
 func runDay(env *Env, sys System, grid raster.TileGrid, day, pool, req int, shards [][]Record, emit func(*Record)) error {
 	nLoc := len(shards)
 	var pre [][]*scene.Capture
 	if req > pool {
-		pre = pregenerateCaptures(env, day, nLoc, req)
+		var skies []*scene.Sky
+		skies, pre = pregenerateCaptures(env, day, nLoc, req)
+		defer func() {
+			for _, k := range skies {
+				env.Scene.ReleaseSky(k)
+			}
+		}()
 	}
 	errs := make([]error, nLoc)
 	par.For(pool, nLoc, func(loc int) {
 		recs := shards[loc][:0]
-		for vi, satID := range env.Orbit.VisitsOn(loc, day) {
+		sats := env.Orbit.VisitsOn(loc, day)
+		var sky *scene.Sky
+		if pre == nil && len(sats) > 0 {
+			// One sky serves every visit; it outlives their captures.
+			sky = env.Scene.Sky(loc, day)
+			defer env.Scene.ReleaseSky(sky)
+		}
+		for vi, satID := range sats {
 			var c *scene.Capture
-			if pre != nil {
+			if sky != nil {
+				c = sky.Capture(satID)
+			} else {
 				c, pre[loc][vi] = pre[loc][vi], nil
 			}
 			rec, err := processVisit(env, sys, grid, day, loc, satID, c)
@@ -139,10 +163,12 @@ func runDay(env *Env, sys System, grid raster.TileGrid, day, pool, req int, shar
 	return nil
 }
 
-// pregenerateCaptures synthesises every (location, satellite) capture of
-// one day concurrently on workers goroutines. Capture content is a pure
-// function of (loc, day, sat), so generation order does not affect results.
-func pregenerateCaptures(env *Env, day, nLoc, workers int) [][]*scene.Capture {
+// pregenerateCaptures synthesises the day's skies, one per visited
+// location, and then every (location, satellite) capture from them,
+// each stage concurrently on workers goroutines. Capture content is a
+// pure function of (loc, day, sat), so generation order does not affect
+// results. The caller releases the skies once the captures are done.
+func pregenerateCaptures(env *Env, day, nLoc, workers int) ([]*scene.Sky, [][]*scene.Capture) {
 	type visit struct{ loc, idx, sat int }
 	var visits []visit
 	pre := make([][]*scene.Capture, nLoc)
@@ -153,22 +179,24 @@ func pregenerateCaptures(env *Env, day, nLoc, workers int) [][]*scene.Capture {
 			visits = append(visits, visit{loc, i, sat})
 		}
 	}
+	skies := make([]*scene.Sky, nLoc)
+	par.For(workers, nLoc, func(loc int) {
+		if len(pre[loc]) > 0 {
+			skies[loc] = env.Scene.Sky(loc, day)
+		}
+	})
 	par.For(workers, len(visits), func(i int) {
 		v := visits[i]
-		pre[v.loc][v.idx] = env.Scene.CaptureImage(v.loc, day, v.sat)
+		pre[v.loc][v.idx] = skies[v.loc].Capture(v.sat)
 	})
-	return pre
+	return skies, pre
 }
 
-// processVisit generates one capture (or consumes the pre-generated one),
-// runs the system on it, evaluates the reconstruction and returns the
-// capture's Record. Capture buffers (and the system's reconstruction) are
-// recycled into the scene's pools afterwards.
-func processVisit(env *Env, sys System, grid raster.TileGrid, day, loc, satID int, pre *scene.Capture) (Record, error) {
-	cap := pre
-	if cap == nil {
-		cap = env.Scene.CaptureImage(loc, day, satID)
-	}
+// processVisit runs the system on one capture, evaluates the
+// reconstruction and returns the capture's Record. The capture's image is
+// recycled into the scene's pools afterwards; a shared sky's truth and
+// mask stay with the sky.
+func processVisit(env *Env, sys System, grid raster.TileGrid, day, loc, satID int, cap *scene.Capture) (Record, error) {
 	out, err := sys.OnCapture(cap)
 	if err != nil {
 		env.Scene.ReleaseCapture(cap)
@@ -196,11 +224,9 @@ func processVisit(env *Env, sys System, grid raster.TileGrid, day, loc, satID in
 	if env.Observer != nil && !out.Dropped && out.Recon != nil {
 		env.Observer.ObserveVisit(&rec, cap, out.Recon, grid)
 	}
-	// A well-behaved System returns a fresh reconstruction; guard against
-	// one aliasing the capture so the pools never hold an image twice.
-	if out.Recon != nil && out.Recon != cap.Image && out.Recon != cap.Truth {
-		env.Scene.ReleaseImage(out.Recon)
-	}
+	// The reconstruction is left to the collector: the scene's pools get
+	// back every buffer they hand out, so pooling it too would only keep it
+	// reachable longer and raise the heap target.
 	env.Scene.ReleaseCapture(cap)
 	return rec, nil
 }

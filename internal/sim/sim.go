@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"earthplus/internal/illum"
 	"earthplus/internal/link"
@@ -36,8 +37,9 @@ type Env struct {
 	// instead of idling.
 	Parallelism int
 	// Observer, when non-nil, sees every evaluated visit while its capture
-	// and ground reconstruction are still live (before the buffers recycle
-	// into the scene pools). Constellation event tracking hangs off this.
+	// and ground reconstruction are still live (before the capture's
+	// buffers recycle into the scene pools). Constellation event tracking
+	// hangs off this.
 	// Calls arrive in order within one location but concurrently across
 	// locations, so an Observer must only touch per-location state from
 	// ObserveVisit (or lock).
@@ -47,7 +49,9 @@ type Env struct {
 // Observer receives evaluated visits during a run. rec is the merged-order
 // record about to be emitted; cap and recon are the live capture and ground
 // reconstruction (recon may be nil when nothing was delivered). Neither may
-// be retained past the call — both recycle into the scene's buffer pools.
+// be retained past the call or written: the capture's image recycles into
+// the scene's buffer pools, and its truth and cloud mask belong to a sky
+// that other captures share.
 type Observer interface {
 	ObserveVisit(rec *Record, cap *scene.Capture, recon *raster.Image, grid raster.TileGrid)
 }
@@ -210,12 +214,29 @@ func EvalPSNRRegion(cap *scene.Capture, recon *raster.Image, grid raster.TileGri
 	return evalPSNRMasked(cap, recon, grid, include)
 }
 
+// evalScratch is evalPSNRMasked's working set, recycled through evalPool:
+// the aligned copy of the reconstruction and the fit's pixel mask. A
+// buffer whose shape does not match the call is replaced, not reused.
+type evalScratch struct {
+	aligned *raster.Image
+	use     []bool
+}
+
+var evalPool = sync.Pool{New: func() any { return new(evalScratch) }}
+
 // evalPSNRMasked aligns recon radiometrically over the included tiles and
 // scores the masked PSNR.
 func evalPSNRMasked(cap *scene.Capture, recon *raster.Image, grid raster.TileGrid, include func(int) bool) float64 {
+	sc := evalPool.Get().(*evalScratch)
+	defer evalPool.Put(sc)
 	// Fit only over evaluated pixels; excluded (cloudy) tiles may hold
 	// stale or zeroed content that would poison the fit.
-	use := make([]bool, grid.ImageW*grid.ImageH)
+	if n := grid.ImageW * grid.ImageH; len(sc.use) == n {
+		clear(sc.use)
+	} else {
+		sc.use = make([]bool, n)
+	}
+	use := sc.use
 	for t := 0; t < grid.NumTiles(); t++ {
 		if !include(t) {
 			continue
@@ -227,7 +248,12 @@ func evalPSNRMasked(cap *scene.Capture, recon *raster.Image, grid raster.TileGri
 			}
 		}
 	}
-	aligned := recon.Clone()
+	if sc.aligned == nil || !sc.aligned.SameShape(recon) {
+		sc.aligned = recon.Clone()
+	} else {
+		sc.aligned.CopyFrom(recon)
+	}
+	aligned := sc.aligned
 	for b := 0; b < aligned.NumBands(); b++ {
 		if m, ok := illum.Fit(cap.Image.Plane(b), aligned.Plane(b), use); ok {
 			m.Normalize(aligned.Plane(b))

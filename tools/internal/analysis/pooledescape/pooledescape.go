@@ -1,7 +1,8 @@
 // Package pooledescape defines an analyzer that checks the lifecycle of
-// pooled buffers: scene capture buffers (Scene.CaptureImage →
-// ReleaseCapture), codec scratch arenas (getScratch → release,
-// getPlaneBuf → putPlaneBuf), and any sync.Pool Get/Put pair.
+// pooled buffers: scene capture buffers (Scene.CaptureImage and
+// Sky.Capture → ReleaseCapture), scene skies (Scene.Sky → ReleaseSky),
+// codec scratch arenas (getScratch → release, getPlaneBuf →
+// putPlaneBuf), and any sync.Pool Get/Put pair.
 //
 // Pooled memory is recycled: content becomes garbage the moment it is
 // released, and a buffer that is never released silently degrades the
@@ -39,7 +40,7 @@ import (
 
 // DefaultAcquirers are the repo's pooled-buffer constructors. sync.Pool
 // Get calls are recognised by type and need no listing.
-const DefaultAcquirers = "CaptureImage,getScratch,getTileScratch,getPlaneBuf,getImage,getF32,getMask"
+const DefaultAcquirers = "CaptureImage,Sky,Capture,getScratch,getTileScratch,getPlaneBuf,getImage,getF32,getMask"
 
 var acquirers string
 

@@ -13,6 +13,22 @@ func CaptureImage() *Capture { return &Capture{} }
 
 func ReleaseCapture(c *Capture) {}
 
+// Scene hands out skies; every capture of a sky shares its truth, so the
+// sky is released after its last capture.
+type Scene struct{}
+
+type Sky struct {
+	Truth []byte
+}
+
+func (s *Scene) Sky(loc, day int) *Sky { return &Sky{} }
+
+func (k *Sky) Capture(sat int) *Capture { return &Capture{Truth: k.Truth} }
+
+func ReleaseSky(k *Sky) {}
+
+func process(c *Capture) error { return nil }
+
 type scratch struct{}
 
 func getScratch() *scratch { return &scratch{} }
@@ -119,4 +135,36 @@ func SuppressedLeak() []byte {
 	//lint:pooled fixture retains the capture for the process lifetime
 	c := CaptureImage()
 	return c.Image
+}
+
+// SkyAfterCaptures is the engine's shape: one sky per location, each
+// visit's capture taken from it and released, the sky released last.
+func SkyAfterCaptures(s *Scene, sats []int) int {
+	k := s.Sky(0, 1)
+	defer ReleaseSky(k)
+	n := 0
+	for _, sat := range sats {
+		c := k.Capture(sat)
+		n += len(c.Image)
+		ReleaseCapture(c)
+	}
+	return n
+}
+
+// SkyLeakOnError returns a visit's error before the sky's release.
+func SkyLeakOnError(s *Scene, sats []int) error {
+	k := s.Sky(0, 1) // want "pooled value k from Sky is not released on every path"
+	for _, sat := range sats {
+		if err := process(k.Capture(sat)); err != nil {
+			return err
+		}
+	}
+	ReleaseSky(k)
+	return nil
+}
+
+// SkyCaptureLeak reads a capture's field without releasing it.
+func SkyCaptureLeak(k *Sky) int {
+	c := k.Capture(3) // want "pooled value c from Capture is not released on every path"
+	return len(c.Image)
 }
